@@ -35,8 +35,8 @@ from .lorentz import check_density_conditions, check_lorentz_embedding, \
 from .measure import zero_measure
 from .params import Mode, ProblemParams, params as make_params
 from .radial_pde import solve_radial_p_laplace
-from .solver import (intrinsic_fixed_point, solve_bounded_endpoint,
-                     solve_minimal, verify_solution)
+from .solver import (intrinsic_fixed_point, km_sandwich_ratio,
+                     solve_bounded_endpoint, solve_minimal, verify_solution)
 from .wolff import truncated_wolff, wolff
 
 EXIT_OK = 0
@@ -379,20 +379,11 @@ def run_check_instance(name, idx, seed, pp: ProblemParams, quad,
     if name == "km_sandwich":
         nu, desc = random_density(rng, pp, quad)
         u = solve_radial_p_laplace(nu, pp, quad)
-        worst = 0.0
+        samples = []
         for _ in range(10):
             d = 10.0 ** rng.uniform(-2.0, 2.0)
-            R = d * 10.0 ** rng.uniform(-1.0, 1.0)
-            x = np.zeros(pp.n)
-            x[0] = d
-            w_r = truncated_wolff(nu, x, R, pp, quad).value
-            w_2r = truncated_wolff(nu, x, 2.0 * R, pp, quad).value
-            u_x = float(np.atleast_1d(u.eval(d))[0])
-            inf_b = float(np.atleast_1d(u.eval(d + R))[0])
-            if u_x > 0 and w_r > 0:
-                worst = max(worst, w_r / u_x)
-            if u_x > 0 and inf_b + w_2r > 0:
-                worst = max(worst, u_x / (inf_b + w_2r))
+            samples.append((d, d * 10.0 ** rng.uniform(-1.0, 1.0)))
+        worst = km_sandwich_ratio(nu, u, samples, pp, quad)
         rep = InequalityReport.build("km_sandwich", worst, 1.0, bound,
                                      instance={"seed": idx, **desc})
         return [rep]

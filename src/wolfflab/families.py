@@ -4,15 +4,14 @@ Measures are drawn from the documented family f(r) = a (1 + (r/b)^2)^{-c}
 with a, b log-uniform in [0.1, 10] and c large enough that every energy
 the checks need is finite (c > n/2 guarantees finite mass, hence finite
 potentials and finite self energies for the exponents in play).  Half the
-draws are truncated to a compact ball to exercise the closed-form tails;
-optional off-center atom sets feed the energy-only checks.
+draws are truncated to a compact ball to exercise the closed-form tails.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .measure import Atom, RadialDensity, RadonMeasure, Sum
+from .measure import RadialDensity
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig
 from .radial_pde import RadialFunction
 
@@ -61,19 +60,6 @@ def random_pair(rng: np.random.Generator, params: ProblemParams,
     sigma, d1 = random_density(rng, params, quad)
     mu, d2 = random_density(rng, params, quad)
     return sigma, mu, {"sigma": d1, "mu": d2}
-
-
-def random_atom_set(rng: np.random.Generator, dim: int,
-                    count: int = 3) -> RadonMeasure:
-    """Off-center atoms for energy-only checks (never fed to the solver)."""
-    atoms = []
-    for _ in range(count):
-        direction = rng.normal(size=dim)
-        direction /= np.linalg.norm(direction)
-        radius = 10.0 ** rng.uniform(-1.0, 1.0)
-        weight = 10.0 ** rng.uniform(-1.0, 0.5)
-        atoms.append(Atom(radius * direction, weight))
-    return Sum(atoms)
 
 
 def random_test_profile(rng: np.random.Generator, params: ProblemParams,

@@ -18,10 +18,8 @@ from .errors import ModeMismatch
 from .measure import RadonMeasure
 from .params import (DEFAULT_QUAD, Mode, ProblemParams, QuadratureConfig,
                      derive_exponents, unit_ball_volume, validate)
-from .quadrature import panel_nodes
+from .quadrature import panel_sum
 from .radial_pde import RadialFunction
-
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -100,13 +98,11 @@ def lorentz_norm(u: RadialFunction, r_idx: float, rho_idx: float,
     return lorentz_norm_rearranged(rp, r_idx, rho_idx, quad)
 
 
-def _norm_in_r(u: RadialFunction, rp: RearrangedProfile, r_idx, rho_idx,
-               params, quad) -> float:
-    """Norm integral substituted back to r: dt/t = n dr/r, t = w_n r^n."""
-    n = params.n
-    wn = unit_ball_volume(n)
+def _ends(rp: RearrangedProfile, e_head: float, rho_idx: float, last: int) -> float:
+    """Closed-form power-law parts of int (t^{1/r} f*(t))^rho dt/t below
+    the first node and past the last positive node; inf when either
+    diverges."""
     t = rp.t_grid
-    e_head = rho_idx / r_idx - 1.0
     total = 0.0
     if math.isinf(rp.head_value):
         if rp.head_coeff > 0:
@@ -116,19 +112,26 @@ def _norm_in_r(u: RadialFunction, rp: RearrangedProfile, r_idx, rho_idx,
             total += rp.head_coeff ** rho_idx * t[0] ** (e + 1.0) / (e + 1.0)
     elif rp.head_value > 0:
         total += rp.head_value ** rho_idx * t[0] ** (e_head + 1.0) / (e_head + 1.0)
-    pos = u.values > 0
-    last = int(np.nonzero(pos)[0][-1])
-    if last > 0:
-        nodes, weights = panel_nodes(u.grid[:last + 1], quad.gauss_order)
-        rr = nodes.ravel()
-        vals = (wn * rr ** n) ** (rho_idx / r_idx) * \
-            np.maximum(u.eval(rr), 0.0) ** rho_idx * n / rr
-        total += float(np.sum(vals.reshape(nodes.shape) * weights))
     if rp.tail_coeff > 0:
         e = e_head - rho_idx * rp.tail_exp
         if e >= -1.0:
             return math.inf
         total += rp.tail_coeff ** rho_idx * t[last] ** (e + 1.0) / (-e - 1.0)
+    return total
+
+
+def _norm_in_r(u: RadialFunction, rp: RearrangedProfile, r_idx, rho_idx,
+               params, quad) -> float:
+    """Norm integral substituted back to r: dt/t = n dr/r, t = w_n r^n."""
+    n = params.n
+    wn = unit_ball_volume(n)
+    last = int(np.nonzero(u.values > 0)[0][-1])
+    total = _ends(rp, rho_idx / r_idx - 1.0, rho_idx, last)
+    if last > 0 and math.isfinite(total):
+        total += panel_sum(
+            lambda rr: (wn * rr ** n) ** (rho_idx / r_idx)
+            * np.maximum(u.eval(rr), 0.0) ** rho_idx * n / rr,
+            u.grid[:last + 1], quad.gauss_order)
     return total ** (1.0 / rho_idx)
 
 
@@ -137,39 +140,18 @@ def lorentz_norm_rearranged(rp: RearrangedProfile, r_idx: float, rho_idx: float,
     pos = rp.fstar > 0
     if not np.any(pos) and rp.head_value == 0 and rp.tail_coeff == 0:
         return 0.0
-    t = rp.t_grid
-    f = rp.fstar
     last = int(np.nonzero(pos)[0][-1]) if np.any(pos) else 0
 
     if math.isinf(rho_idx):
         return _weak_norm(rp, r_idx, last)
 
-    # head (0, t_0)
-    total = 0.0
     e_head = rho_idx / r_idx - 1.0
-    if math.isinf(rp.head_value):
-        if rp.head_coeff > 0:
-            e = e_head - rho_idx * rp.head_exp
-            if e <= -1.0:
-                return math.inf
-            total += rp.head_coeff ** rho_idx * t[0] ** (e + 1.0) / (e + 1.0)
-    elif rp.head_value > 0:
-        total += rp.head_value ** rho_idx * t[0] ** (e_head + 1.0) / (e_head + 1.0)
-
+    total = _ends(rp, e_head, rho_idx, last)
     # grid part up to the last positive node
-    if last > 0:
-        edges = t[:last + 1]
-        nodes, weights = panel_nodes(edges, quad.gauss_order)
-        fv = _interp_fstar(rp, nodes.ravel(), last).reshape(nodes.shape)
-        vals = fv ** rho_idx * nodes ** (e_head)
-        total += float(np.sum(vals * weights))
-
-    # tail past the grid
-    if rp.tail_coeff > 0:
-        e = e_head - rho_idx * rp.tail_exp
-        if e >= -1.0:
-            return math.inf
-        total += rp.tail_coeff ** rho_idx * t[last] ** (e + 1.0) / (-e - 1.0)
+    if last > 0 and math.isfinite(total):
+        total += panel_sum(
+            lambda tq: _interp_fstar(rp, tq, last) ** rho_idx * tq ** e_head,
+            rp.t_grid[:last + 1], quad.gauss_order)
     return total ** (1.0 / rho_idx)
 
 

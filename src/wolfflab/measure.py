@@ -27,7 +27,7 @@ from .errors import (
     SignError,
 )
 from .params import DEFAULT_QUAD, QuadratureConfig, unit_ball_volume
-from .quadrature import gauss_rule, panel_nodes
+from .quadrature import decade_tail, gauss_rule, panel_sum, power_law_head
 
 _TINY = 1e-300
 
@@ -114,9 +114,14 @@ class RadonMeasure:
             raise NegativeScale(f"scale factor must be >= 0, got {lam}")
         return self._scale(float(lam))
 
+    def radial_marks(self) -> list:
+        """Radii of the origin-centered spheres where the measure has edges
+        (support edges, shell radii)."""
+        return []
+
     def breakpoints(self, d: float) -> list:
         """Radii where r -> mu(B(x, r)), |x| = d, has kinks or jumps."""
-        raise NotImplementedError
+        return [b for e in self.radial_marks() for b in (abs(d - e), d + e) if b > 0]
 
     def outer_extent(self) -> float:
         """Radius beyond which no mass lives (inf for measures with tails)."""
@@ -202,9 +207,6 @@ class Atom(RadonMeasure):
     def _scale(self, lam):
         return Atom(self.location, lam * self.weight)
 
-    def breakpoints(self, d):
-        return []
-
     def outer_extent(self):
         return self.support_radius()
 
@@ -249,8 +251,8 @@ class SphericalShell(RadonMeasure):
     def _scale(self, lam):
         return SphericalShell(self.dim, self.radius, lam * self.total)
 
-    def breakpoints(self, d):
-        return [b for b in (abs(d - self.radius), d + self.radius) if b > 0]
+    def radial_marks(self):
+        return [self.radius]
 
     def outer_extent(self):
         return self.radius if self.total else 0.0
@@ -410,18 +412,16 @@ class RadialDensity(RadonMeasure):
         E = self._edges
         masses = np.zeros(len(E) - 1)
         start = 0
+
+        def shell_mass(s):
+            return self._base_density(s) * nwn * s ** (self.dim - 1)
+
         if E[0] == 0.0 and len(E) > 1:
             sub = np.concatenate([[0.0], np.geomspace(E[1] * 1e-12, E[1], 13)])
-            nodes, weights = panel_nodes(sub, 24)
-            f = self._base_density(np.maximum(nodes.ravel(), _TINY)).reshape(nodes.shape)
-            masses[0] = float(np.sum(
-                f * nwn * np.maximum(nodes, 0.0) ** (self.dim - 1) * weights))
+            masses[0] = panel_sum(shell_mass, sub, 24)
             start = 1
         if len(E) - 1 > start:
-            nodes, weights = panel_nodes(E[start:], 24)
-            f = self._base_density(nodes.ravel()).reshape(nodes.shape)
-            masses[start:] = np.sum(f * nwn * nodes ** (self.dim - 1) * weights,
-                                    axis=1)
+            masses[start:] = panel_sum(shell_mass, E[start:], 24, rows=len(E) - 1 - start)
         self._piece_mass = masses
         self._edge_vals = self._base_density(np.maximum(E, _TINY))
         self._cum = np.concatenate([[0.0], np.cumsum(masses)])
@@ -603,14 +603,11 @@ class RadialDensity(RadonMeasure):
                              allow_infinite_mass=self.allow_infinite_mass,
                              interp=self.interp, window_order=self._window_k)
 
-    def breakpoints(self, d):
+    def radial_marks(self):
         marks = {self.lo_cut, float(self._edges[-1])}
         if math.isfinite(self._hi):
             marks.add(self._hi)
-        out = []
-        for e in marks:
-            out.extend([abs(d - e), d + e])
-        return [b for b in out if b > 0]
+        return sorted(marks)
 
     def outer_extent(self):
         if self._tail_total > 0:
@@ -675,11 +672,8 @@ class Sum(RadonMeasure):
     def _scale(self, lam):
         return Sum([t._scale(lam) for t in self.terms])
 
-    def breakpoints(self, d):
-        out = []
-        for t in self.terms:
-            out.extend(t.breakpoints(d))
-        return out
+    def radial_marks(self):
+        return [m for t in self.terms for m in t.radial_marks()]
 
     def outer_extent(self):
         live = [t for t in self.terms if t.total_mass() > 0]
@@ -781,72 +775,22 @@ def _integrate_density(comp: RadialDensity, g, quad, radial) -> float:
         work = np.concatenate([inner[:-1], work])
     if len(work) < 2:
         return 0.0
-    nodes, weights = panel_nodes(work, quad.gauss_order)
-    s = nodes.ravel()
-    gv = _radial_eval(g, s, radial)
-    _check_sign(np.min(gv))
-    f = comp.density_at(s)
-    contrib = gv * f * comp._nwn * s ** (comp.dim - 1)
-    bad = ~np.isfinite(contrib)
-    if np.any(bad & (f > 0) & ~np.isfinite(gv)):
-        return math.inf
-    contrib = np.where(bad, 0.0, contrib)
-    total = float(np.sum(contrib * weights.ravel()))
-    # remainder below the smallest panel edge via a local power-law fit
-    a0 = work[0]
-    if comp.lo_cut < a0 and comp.density_at(a0 * 0.5) > 0:
-        pts = np.array([a0 * 0.25, a0 * 0.5])
-        y = _radial_eval(g, pts, radial) * comp.density_at(pts) * comp._nwn \
-            * pts ** (comp.dim - 1)
-        if np.any(~np.isfinite(y)):
-            return math.inf
-        if np.all(y > 0):
-            expo = math.log(y[1] / y[0]) / math.log(2.0)
-            if expo <= -1.0:
-                return math.inf
-            total += float(y[1]) * (a0 * 0.5) / (expo + 1.0)
-    if comp._tail_total > 0:
-        tail = _tail_quadrature(comp, g, quad, radial, float(work[-1]))
-        if math.isinf(tail):
-            return math.inf
-        total += tail
-    return float(total)
 
-
-def _tail_quadrature(comp, g, quad, radial, start) -> float:
-    """Integrate decade by decade until increments decay geometrically;
-    extrapolate the remainder, or report divergence."""
-    total = 0.0
-    prev = None
-    ratio = 0.0
-    a = start
-    for _ in range(60):
-        b = a * 10.0
-        nodes, weights = panel_nodes(np.geomspace(a, b, 5), quad.gauss_order)
-        s = nodes.ravel()
+    def integrand(s):
         gv = _radial_eval(g, s, radial)
+        _check_sign(np.min(gv))
         f = comp.density_at(s)
-        contrib = gv * f * comp._nwn * s ** (comp.dim - 1)
-        if np.any(~np.isfinite(contrib) & (f > 0)):
-            return math.inf
-        inc = float(np.sum(np.where(np.isfinite(contrib), contrib, 0.0)
-                           * weights.ravel()))
-        total += inc
-        if prev is not None and prev > 0:
-            ratio = inc / prev
-            if ratio >= 1.0:
-                return math.inf
-            if inc <= quad.rel_tol * max(total, _TINY):
-                return total + (inc * ratio / (1.0 - ratio) if ratio < 1 else 0.0)
-        elif prev == 0.0 and inc == 0.0:
-            return total
-        prev = inc
-        a = b
-    if prev and prev > quad.rel_tol * max(total, _TINY):
-        if ratio < 0.999:
-            return total + prev * ratio / (1.0 - ratio)
-        return math.inf
-    return total
+        with np.errstate(invalid="ignore", over="ignore"):
+            contrib = gv * f * comp._nwn * s ** (comp.dim - 1)
+        # infinite where g is infinite on mass; nothing where there is no mass
+        return np.where(f > 0, np.where(np.isfinite(contrib), contrib, math.inf), 0.0)
+
+    total = panel_sum(integrand, work, quad.gauss_order)
+    # remainder below the smallest panel edge via a local power-law fit
+    total += power_law_head(integrand, work[0])
+    if comp._tail_total > 0 and math.isfinite(total):
+        total += decade_tail(integrand, float(work[-1]), quad.gauss_order, quad.rel_tol)
+    return float(total)
 
 
 def multiply_radial(mu: RadonMeasure, g) -> RadonMeasure:

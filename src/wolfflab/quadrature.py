@@ -1,10 +1,12 @@
-"""Shared 1-D quadrature kernel: log-spaced Gauss panels with analytic
-power-law tails.
+"""Shared 1-D quadrature kernel: geometric Gauss panels, a closed-form
+power-law head below the first node and a decade-by-decade tail with a
+geometric remainder.
 
-Every improper integral in the package runs through these helpers so
-there is a single tolerance story.  Integrands are piecewise smooth
+Every improper radial integral in the package runs through these helpers
+so there is a single tolerance story.  Integrands are piecewise smooth
 between known breakpoints (support edges, atom distances, grid knots);
-panels never straddle a breakpoint.
+panels never straddle a breakpoint.  Integrands take an array of radii
+(1-D, except in a batched head) and return values of the same shape.
 """
 
 from __future__ import annotations
@@ -14,6 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
+_TINY = 1e-300
+# power-law fit points and anchor of the head, in units of r0
+_HEAD_FIT = np.array([0.25, 0.5, 1.0])
+# a support edge inside (0, r0) breaks the power law: fine geometric
+# panels from r0 * 1e-9 resolve the stub instead
+_STUB_EDGES = np.geomspace(1e-9, 1.0, 40)
+_STUB_ORDER = 16
+
 
 @lru_cache(maxsize=64)
 def gauss_rule(k: int):
@@ -21,48 +31,139 @@ def gauss_rule(k: int):
     return x, w
 
 
-def panelize(a: float, b: float, breakpoints=(), panels_per_decade: int = 4,
-             min_panels: int = 1) -> np.ndarray:
-    """Panel edges covering [a, b], split at interior breakpoints, with
-    geometric subdivision of each span."""
-    if not (b > a >= 0):
-        raise ValueError(f"bad interval [{a}, {b}]")
-    pts = [a, b]
-    for c in breakpoints:
-        if a < c < b:
-            pts.append(float(c))
-    pts = sorted(set(pts))
-    edges = []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if lo <= 0:
-            # leading span from zero: geometric from a tiny offset is
-            # handled by callers; here split linearly
-            sub = max(min_panels, 2)
-            edges.append(np.linspace(lo, hi, sub + 1))
-            continue
-        decades = math.log10(hi / lo)
-        sub = max(min_panels, int(math.ceil(decades * panels_per_decade)), 1)
-        edges.append(np.geomspace(lo, hi, sub + 1))
-    out = np.concatenate([e[:-1] for e in edges] + [[pts[-1]]])
-    return out
+def panelize(lo, hi, breakpoints=(), panels_per_decade: int = 4):
+    """Geometric panels for many rows (lo, hi, breakpoints) at once.
 
+    Row i covers [lo[i], hi[i]] with 0 < lo < hi.  The entries of
+    breakpoints[i] strictly inside the row split it into spans (others,
+    NaN padding included, are ignored) and a span of D decades gets
+    max(1, ceil(D * panels_per_decade)) geometric panels, so no panel
+    straddles a breakpoint.  Scalar lo, hi with a flat breakpoint list make
+    one row.
 
-def panel_nodes(edges: np.ndarray, k: int):
-    """Gauss nodes/weights for integrating f(x) dx over consecutive panels.
-
-    Returns arrays of shape (npanels, k).
+    Returns (left, right, row): the panel ends, rows in order and each row
+    left to right, and the row of each panel.
     """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    if not np.all((lo > 0) & (hi > lo)):
+        raise ValueError(f"bad intervals: need 0 < lo < hi, got {lo}, {hi}")
+    brk = np.asarray(breakpoints, dtype=float).reshape(len(lo), -1)
+    inside = (brk > lo[:, None]) & (brk < hi[:, None])
+    # ignored entries become hi: after sorting they close zero-width spans
+    cuts = np.sort(np.where(inside, brk, hi[:, None]), axis=1)
+    pts = np.concatenate([lo[:, None], cuts, hi[:, None]], axis=1)
+    a, b = pts[:, :-1].ravel(), pts[:, 1:].ravel()
+    span_row = np.repeat(np.arange(len(lo)), pts.shape[1] - 1)
+    keep = b > a
+    a, b, span_row = a[keep], b[keep], span_row[keep]
+    log_ratio = np.log(b / a)
+    counts = np.maximum(np.ceil(np.log10(b / a) * panels_per_decade), 1).astype(int)
+    span = np.repeat(np.arange(len(a)), counts)
+    ends = np.cumsum(counts)
+    j = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    left = a[span] * np.exp(j / counts[span] * log_ratio[span])
+    right = np.empty_like(left)
+    right[:-1] = left[1:]
+    right[ends - 1] = b
+    return left, right, span_row[span]
+
+
+def panel_nodes(edges, k: int):
+    """Gauss nodes/weights for integrating f(x) dx over panels.
+
+    edges is either a 1-D array of consecutive panel edges or a pair
+    (left, right) of equal-shape arrays of panel ends.  Returns arrays of
+    shape (npanels, k), or left.shape + (k,).
+    """
+    if isinstance(edges, tuple):
+        lo, hi = (np.asarray(e, dtype=float) for e in edges)
+    else:
+        edges = np.asarray(edges, dtype=float)
+        lo, hi = edges[:-1], edges[1:]
     t, w = gauss_rule(k)
-    lo = edges[:-1]
-    hi = edges[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * t[None, :]
-    weights = half[:, None] * w[None, :]
+    nodes = mid[..., None] + half[..., None] * t
+    weights = half[..., None] * w
     return nodes, weights
 
 
-def integrate_panels(f, edges: np.ndarray, k: int) -> float:
+def panel_sum(f, edges, k: int, rows: int = None):
+    """k-point Gauss sum of f over the panels given by edges (as in
+    panel_nodes).
+
+    Returns the total, or with rows given one sum for each of `rows` equal
+    runs of consecutive panels (rows = the panel count: one sum per
+    panel).  f sees the nodes panel by panel, k at a time.
+    """
     nodes, weights = panel_nodes(edges, k)
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    return float(np.sum(vals * weights))
+    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape) * weights
+    return float(np.sum(vals)) if rows is None else vals.reshape(rows, -1).sum(axis=1)
+
+
+def power_law_head(f, r0):
+    """Integral of f over (0, r0) for f ~ C r^kappa below r0, elementwise
+    over an array of r0.
+
+    kappa is fitted from f(r0/4) and f(r0/2) and the power law is anchored
+    at f(r0).  The head is 0 where f(r0/2) = 0, inf where kappa <= -1 or a
+    fit value is not finite, and where f(r0/4) = 0 < f(r0/2) (a support edge
+    inside (0, r0)) the stub is integrated on fine geometric panels.
+
+    f is called with radii of shape (j,) + shape(r0); column i of a 2-D
+    call belongs to r0[i].
+    """
+    r0 = np.asarray(r0, dtype=float)
+    y = np.asarray(f(np.multiply.outer(_HEAD_FIT, r0)), dtype=float)
+    y_q, y_h, y_0 = y
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kappa = np.log2(y_h / y_q)
+        head = np.where(kappa > -1.0, y_0 * r0 / (kappa + 1.0), math.inf)
+    head = np.where(y_h > 0, head, 0.0)
+    stub = (y_q <= 0) & (y_h > 0)
+    if np.any(stub):
+        nodes, weights = panel_nodes(_STUB_EDGES, _STUB_ORDER)
+        vals = np.asarray(f(np.multiply.outer(nodes.ravel(), r0)), dtype=float)
+        head = np.where(stub, np.tensordot(weights.ravel(), vals, axes=1) * r0, head)
+    head = np.where(np.all(np.isfinite(y), axis=0), head, math.inf)
+    return float(head) if head.ndim == 0 else head
+
+
+def decade_tail(f, start: float, k: int, rel_tol: float,
+                upper: float = math.inf) -> float:
+    """Integral of a decaying power-law tail f over (start, upper).
+
+    One decade at a time on four geometric k-point panels.  Once an
+    increment is below rel_tol of the running total, the rest is the
+    geometric series of the last decade ratio, also after 60 decades.
+    Stops exactly at a finite upper and after two zero decades; inf when
+    an increment is not finite or the increments stop decaying.
+    """
+    total = 0.0
+    prev = None
+    ratio = 1.0
+    a = start
+    for _ in range(60):
+        b = min(a * 10.0, upper)
+        if b <= a:
+            return total
+        inc = panel_sum(f, np.geomspace(a, b, 5), k)
+        if not math.isfinite(inc):
+            return math.inf
+        total += inc
+        if b == upper:
+            return total
+        if prev:
+            ratio = inc / prev
+            if ratio >= 1.0:
+                return math.inf
+            if inc <= rel_tol * max(total, _TINY):
+                return total + inc * ratio / (1.0 - ratio)
+        elif prev == 0.0 and inc == 0.0:
+            return total
+        prev = inc
+        a = b
+    if not prev or prev <= rel_tol * max(total, _TINY):
+        return total
+    return total + prev * ratio / (1.0 - ratio) if ratio < 0.999 else math.inf

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DivergentTail, NonMonotoneProfile, NonRadialMeasure
 from .measure import RadialDensity, RadonMeasure
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
-from .quadrature import panel_nodes
+from .quadrature import panel_sum, power_law_head
 
 _TINY = 1e-300
 
@@ -237,10 +237,6 @@ def _loglog_interp(xs, ys, x):
     return np.interp(x, xs, ys)
 
 
-def eval_profile(u: RadialFunction, r):
-    return u.eval(r)
-
-
 def solve_radial_p_laplace(nu: RadonMeasure, params: ProblemParams,
                            quad: QuadratureConfig = DEFAULT_QUAD,
                            grid=None) -> RadialFunction:
@@ -268,15 +264,13 @@ def solve_radial_p_laplace(nu: RadonMeasure, params: ProblemParams,
         return (np.maximum(m, 0.0) / (nwn * s ** (n - 1))) ** ipm1
 
     # per-segment Gauss integrals of h
-    nodes, weights = panel_nodes(grid, quad.gauss_order)
-    hv = h(nodes.ravel()).reshape(nodes.shape)
-    seg = np.sum(hv * weights, axis=1)
+    seg = panel_sum(h, grid, quad.gauss_order, rows=len(grid) - 1)
 
     # tail beyond the last node
     m_end = float(nu.centered_mass(np.array([grid[-1]]))[0])
     total = nu.total_mass()
     if math.isinf(total):
-        tail_val, tail_coeff, tail_exp = _divergent_mass_tail(nu, params, quad, grid[-1])
+        tail_val, tail_coeff, tail_exp = _divergent_mass_tail(h, params, quad, grid[-1])
     else:
         # constant ball mass beyond the grid; mass still outside r_max is
         # negligible by construction of finite-mass tails
@@ -287,23 +281,15 @@ def solve_radial_p_laplace(nu: RadonMeasure, params: ProblemParams,
     u = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + tail_val
     deriv = -h(grid)
 
-    center = _center_value(h, grid[0], u[0])
+    center = u[0] + power_law_head(h, grid[0])
     return RadialFunction(grid, u, tail_coeff, tail_exp, center, deriv,
                           mass_fn=nu.centered_mass, mass_pow=(n, p, nwn))
 
 
-def _divergent_mass_tail(nu, params, quad, r_end):
-    """Tail handling for flagged infinite-mass measures: numeric panels to
+def _divergent_mass_tail(h, params, quad, r_end):
+    """Tail of int h for flagged infinite-mass measures: numeric panels to
     a far horizon plus an analytic power remainder; DivergentTail when the
     integral cannot converge."""
-    n, p = params.n, params.p
-    nwn = params.sphere_area
-    ipm1 = 1.0 / (p - 1.0)
-
-    def h(s):
-        m = nu.centered_mass(s)
-        return (np.maximum(m, 0.0) / (nwn * s ** (n - 1))) ** ipm1
-
     h1 = float(h(np.array([r_end * 1e6]))[0])
     h2 = float(h(np.array([r_end * 1e7]))[0])
     if h1 <= 0:
@@ -312,31 +298,12 @@ def _divergent_mass_tail(nu, params, quad, r_end):
     if expo >= -1.0 - 1e-9:
         raise DivergentTail("measure grows too fast at infinity for decay at infinity")
     horizon = r_end * 1e8
-    edges = np.geomspace(r_end, horizon, 65)
-    nodes, weights = panel_nodes(edges, quad.gauss_order)
-    val = float(np.sum(h(nodes.ravel()).reshape(nodes.shape) * weights))
+    val = panel_sum(h, np.geomspace(r_end, horizon, 65), quad.gauss_order)
     h_end = float(h(np.array([horizon]))[0])
     remainder = h_end * horizon / (-expo - 1.0)
     tail_exp = -(expo + 1.0)
     tail_coeff = remainder * horizon ** tail_exp
     return val + remainder, tail_coeff, tail_exp
-
-
-def _center_value(h, r0, u0):
-    pts = np.array([r0 * 0.25, r0 * 0.5])
-    hv = h(pts)
-    if hv[1] <= 0:
-        return u0
-    if hv[0] <= 0:
-        # support edge inside (0, r0); resolve with fine panels
-        edges = np.geomspace(r0 * 1e-9, r0, 40)
-        nodes, weights = panel_nodes(edges, 16)
-        return u0 + float(np.sum(h(nodes.ravel()).reshape(nodes.shape) * weights))
-    kappa = math.log(hv[1] / hv[0]) / math.log(2.0)
-    if kappa <= -1.0:
-        return math.inf
-    h0 = float(h(np.array([r0]))[0])
-    return u0 + h0 * r0 / (kappa + 1.0)
 
 
 def riesz_measure_of(u: RadialFunction, params: ProblemParams) -> RadonMeasure:
@@ -419,22 +386,10 @@ def dirichlet_energy(u: RadialFunction, params: ProblemParams,
                 out[live & (uv <= 0)] = math.inf
         return out * nwn * s ** (n - 1)
 
-    nodes, weights = panel_nodes(g, quad.gauss_order)
-    vals = integrand(nodes.ravel()).reshape(nodes.shape)
-    if np.any(np.isinf(vals)):
+    # grid panels plus the power-law head below the first node
+    total = panel_sum(integrand, g, quad.gauss_order) + power_law_head(integrand, g[0])
+    if math.isinf(total):
         return math.inf
-    total = float(np.sum(vals * weights))
-
-    # head: power-law fit below the first node
-    pts = np.array([g[0] * 0.25, g[0] * 0.5])
-    y = integrand(pts)
-    if np.any(np.isinf(y)):
-        return math.inf
-    if np.all(y > 0):
-        expo = math.log(y[1] / y[0]) / math.log(2.0)
-        if expo <= -1.0:
-            return math.inf
-        total += float(y[1]) * (g[0] * 0.5) / (expo + 1.0)
 
     # tail: closed form from the analytic profile tail
     if u.tail_coeff > 0:

@@ -488,21 +488,12 @@ def verify_solution(sol: Solution, sigma_list, q_list, mu,
 
     # (c) two-sided pointwise sandwich at sampled (x, R)
     if sol.riesz.total_mass() > 0:
-        worst = 0.0
         lo_g, hi_g = u.grid[0] * 10, u.grid[-1] / 10
+        samples = []
         for _ in range(km_samples):
             d = math.exp(rng.uniform(math.log(lo_g * 10), math.log(min(hi_g, 1e3))))
-            R = math.exp(rng.uniform(math.log(d * 0.1), math.log(d * 10)))
-            x = np.zeros(params.n)
-            x[0] = d
-            w_r = truncated_wolff(sol.riesz, x, R, params, quad).value
-            w_2r = truncated_wolff(sol.riesz, x, 2 * R, params, quad).value
-            u_x = float(np.atleast_1d(u.eval(d))[0])
-            inf_b = float(np.atleast_1d(u.eval(d + R))[0])
-            if u_x > 0 and w_r > 0:
-                worst = max(worst, w_r / u_x)
-            if u_x > 0 and (inf_b + w_2r) > 0:
-                worst = max(worst, u_x / (inf_b + w_2r))
+            samples.append((d, math.exp(rng.uniform(math.log(d * 0.1), math.log(d * 10)))))
+        worst = km_sandwich_ratio(sol.riesz, u, samples, params, quad)
         reports.append(InequalityReport.build(
             "km_sandwich", worst, 1.0, bound=1e3))
 
@@ -546,6 +537,28 @@ def verify_solution(sol: Solution, sigma_list, q_list, mu,
             "truncation_energy", e_tr, lvl * max(sol.riesz.total_mass(), _EPS),
             bound=_TRUNCATION_BOUND))
     return reports
+
+
+def km_sandwich_ratio(nu: RadonMeasure, u: RadialFunction, samples,
+                      params: ProblemParams,
+                      quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+    """Worst ratio in the two-sided pointwise sandwich
+    W^R nu(x) <~ u(x) <~ inf_{B(x,R)} u + W^{2R} nu(x), u the potential of
+    nu, over sampled (d, R) with x = d e_1; inf_{B(x,R)} u = u(d + R) for a
+    nonincreasing radial u."""
+    worst = 0.0
+    for d, R in samples:
+        x = np.zeros(params.n)
+        x[0] = d
+        w_r = truncated_wolff(nu, x, R, params, quad).value
+        w_2r = truncated_wolff(nu, x, 2.0 * R, params, quad).value
+        u_x = float(np.atleast_1d(u.eval(d))[0])
+        inf_b = float(np.atleast_1d(u.eval(d + R))[0])
+        if u_x > 0 and w_r > 0:
+            worst = max(worst, w_r / u_x)
+        if u_x > 0 and inf_b + w_2r > 0:
+            worst = max(worst, u_x / (inf_b + w_2r))
+    return worst
 
 
 def _truncated_profile(u: RadialFunction, level: float) -> RadialFunction:

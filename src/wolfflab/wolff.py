@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NonpositiveR, NonRadialMeasure, ZeroMeasure
 from .measure import Atom, RadialDensity, RadonMeasure, SphericalShell, Sum
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
-from .quadrature import panel_nodes, panelize
+from .quadrature import decade_tail, panel_sum, panelize, power_law_head
 from .radial_pde import RadialFunction
 
 _TINY = 1e-300
@@ -97,7 +97,7 @@ def _wolff_point(mu, x, params, quad, R):
                 infinite = True
             else:
                 finite_extent = max(finite_extent, d + ext)
-            min_dist = min(min_dist, _support_distance(c, d))
+            min_dist = min(min_dist, float(_support_distance(c, d)))
     if d > 0:
         breaks.add(d)
     breaks = sorted(b for b in breaks if b > 0)
@@ -117,8 +117,8 @@ def _wolff_point(mu, x, params, quad, R):
         if R is not None:
             r_lo = min(r_lo, 0.5 * R)
         # local power law below r_lo
-        head, head_diverges = _head_term(integrand, massfn, r_lo, R)
-        if head_diverges:
+        head = power_law_head(integrand, r_lo)
+        if math.isinf(head):
             return PotentialValue(math.inf, 0.0)
 
     if infinite:
@@ -130,13 +130,14 @@ def _wolff_point(mu, x, params, quad, R):
     core = 0.0
     err = 0.0
     if r_hi > r_lo:
-        edges = panelize(r_lo, r_hi, breaks, quad.panels_per_decade)
-        core, err = _adaptive_panels(integrand, edges, quad)
+        left, _, _ = panelize(r_lo, r_hi, breaks, quad.panels_per_decade)
+        core, err = _adaptive_panels(integrand, np.append(left, r_hi), quad)
 
     tail = 0.0
     if R is None or R > horizon:
         if infinite:
-            tail = _decay_tail(integrand, horizon, quad, upper=R)
+            tail = decade_tail(integrand, horizon, quad.gauss_order, quad.rel_tol,
+                               upper=math.inf if R is None else R)
             if math.isinf(tail):
                 return PotentialValue(math.inf, 0.0)
         else:
@@ -152,89 +153,31 @@ def _wolff_point(mu, x, params, quad, R):
 
 
 def _support_distance(c, d):
-    """Distance from a point at radius d to the support of a radial component."""
+    """Distance from points at radii d to the support of a radial component."""
+    d = np.asarray(d, dtype=float)
     if isinstance(c, Atom):
         return d  # radial atoms sit at the origin
     if isinstance(c, SphericalShell):
-        return abs(d - c.radius)
-    lo = c.lo_cut
-    hi = c.outer_extent()
-    if d < lo:
-        return lo - d
-    if math.isfinite(hi) and d > hi:
-        return d - hi
-    return 0.0
-
-
-def _head_term(integrand, massfn, r_lo, R):
-    """Closed-form contribution of (0, min(r_lo, R)) from a power-law fit."""
-    upper = r_lo if R is None else min(r_lo, R)
-    pts = np.array([r_lo * 0.25, r_lo * 0.5])
-    m = massfn(pts)
-    if m[1] <= 0.0:
-        return 0.0, False
-    g = integrand(pts)
-    if m[0] <= 0.0:
-        # support edge below r_lo: integrate the stub numerically
-        edges = np.geomspace(r_lo * 1e-8, upper, 30)
-        nodes, weights = panel_nodes(edges, 16)
-        val = float(np.sum(integrand(nodes.ravel()).reshape(nodes.shape) * weights))
-        return val, False
-    kappa = math.log(g[1] / g[0]) / math.log(2.0)
-    if kappa <= -1.0:
-        return 0.0, True
-    g_lo = float(integrand(np.array([r_lo]))[0])
-    val = g_lo * r_lo * (upper / r_lo) ** (kappa + 1.0) / (kappa + 1.0)
-    return val, False
+        return np.abs(d - c.radius)
+    return np.maximum(np.maximum(c.lo_cut - d, d - c.outer_extent()), 0.0)
 
 
 def _adaptive_panels(f, edges, quad, max_refine=3):
-    def total(e):
-        nodes, weights = panel_nodes(e, quad.gauss_order)
-        return float(np.sum(f(nodes.ravel()).reshape(nodes.shape) * weights))
-
-    prev = total(edges)
+    """Panel sum refined by geometric bisection until two successive sums
+    agree to rel_tol; returns (sum, last difference)."""
+    prev = panel_sum(f, edges, quad.gauss_order)
     err = math.inf
     for _ in range(max_refine):
-        lo, hi = edges[:-1], edges[1:]
-        mid = np.sqrt(lo * hi) if edges[0] > 0 else 0.5 * (lo + hi)
-        new = np.empty(2 * len(lo) + 1)
+        new = np.empty(2 * len(edges) - 1)
         new[0::2] = edges
-        new[1::2] = mid
+        new[1::2] = np.sqrt(edges[:-1] * edges[1:])
         edges = new
-        cur = total(edges)
+        cur = panel_sum(f, edges, quad.gauss_order)
         err = abs(cur - prev)
         prev = cur
         if err <= quad.rel_tol * max(abs(cur), _TINY):
             break
     return prev, err
-
-
-def _decay_tail(integrand, start, quad, upper=None):
-    """Decade-by-decade integration of a decaying power-law tail with a
-    geometric remainder; inf when the decades do not decay."""
-    total = 0.0
-    prev = None
-    a = start
-    hi_cap = upper if upper is not None else math.inf
-    for _ in range(60):
-        b = min(a * 10.0, hi_cap)
-        if b <= a:
-            return total
-        nodes, weights = panel_nodes(np.geomspace(a, b, 5), quad.gauss_order)
-        inc = float(np.sum(integrand(nodes.ravel()).reshape(nodes.shape) * weights))
-        total += inc
-        if b == hi_cap:
-            return total
-        if prev is not None and prev > 0:
-            ratio = inc / prev
-            if ratio >= 1.0:
-                return math.inf
-            if inc <= quad.rel_tol * max(total, _TINY):
-                return total + inc * ratio / (1.0 - ratio)
-        prev = inc
-        a = b
-    return math.inf
 
 
 def wolff_profile(mu: RadonMeasure, params: ProblemParams,
@@ -251,6 +194,7 @@ def wolff_profile(mu: RadonMeasure, params: ProblemParams,
         raise NonRadialMeasure("wolff_profile needs a radial measure")
     n, p = params.n, params.p
     ipm1 = 1.0 / (p - 1.0)
+    e = (n - p) * ipm1
     comps = [c for c in mu.components() if c.total_mass() > 0]
 
     if d_grid is None:
@@ -267,7 +211,7 @@ def wolff_profile(mu: RadonMeasure, params: ProblemParams,
     # the analytic constant-mass tail absorbs the sliver of mass beyond
     # the horizon, so the profile can use a looser horizon than pointwise
     extents = [c.effective_extent(max(quad.rel_tol * 1e-2, 1e-7)) for c in comps]
-    if any(math.isinf(e) for e in extents) or math.isinf(total_mass):
+    if any(math.isinf(x) for x in extents) or math.isinf(total_mass):
         # rare flagged-infinite cases: pointwise fallback
         vals = np.array([
             _wolff_point(mu, _ray_point(d, mu.dim), params, quad, R).value
@@ -275,85 +219,47 @@ def wolff_profile(mu: RadonMeasure, params: ProblemParams,
         return _profile_from_values(d_grid, vals, total_mass, params, mu, quad, R)
     ext = max(extents)
 
-    # per-distance panel edges, flattened into one vector evaluation
-    all_nodes = []
-    all_weights = []
-    all_d = []
-    counts = []
-    heads_lo = np.empty(len(d_grid))
-    need_head = np.zeros(len(d_grid), dtype=bool)
-    for i, d in enumerate(d_grid):
-        breaks = set()
-        min_dist = math.inf
-        for c in comps:
-            if isinstance(c, Atom):
-                breaks.add(d)
-            else:
-                breaks.update(c.breakpoints(d))
-            min_dist = min(min_dist, _support_distance(c, d))
-        breaks.add(d)
-        breaks = sorted(b for b in breaks if b > 0)
-        if min_dist > 0:
-            r_lo = min_dist
-        else:
-            r_lo = min(quad.r_min, 0.25 * breaks[0] if breaks else quad.r_min)
-            # in-support: the ball mass is a clean power law below the first
-            # geometry feature, so the closed-form head can start higher
-            r_lo = max(r_lo, min(d * 2e-3,
-                                 0.25 * breaks[0] if breaks else math.inf))
-            if R is not None:
-                r_lo = min(r_lo, 0.5 * R)
-            need_head[i] = True
-        r_hi = max(d + ext, r_lo * 2.0)
-        if R is not None:
-            r_hi = min(r_hi, R)
-        heads_lo[i] = r_lo
-        if r_hi <= r_lo:
-            counts.append(0)
-            continue
-        edges = panelize(r_lo, r_hi, breaks, quad.profile_r_panels_per_decade)
-        nodes, weights = panel_nodes(edges, quad.profile_gauss_order)
-        all_nodes.append(nodes.ravel())
-        all_weights.append(weights.ravel())
-        all_d.append(np.full(nodes.size, d))
-        counts.append(nodes.size)
+    def integrand(d, r):
+        m = sum(c._radial_mass(d.ravel(), r.ravel()) for c in comps).reshape(r.shape)
+        return np.maximum(m, 0.0) ** ipm1 * r ** (-e - 1.0)
 
-    flat_r = np.concatenate(all_nodes)
-    flat_d = np.concatenate(all_d)
-    flat_w = np.concatenate(all_weights)
-    m = np.zeros_like(flat_r)
-    for c in comps:
-        m += c._radial_mass(flat_d, flat_r)
-    g = np.maximum(m, 0.0) ** ipm1 * flat_r ** (-(n - p) * ipm1 - 1.0)
-    splits = np.cumsum(counts)[:-1]
-    core = np.array([seg.sum() for seg in np.split(g * flat_w, splits)])
+    # ball-mass breakpoints of every distance: the support marks seen from
+    # d, plus d itself (where the centered atoms enter the ball)
+    marks = np.array(sorted({m for c in comps for m in c.radial_marks()}))
+    dcol = d_grid[:, None]
+    breaks = np.concatenate([np.abs(dcol - marks), dcol + marks, dcol], axis=1)
+    first = np.min(np.where(breaks > 0, breaks, math.inf), axis=1)
+    min_dist = np.min([_support_distance(c, d_grid) for c in comps], axis=0)
+    in_support = min_dist <= 0
+    # in-support: the ball mass is a clean power law below the first
+    # geometry feature, so the closed-form head can start higher
+    r_lo = np.minimum(quad.r_min, 0.25 * first)
+    r_lo = np.maximum(r_lo, np.minimum(d_grid * 2e-3, 0.25 * first))
+    if R is not None:
+        r_lo = np.minimum(r_lo, 0.5 * R)
+    r_lo = np.where(in_support, r_lo, min_dist)
+    r_out = np.maximum(d_grid + ext, r_lo * 2.0)
+    r_hi = r_out if R is None else np.minimum(r_out, R)
 
-    # head below r_lo: power-law fit per distance
-    head = np.zeros_like(d_grid)
-    pts1 = heads_lo * 0.25
-    pts2 = heads_lo * 0.5
-    m1 = np.zeros_like(pts1)
-    m2 = np.zeros_like(pts2)
-    for c in comps:
-        m1 += c._radial_mass(d_grid, pts1)
-        m2 += c._radial_mass(d_grid, pts2)
-    live = (m2 > 0) & need_head
+    core = np.zeros_like(d_grid)
+    live = r_hi > r_lo
     if np.any(live):
-        g1 = m1[live] ** ipm1 * pts1[live] ** (-(n - p) * ipm1 - 1.0)
-        g2 = m2[live] ** ipm1 * pts2[live] ** (-(n - p) * ipm1 - 1.0)
-        with np.errstate(divide="ignore"):
-            kappa = np.where(g1 > 0, np.log(g2 / np.maximum(g1, _TINY)) / math.log(2.0), np.inf)
-        mlo = np.zeros_like(heads_lo[live])
-        for c in comps:
-            mlo += c._radial_mass(d_grid[live], heads_lo[live])
-        glo = mlo ** ipm1 * heads_lo[live] ** (-(n - p) * ipm1 - 1.0)
-        hv = np.where(kappa > -1.0, glo * heads_lo[live] / (kappa + 1.0), np.inf)
-        head[live] = hv
+        k = quad.profile_gauss_order
+        left, right, row = panelize(r_lo[live], r_hi[live], breaks[live],
+                                    quad.profile_r_panels_per_decade)
+        d_nodes = np.repeat(d_grid[live][row], k)
+        sums = panel_sum(lambda r: integrand(d_nodes, r), (left, right), k, rows=len(row))
+        core[live] = np.bincount(row, weights=sums, minlength=int(np.sum(live)))
+
+    # head below r_lo for distances inside the support
+    head = np.zeros_like(d_grid)
+    if np.any(in_support):
+        d_in = d_grid[in_support]
+        head[in_support] = power_law_head(
+            lambda r: integrand(np.broadcast_to(d_in, r.shape), r), r_lo[in_support])
 
     # tail beyond the support: constant ball mass
-    e = (n - p) * ipm1
     tail_coeff = total_mass ** ipm1 / e
-    r_out = np.maximum(d_grid + ext, heads_lo * 2.0)
     if R is None:
         tail = tail_coeff * r_out ** (-e)
     else:

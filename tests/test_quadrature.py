@@ -1,0 +1,172 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wolfflab.quadrature import (decade_tail, panel_nodes, panel_sum, panelize,
+                                 power_law_head)
+
+
+# -- panel sum ---------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12, 16])
+def test_panel_sum_exact_for_polynomials(k):
+    rng = np.random.default_rng(k)
+    edges = np.array([0.3, 0.7, 1.9, 2.0, 5.5])
+    for degree in range(2 * k):
+        poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, degree + 1))
+        prim = poly.integ()
+        exact = prim(edges[-1]) - prim(edges[0])
+        scale = np.sum(np.abs(poly.coef)) * edges[-1] ** degree * edges[-1]
+        assert abs(panel_sum(poly, edges, k) - exact) <= 1e-13 * scale
+        per = panel_sum(poly, edges, k, rows=4)
+        assert per == pytest.approx(prim(edges[1:]) - prim(edges[:-1]),
+                                    rel=1e-12, abs=1e-13 * scale)
+        halves = panel_sum(poly, edges, k, rows=2)
+        assert halves == pytest.approx(prim(edges[[2, 4]]) - prim(edges[[0, 2]]),
+                                       rel=1e-12, abs=1e-13 * scale)
+
+
+def test_panel_nodes_accepts_edge_pairs():
+    edges = np.array([0.5, 1.0, 4.0, 4.5, 9.0])
+    for a, b in zip(panel_nodes(edges, 7), panel_nodes((edges[:-1], edges[1:]), 7)):
+        assert np.array_equal(a, b)
+    # a 2-D pair keeps its shape: one row of panels per window
+    left, right = edges[:-1].reshape(2, 2), edges[1:].reshape(2, 2)
+    nodes, weights = panel_nodes((left, right), 7)
+    assert nodes.shape == (2, 2, 7)
+    assert np.array_equal(nodes.reshape(4, 7), panel_nodes(edges, 7)[0])
+
+
+# -- batched panelization ------------------------------------------------------
+
+_row = st.tuples(
+    st.floats(-6.0, 3.0),                                # log10 lo
+    st.floats(0.01, 6.0),                                # decades to hi
+    st.lists(st.floats(-7.0, 10.0), max_size=6),          # log10 breakpoints
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(rows=st.lists(_row, min_size=1, max_size=6), ppd=st.integers(1, 5))
+def test_panelize_rows_match_single_builds(rows, ppd):
+    lo = np.array([10.0 ** r[0] for r in rows])
+    hi = lo * np.array([10.0 ** r[1] for r in rows])
+    width = max(len(r[2]) for r in rows)
+    brk = np.full((len(rows), width + 1), np.nan)  # NaN pads ragged rows
+    for i, r in enumerate(rows):
+        brk[i, :len(r[2])] = 10.0 ** np.array(r[2])
+        brk[i, len(r[2])] = lo[i]  # on the row's edge: ignored
+    left, right, row = panelize(lo, hi, brk, ppd)
+    assert np.all(np.diff(row) >= 0)
+    for i in range(len(rows)):
+        a_left, a_right, a_row = panelize(lo[i], hi[i], brk[i][~np.isnan(brk[i])], ppd)
+        assert np.all(a_row == 0)
+        mine = np.stack([left[row == i], right[row == i]], axis=1)
+        assert np.array_equal(mine, np.stack([a_left, a_right], axis=1))
+        # contiguous cover of [lo, hi], positive widths
+        assert mine[0, 0] == lo[i] and mine[-1, 1] == hi[i]
+        assert np.array_equal(mine[1:, 0], mine[:-1, 1])
+        assert np.all(mine[:, 1] > mine[:, 0])
+        # no panel straddles a breakpoint, each one is an edge
+        for c in brk[i]:
+            if lo[i] < c < hi[i]:
+                assert not np.any((mine[:, 0] < c) & (c < mine[:, 1]))
+                assert c in mine[:, 0]
+        # each span gets max(1, ceil(decades * ppd)) panels
+        cuts = np.unique(np.concatenate([[lo[i], hi[i]], brk[i][
+            (brk[i] > lo[i]) & (brk[i] < hi[i])]]))
+        want = sum(max(1, math.ceil(math.log10(b / a) * ppd))
+                   for a, b in zip(cuts[:-1], cuts[1:]))
+        assert len(mine) == want
+
+
+def test_panelize_geometric_within_a_span():
+    left, right, _ = panelize(1e-3, 1e3, (), 4)
+    ratios = right / left
+    assert len(left) == 24
+    assert ratios == pytest.approx(np.full(24, 10.0 ** 0.25), rel=1e-12)
+
+
+def test_panelize_rejects_bad_rows():
+    with pytest.raises(ValueError):
+        panelize(0.0, 1.0)
+    with pytest.raises(ValueError):
+        panelize([1.0, 2.0], [3.0, 2.0])
+
+
+# -- power-law head ------------------------------------------------------------
+
+@pytest.mark.parametrize("kappa", [-0.95, -0.5, 0.0, 0.7, 3.0])
+def test_head_exact_on_power_laws(kappa):
+    r0 = np.array([1e-6, 0.3, 2.0, 50.0])
+    got = power_law_head(lambda r: 2.5 * r ** kappa, r0)
+    assert got == pytest.approx(2.5 * r0 ** (kappa + 1.0) / (kappa + 1.0), rel=1e-12)
+    assert power_law_head(lambda r: 2.5 * r ** kappa, 0.3) == pytest.approx(
+        2.5 * 0.3 ** (kappa + 1.0) / (kappa + 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [-1.0, -1.5, -4.0])
+def test_head_divergent_power_laws_are_infinite(kappa):
+    got = power_law_head(lambda r: r ** kappa, np.array([1e-3, 1.0, 10.0]))
+    assert np.all(np.isinf(got))
+    assert math.isinf(power_law_head(lambda r: r ** kappa, 1.0))
+
+
+def test_head_zero_and_nonfinite():
+    assert power_law_head(lambda r: np.zeros_like(r), 1.0) == 0.0
+    assert math.isinf(power_law_head(lambda r: np.full_like(r, np.inf), 1.0))
+    # nothing below r0/2: no head at all
+    assert power_law_head(lambda r: np.where(r > 0.6, 1.0, 0.0), 1.0) == 0.0
+
+
+@pytest.mark.parametrize("kappa", [-1.5, 0.0, 2.0])
+def test_head_with_support_edge_inside(kappa):
+    # f vanishes below an edge in (r0/4, r0/2): the stub is integrated on
+    # geometric panels (finite even for kappa <= -1); a jump inside a panel
+    # limits it to a few percent
+    r0 = np.array([0.8, 2.0, 3.0])
+    edge = np.array([0.3, 0.9, 1.4])
+    got = power_law_head(lambda r: np.where(r > edge, r ** kappa, 0.0), r0)
+    exact = (r0 ** (kappa + 1.0) - edge ** (kappa + 1.0)) / (kappa + 1.0)
+    assert np.all(np.isfinite(got))
+    assert got == pytest.approx(exact, rel=5e-2)
+    # rows without an edge keep the closed form in the same call
+    mixed = power_law_head(lambda r: np.where(r > edge * [1, 0, 1], r ** 0.5, 0.0), r0)
+    assert mixed[1] == pytest.approx(r0[1] ** 1.5 / 1.5, rel=1e-12)
+
+
+# -- decade tail -----------------------------------------------------------------
+
+@pytest.mark.parametrize("beta", [1.2, 2.0, 3.5, 7.0])
+def test_tail_exact_on_decaying_power_law(beta):
+    start = 0.37
+    got = decade_tail(lambda r: 3.0 * r ** (-beta), start, 16, 1e-10)
+    assert got == pytest.approx(3.0 * start ** (1.0 - beta) / (beta - 1.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5, -1.0])
+def test_tail_infinite_when_increments_do_not_decay(beta):
+    assert math.isinf(decade_tail(lambda r: r ** (-beta), 2.0, 16, 1e-10))
+
+
+def test_tail_infinite_on_nonfinite_increment():
+    assert math.isinf(decade_tail(lambda r: np.where(r > 30.0, np.inf, 1.0 / r ** 2),
+                                  1.0, 16, 1e-10))
+
+
+@pytest.mark.parametrize("upper", [0.5, 2.0, 45.0, 1e4])
+def test_tail_stops_at_upper_cap(upper):
+    got = decade_tail(lambda r: r ** -3.0, 0.5, 16, 1e-10, upper=upper)
+    assert got == pytest.approx((0.5 ** -2 - upper ** -2) / 2.0, rel=1e-12, abs=0.0)
+    if upper < 50.0:
+        # a cap within the second decade ends the sum before the ratio
+        # test, even where the untruncated integral diverges
+        got = decade_tail(lambda r: 1.0 / r, 0.5, 16, 1e-10, upper=upper)
+        assert got == pytest.approx(math.log(upper / 0.5), rel=1e-12, abs=0.0)
+
+
+def test_tail_of_zero_is_zero():
+    assert decade_tail(lambda r: np.zeros_like(r), 1.0, 16, 1e-10) == 0.0

@@ -139,6 +139,29 @@ def test_profile_matches_pointwise(pp3, quad):
         assert prof.eval(d) == pytest.approx(pv, rel=5e-4)
 
 
+@pytest.mark.parametrize("cut", [None, 2.5], ids=["tailed", "compact"])
+def test_dilation(np_grid_params, quad, cut):
+    # mu_t = mu(./t) has density t^-n f(s/t): W[mu_t](t x) = t^-tau W mu(x)
+    for n, p in np_grid_params:
+        pp = params(n, p, (p - 1) / 2, 1.0)
+        tau = (n - p) / (p - 1.0)
+        c = n / 2.0 + 0.8
+        mu = family_density(n, 1.3, 0.7, c, quad, cut=cut)
+        d = np.array([0.05, 0.7, 2.0, 5.0])
+        base = wolff_profile(mu, pp, quad, d_grid=d).values
+        for t in (0.1, 7.0):
+            mu_t = family_density(n, 1.3 * t ** -n, 0.7 * t, c, quad,
+                                  cut=None if cut is None else cut * t)
+            prof = wolff_profile(mu_t, pp, quad, d_grid=t * d).values
+            assert prof == pytest.approx(t ** -tau * base, rel=1e-4)
+            for di in d:
+                x = np.zeros(n)
+                x[0] = di
+                got = wolff(mu_t, t * x, pp, quad).value
+                assert got == pytest.approx(t ** -tau * wolff(mu, x, pp, quad).value,
+                                            rel=1e-6)
+
+
 def test_cutoff_identity_when_trivial(pp3, quad):
     ball = RadialDensity.uniform_ball(3, 1.0, 1.0, quad)
     # sup W = 2 pi < 7 and support inside B(0, 2^7)
