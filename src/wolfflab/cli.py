@@ -56,14 +56,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        _emit_error(args, "ConfigError", str(e))
-        return EXIT_CONFIG
-    except ZeroMeasure as e:
-        _emit_error(args, "ZeroMeasure", str(e))
-        return EXIT_CONFIG
-    except UnboundedCondition as e:
-        _emit_error(args, "UnboundedCondition", str(e))
+    except (ConfigError, ZeroMeasure, UnboundedCondition) as e:
+        _emit_error(args, type(e).__name__, str(e))
         return EXIT_CONFIG
     except NotConverged as e:
         _emit_error(args, "NotConverged", str(e))
@@ -80,7 +74,7 @@ def _build_parser():
                     "p-Laplace solves and inequality verification.")
     sub = parser.add_subparsers(dest="cmd", required=True)
     for name, fn in (("wolff", cmd_wolff), ("solve", cmd_solve),
-                     ("verify", cmd_verify), ("suite", cmd_suite),
+                     ("verify", cmd_checks), ("suite", cmd_checks),
                      ("report", cmd_report)):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=(name != "report"))
@@ -264,23 +258,14 @@ def _jsonable(obj):
 
 # -- verify / suite --------------------------------------------------------
 
-def cmd_verify(args) -> int:
+def cmd_checks(args) -> int:
+    """verify and suite: seeded check instances, 16 and 100 per check by
+    default."""
     cfg = _load(args)
     checks = cfg.command.get("checks", list(CHECK_NAMES))
-    instances = int(cfg.command.get("instances", 16))
+    default = 16 if args.cmd == "verify" else 100
+    instances = int(cfg.command.get("instances", default))
     bound = float(cfg.command.get("bound", 1e3))
-    return _run_suite(args, cfg, checks, instances, bound)
-
-
-def cmd_suite(args) -> int:
-    cfg = _load(args)
-    checks = cfg.command.get("checks", list(CHECK_NAMES))
-    instances = int(cfg.command.get("instances", 100))
-    bound = float(cfg.command.get("bound", 1e3))
-    return _run_suite(args, cfg, checks, instances, bound)
-
-
-def _run_suite(args, cfg, checks, instances, bound) -> int:
     canonical = []
     for name in checks:
         name = CHECK_ALIASES.get(name, name)
@@ -314,14 +299,7 @@ def _run_suite(args, cfg, checks, instances, bound) -> int:
                                  "gamma": _jsonable(cfg.params.gamma),
                                  "q": list(cfg.params.q_list)}
                 fh.write(json.dumps(_jsonable(rep), sort_keys=True) + "\n")
-                s = summary.setdefault(name, {"count": 0, "failed": 0,
-                                              "vacuous": 0, "max_ratio": None})
-                s["count"] += 1
-                s["failed"] += 0 if rep["passed"] else 1
-                s["vacuous"] += 1 if rep["vacuous"] else 0
-                if rep["ratio"] is not None:
-                    cur = s["max_ratio"]
-                    s["max_ratio"] = rep["ratio"] if cur is None else max(cur, rep["ratio"])
+                _tally(summary, name, rep)
     rows = [[name, str(s["count"]), str(s["failed"]), str(s["vacuous"]),
              "" if s["max_ratio"] is None else repr(s["max_ratio"])]
             for name, s in sorted(summary.items())]
@@ -329,6 +307,19 @@ def _run_suite(args, cfg, checks, instances, bound) -> int:
                ["name", "count", "failed", "vacuous", "max_ratio"], rows)
     failed = sum(s["failed"] for s in summary.values())
     return EXIT_CHECK_FAILED if failed else EXIT_OK
+
+
+def _tally(cells, key, rep):
+    """Count one report into cells[key]: count, failed, vacuous, max_ratio."""
+    cell = cells.setdefault(key, {"count": 0, "failed": 0, "vacuous": 0,
+                                  "max_ratio": None})
+    cell["count"] += 1
+    cell["failed"] += 0 if rep.get("passed") else 1
+    cell["vacuous"] += 1 if rep.get("vacuous") else 0
+    r = rep.get("ratio")
+    if r is not None:
+        cur = cell["max_ratio"]
+        cell["max_ratio"] = r if cur is None else max(cur, r)
 
 
 def run_check_instance(name, idx, seed, pp: ProblemParams, quad,
@@ -466,16 +457,9 @@ def cmd_report(args) -> int:
                 key = (rep.get("check", rep.get("name")), par.get("n"),
                        par.get("p"), str(par.get("gamma")),
                        tuple(par.get("q", [])))
-                cell = cells.setdefault(key, {"count": 0, "failed": 0,
-                                              "vacuous": 0, "max_ratio": None})
-                cell["count"] += 1
-                cell["failed"] += 0 if rep.get("passed") else 1
-                cell["vacuous"] += 1 if rep.get("vacuous") else 0
-                r = rep.get("ratio")
-                if r is not None:
-                    cur = cell["max_ratio"]
-                    cell["max_ratio"] = r if cur is None else max(cur, r)
-                    ratios.setdefault(key[0], []).append(r)
+                _tally(cells, key, rep)
+                if rep.get("ratio") is not None:
+                    ratios.setdefault(key[0], []).append(rep["ratio"])
 
     rows = []
     for key in sorted(cells, key=lambda k: tuple(str(x) for x in k)):

@@ -19,9 +19,10 @@ import numpy as np
 _TINY = 1e-300
 # power-law fit points and anchor of the head, in units of r0
 _HEAD_FIT = np.array([0.25, 0.5, 1.0])
-# a support edge inside (0, r0) breaks the power law: fine geometric
-# panels from r0 * 1e-9 resolve the stub instead
-_STUB_EDGES = np.geomspace(1e-9, 1.0, 40)
+# a support edge inside (r0/4, r0/2) breaks the power law: the stub is
+# integrated on geometric panels from r0 * 1e-9 to the edge and from the
+# edge to r0
+_STUB_PANELS = (36, 4)
 _STUB_ORDER = 16
 
 
@@ -109,7 +110,7 @@ def power_law_head(f, r0):
     kappa is fitted from f(r0/4) and f(r0/2) and the power law is anchored
     at f(r0).  The head is 0 where f(r0/2) = 0, inf where kappa <= -1 or a
     fit value is not finite, and where f(r0/4) = 0 < f(r0/2) (a support edge
-    inside (0, r0)) the stub is integrated on fine geometric panels.
+    inside (r0/4, r0/2)) the stub is integrated on either side of the edge.
 
     f is called with radii of shape (j,) + shape(r0); column i of a 2-D
     call belongs to r0[i].
@@ -123,11 +124,37 @@ def power_law_head(f, r0):
     head = np.where(y_h > 0, head, 0.0)
     stub = (y_q <= 0) & (y_h > 0)
     if np.any(stub):
-        nodes, weights = panel_nodes(_STUB_EDGES, _STUB_ORDER)
-        vals = np.asarray(f(np.multiply.outer(nodes.ravel(), r0)), dtype=float)
-        head = np.where(stub, np.tensordot(weights.ravel(), vals, axes=1) * r0, head)
+        head = np.where(stub, _stub(f, r0), head)
     head = np.where(np.all(np.isfinite(y), axis=0), head, math.inf)
     return float(head) if head.ndim == 0 else head
+
+
+def log_bisect(pred, lo, hi, rel: float):
+    """Geometric bisection of the brackets [lo, hi], elementwise, for a
+    predicate that is False at lo and True at hi.  Returns the brackets
+    once every hi/lo < 1 + rel, or after 64 halvings."""
+    for _ in range(64):
+        mid = np.sqrt(lo * hi)
+        up = pred(mid)
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        if np.all(hi / lo < 1.0 + rel):
+            break
+    return lo, hi
+
+
+def _stub(f, r0):
+    """Integral of f over (0, r0) where f(r0/4) = 0 < f(r0/2): the edge
+    between is found by log-bisection, and each side of it gets fixed-count
+    geometric panels, so f always sees arrays of shape (j,) + shape(r0)."""
+    _, hi = log_bisect(lambda r: np.asarray(f(r[None]), dtype=float)[0] > 0,
+                       0.25 * r0, 0.5 * r0, 1e-15)
+    below, above = _STUB_PANELS
+    ends = np.concatenate([np.geomspace(r0 * 1e-9, hi, below + 1),
+                           np.geomspace(hi, r0, above + 1)[1:]])
+    nodes, weights = panel_nodes((ends[:-1], ends[1:]), _STUB_ORDER)
+    nodes = np.moveaxis(nodes, -1, 1).reshape((-1,) + np.shape(r0))
+    weights = np.moveaxis(weights, -1, 1).reshape(nodes.shape)
+    return np.sum(np.asarray(f(nodes), dtype=float) * weights, axis=0)
 
 
 def decade_tail(f, start: float, k: int, rel_tol: float,

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (ModeMismatch, MonotonicityViolated, NotConverged,
                      SubsolutionSearchFailed, UnboundedCondition, ZeroMeasure)
-from .energy import (InequalityReport, generalized_energy, sigma_energy,
-                     wolff_energy)
+from .energy import (InequalityReport, _has_atoms, generalized_energy,
+                     sigma_energy, wolff_energy)
 from .lorentz import lorentz_norm
 from .measure import (RadonMeasure, Sum, integrate_against, multiply_radial,
                       scale, zero_measure)
@@ -230,15 +230,8 @@ def solve_minimal(sigma_list, q_list, mu, params: ProblemParams,
     if check_conditions:
         _warn_infinite_conditions(sigma_list, q_list, mu, params, quad, profiles)
 
-    if start is not None:
-        u0 = start
-    elif live_sigma and mu.total_mass() == 0.0:
-        subs = [initial_subsolution(s, q, params, quad, grid=grid)
-                for s, q in zip(sigma_list, q_list) if s.total_mass() > 0]
-        u0 = subs[0] if len(subs) == 1 else nodewise_max(subs)
-    else:
-        u0 = RadialFunction(grid, np.zeros_like(grid), 0.0, params.tail_exp,
-                            0.0, np.zeros_like(grid))
+    u0 = start if start is not None else _start(sigma_list, q_list, mu, params,
+                                                quad, grid)
 
     if not live_sigma:
         # pure measure data: a single exact solve
@@ -262,6 +255,18 @@ def solve_minimal(sigma_list, q_list, mu, params: ProblemParams,
     return sol
 
 
+def _start(sigma_list, q_list, mu, params, quad, grid):
+    """Starting iterate: the largest explicit subsolution of the sigma
+    terms when mu vanishes, zero otherwise."""
+    if mu.total_mass() == 0.0:
+        subs = [initial_subsolution(s, q, params, quad, grid=grid)
+                for s, q in zip(sigma_list, q_list) if s.total_mass() > 0]
+        if subs:
+            return subs[0] if len(subs) == 1 else nodewise_max(subs)
+    return RadialFunction(grid, np.zeros_like(grid), 0.0, params.tail_exp,
+                          0.0, np.zeros_like(grid))
+
+
 def _warn_infinite_conditions(sigma_list, q_list, mu, params, quad, profiles):
     g = params.gamma
     for m, (sig, q) in enumerate(zip(sigma_list, q_list)):
@@ -276,17 +281,12 @@ def _warn_infinite_conditions(sigma_list, q_list, mu, params, quad, profiles):
                           stacklevel=3)
     if mu is not None and mu.total_mass() > 0:
         prof = wolff_profile(mu, params, quad) if (mu.is_radial and
-                                                   not _atomic(mu)) else None
+                                                   not _has_atoms(mu)) else None
         profiles["mu"] = prof
         e = wolff_energy(mu, g, params, quad, profile=prof)
         profiles["mu_energy"] = e
         if math.isinf(e):
             warnings.warn("datum energy is infinite", stacklevel=3)
-
-
-def _atomic(mu):
-    from .measure import Atom
-    return any(isinstance(c, Atom) and c.weight > 0 for c in mu.components())
 
 
 def _finalize(sol: Solution, sigma_list, q_list, mu, params, quad, profiles):
@@ -316,7 +316,7 @@ def _lower_bound_ratio(sol, sigma_list, q_list, mu, params, quad, profiles):
         prof = profiles.get(f"sigma{m}") or wolff_profile(sig, params, quad)
         profiles.setdefault(f"sigma{m}", prof)
         denom += np.maximum(prof.eval(u.grid), 0.0) ** ((p - 1.0) / (p - 1.0 - q))
-    if mu is not None and mu.total_mass() > 0 and mu.is_radial and not _atomic(mu):
+    if mu is not None and mu.total_mass() > 0 and mu.is_radial and not _has_atoms(mu):
         prof = profiles.get("mu") or wolff_profile(mu, params, quad)
         profiles.setdefault("mu", prof)
         denom += np.maximum(prof.eval(u.grid), 0.0)
@@ -389,13 +389,7 @@ def solve_bounded_endpoint(sigma_list, q_list, mu, params: ProblemParams,
             raise UnboundedCondition(f"potential of {name} is unbounded on its support")
 
     grid = _master_grid(list(sigma_list) + [mu], quad)
-    if live_sigma and mu.total_mass() == 0.0:
-        subs = [initial_subsolution(s, q, params, quad, grid=grid)
-                for s, q in zip(sigma_list, q_list) if s.total_mass() > 0]
-        u0 = subs[0] if len(subs) == 1 else nodewise_max(subs)
-    else:
-        u0 = RadialFunction(grid, np.zeros_like(grid), 0.0, params.tail_exp,
-                            0.0, np.zeros_like(grid))
+    u0 = _start(sigma_list, q_list, mu, params, quad, grid)
     u, riesz, trace, converged, residual = _run_iteration(
         sigma_list, q_list, mu, params, quad, u0, grid,
         enforce_monotone=True, sup_recursion=True)

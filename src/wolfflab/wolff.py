@@ -2,12 +2,16 @@
 cutoff measures.
 
 The potential of a measure mu at x is the improper integral over all
-scales of (mu(B(x, r)) / r^{n-p})^{1/(p-1)} dr/r.  The integrand is
-piecewise smooth between ball-mass breakpoints (atom distances, support
-edges relative to x), the integral below the smallest resolved radius is
-a local power law handled in closed form, and beyond the support the
-ball mass is constant so the tail integrates analytically:
-((p-1)/(n-p)) * M^{1/(p-1)} * r0^{-(n-p)/(p-1)}.
+scales of (mu(B(x, r)) / r^{n-p})^{1/(p-1)} dr/r.  One routine,
+_wolff_rows, evaluates it at an array of center distances: a pointwise
+value is one row, with off-center atoms as step masses at their
+distances, and a radial profile is one row per grid distance plus the
+center.  The integrand is piecewise smooth between ball-mass breakpoints
+(atom distances, support edges relative to x), the integral below the
+smallest resolved radius is a local power law handled in closed form, and
+beyond the support the ball mass is constant so the tail integrates
+analytically: ((p-1)/(n-p)) * M^{1/(p-1)} * r0^{-(n-p)/(p-1)}; infinite
+mass is summed decade by decade instead.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import numpy as np
 from .errors import NonpositiveR, NonRadialMeasure, ZeroMeasure
 from .measure import Atom, RadialDensity, RadonMeasure, SphericalShell, Sum
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
-from .quadrature import decade_tail, panel_sum, panelize, power_law_head
+from .quadrature import (decade_tail, log_bisect, panel_sum, panelize,
+                         power_law_head)
 from .radial_pde import RadialFunction
 
 _TINY = 1e-300
@@ -49,7 +54,11 @@ def wolff(mu: RadonMeasure, x, params: ProblemParams,
         raise ValueError(f"point has dimension {x.shape[0]}, measure lives on R^{mu.dim}")
     if R is not None and R <= 0:
         raise NonpositiveR("truncation radius must be > 0")
-    return _wolff_point(mu, x, params, quad, R)
+    radial, atoms = _split(mu)
+    dist = np.array([[a.distance_from(x) for a in atoms]])
+    val, err = _wolff_rows(radial, atoms, np.array([np.linalg.norm(x)]), dist, params,
+                           quad, R, _point_resolution(quad))
+    return PotentialValue(float(val[0]), float(err[0]))
 
 
 def truncated_wolff(mu: RadonMeasure, x, R: float, params: ProblemParams,
@@ -59,125 +68,125 @@ def truncated_wolff(mu: RadonMeasure, x, R: float, params: ProblemParams,
     return wolff(mu, x, params, quad, R=R)
 
 
-def _wolff_point(mu, x, params, quad, R):
-    n, p = params.n, params.p
-    ipm1 = 1.0 / (p - 1.0)
-    comps = [c for c in mu.components() if c.total_mass() > 0]
-    if not comps:
-        return PotentialValue(0.0, 0.0)
-    d = float(np.linalg.norm(x))
+def _point_resolution(quad):
+    """(Gauss order, panels per decade, bisection rounds, extent tolerance)
+    of a pointwise value."""
+    return quad.gauss_order, quad.panels_per_decade, 3, quad.rel_tol * 1e-2
 
-    for c in comps:
-        if isinstance(c, Atom) and c.distance_from(x) == 0.0:
-            return PotentialValue(math.inf, 0.0)
 
-    def massfn(r):
-        out = np.zeros_like(r)
-        for c in comps:
-            if isinstance(c, Atom):
-                out += c.weight * (c.distance_from(x) < r)
-            else:
-                out += c._radial_mass(np.full_like(r, d), r)
-        return out
+def _split(mu):
+    """The components of mu with mass: (radial ones, atoms)."""
+    live = [c for c in mu.components() if c.total_mass() > 0]
+    atoms = [c for c in live if isinstance(c, Atom)]
+    return [c for c in live if not isinstance(c, Atom)], atoms
 
-    breaks = set()
-    finite_extent = 0.0
-    infinite = False
-    min_dist = math.inf
-    for c in comps:
-        if isinstance(c, Atom):
-            dist = c.distance_from(x)
-            breaks.add(dist)
-            finite_extent = max(finite_extent, dist)
-            min_dist = min(min_dist, dist)
-        else:
-            breaks.update(c.breakpoints(d))
-            ext = c.effective_extent(quad.rel_tol * 1e-2)
-            if math.isinf(ext):
-                infinite = True
-            else:
-                finite_extent = max(finite_extent, d + ext)
-            min_dist = min(min_dist, float(_support_distance(c, d)))
-    if d > 0:
-        breaks.add(d)
-    breaks = sorted(b for b in breaks if b > 0)
 
-    def integrand(r):
-        m = massfn(r)
-        return (np.maximum(m, 0.0)) ** ipm1 * r ** (-(n - p) * ipm1 - 1.0)
+def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
+    """W at points with center distances d (one row each) and the error
+    estimate of each row.
 
-    head = 0.0
-    if min_dist > 0:
-        # no mass below the distance to the support: start there
-        if R is not None and R <= min_dist:
-            return PotentialValue(0.0, 0.0)
-        r_lo = min_dist
-    else:
-        r_lo = min(quad.r_min, 0.25 * breaks[0] if breaks else quad.r_min)
-        if R is not None:
-            r_lo = min(r_lo, 0.5 * R)
-        # local power law below r_lo
-        head = power_law_head(integrand, r_lo)
-        if math.isinf(head):
-            return PotentialValue(math.inf, 0.0)
+    radial components enter through their ball masses _radial_mass(d, r);
+    atom j is a step mass at distance dist[i, j] from the point of row i.
+    resolution = (k, ppd, refine, ext_tol): the core runs on k-point Gauss
+    panels, ppd a decade, split at the ball-mass breakpoints and bisected
+    up to `refine` times until two successive sums of a row agree to
+    rel_tol (the estimate is their last difference: inf without
+    refinement, 0 for rows without a core).  It ends where at most ext_tol
+    of the mass lies beyond.
+    """
+    k, ppd, refine, ext_tol = resolution
+    ipm1 = 1.0 / (params.p - 1.0)
+    e = (params.n - params.p) * ipm1
+    weights = np.array([a.weight for a in atoms])
+    rows = len(d)
+    if not radial and not atoms:
+        return np.zeros(rows), np.zeros(rows)
 
+    def integrand(i, r):
+        i, r = np.broadcast_arrays(i, r)
+        i, r1 = i.ravel(), r.ravel()
+        m = sum(c._radial_mass(d[i], r1) for c in radial) \
+            + np.sum(weights * (dist[i] < r1[:, None]), axis=1)
+        return (np.maximum(m, 0.0) ** ipm1).reshape(r.shape) * r ** (-e - 1.0)
+
+    # ball-mass breakpoints of every row: the support marks seen from d,
+    # d itself (where centered atoms enter the ball) and the atom distances
+    marks = np.array(sorted({m for c in radial for m in c.radial_marks()}))
+    dcol = d[:, None]
+    breaks = np.concatenate([np.abs(dcol - marks), dcol + marks, dcol, dist], axis=1)
+    first = np.min(np.where(breaks > 0, breaks, math.inf), axis=1)
+    gap = np.min([_support_distance(c, d) for c in radial] + list(dist.T), axis=0)
+    inside = gap <= 0
+    # inside the support the ball mass is a clean power law below the
+    # first geometry feature, so the closed-form head starts at r_min (at
+    # 2e-3 d far out) but below a quarter of it; outside, nothing lies
+    # below the distance to the support
+    r_lo = np.minimum(np.maximum(quad.r_min, 2e-3 * d), 0.25 * first)
+    if R is not None:
+        r_lo = np.minimum(r_lo, 0.5 * R)
+    r_lo = np.where(inside, r_lo, gap)
+    exts = [c.effective_extent(ext_tol) for c in radial]
+    infinite = any(math.isinf(x) for x in exts)
+    horizon = np.max([d + x for x in exts if math.isfinite(x)] + list(dist.T)
+                     + [2.0 * r_lo], axis=0)
     if infinite:
-        horizon = max(finite_extent, quad.r_max, 10.0 * max(d, 1.0))
+        horizon = np.maximum(horizon, np.maximum(quad.r_max, 10.0 * np.maximum(d, 1.0)))
+    r_hi = horizon if R is None else np.minimum(horizon, R)
+
+    def row_sums(left, right, row):
+        nodes_row = np.repeat(row, k)
+        sums = panel_sum(lambda r: integrand(nodes_row, r), (left, right), k, rows=len(row))
+        return np.bincount(row, weights=sums, minlength=rows)
+
+    live = r_hi > r_lo
+    core = np.zeros(rows)
+    err = np.where(live, math.inf, 0.0)
+    if np.any(live):
+        left, right, row = panelize(r_lo[live], r_hi[live], breaks[live], ppd)
+        row = np.flatnonzero(live)[row]
+        core = row_sums(left, right, row)
+        active = live
+        for _ in range(refine):
+            keep = active[row]
+            mid = np.sqrt(left[keep] * right[keep])
+            left = np.stack([left[keep], mid], axis=1).ravel()
+            right = np.stack([mid, right[keep]], axis=1).ravel()
+            row = np.repeat(row[keep], 2)
+            cur = row_sums(left, right, row)
+            err = np.where(active, np.abs(cur - core), err)
+            core = np.where(active, cur, core)
+            active = active & (err > quad.rel_tol * np.maximum(np.abs(core), _TINY))
+            if not np.any(active):
+                break
+
+    head = np.zeros(rows)
+    if np.any(inside):
+        i_in = np.flatnonzero(inside)
+        head[inside] = power_law_head(lambda r: integrand(i_in, r), r_lo[inside])
+
+    # beyond the horizon: constant ball mass in closed form, or decade by
+    # decade for infinite mass
+    upper = math.inf if R is None else R
+    if infinite:
+        tail = np.zeros(rows)
+        for i in np.flatnonzero(upper > horizon):
+            tail[i] = decade_tail(lambda r: integrand(i, r), horizon[i], k,
+                                  quad.rel_tol, upper)
     else:
-        horizon = max(finite_extent, r_lo * 2.0)
-    r_hi = min(R, horizon) if R is not None else horizon
-
-    core = 0.0
-    err = 0.0
-    if r_hi > r_lo:
-        left, _, _ = panelize(r_lo, r_hi, breaks, quad.panels_per_decade)
-        core, err = _adaptive_panels(integrand, np.append(left, r_hi), quad)
-
-    tail = 0.0
-    if R is None or R > horizon:
-        if infinite:
-            tail = decade_tail(integrand, horizon, quad.gauss_order, quad.rel_tol,
-                               upper=math.inf if R is None else R)
-            if math.isinf(tail):
-                return PotentialValue(math.inf, 0.0)
-        else:
-            m_tot = float(massfn(np.array([horizon * (1 + 1e-12)]))[0])
-            e = (n - p) * ipm1
-            c_t = m_tot ** ipm1 / e
-            if R is None:
-                tail = c_t * horizon ** (-e)
-            else:
-                tail = c_t * (horizon ** (-e) - R ** (-e))
-    total = head + core + tail
-    return PotentialValue(float(total), float(err))
+        total = sum(c.total_mass() for c in radial) + float(np.sum(weights))
+        tail = np.where(upper > horizon, total ** ipm1 / e
+                        * (horizon ** (-e) - upper ** (-e)), 0.0)
+    val = head + core + tail
+    val[np.any(dist == 0.0, axis=1)] = math.inf
+    return val, np.where(np.isinf(val), 0.0, err)
 
 
 def _support_distance(c, d):
-    """Distance from points at radii d to the support of a radial component."""
-    d = np.asarray(d, dtype=float)
-    if isinstance(c, Atom):
-        return d  # radial atoms sit at the origin
+    """Distance from points at radii d to the support of a radial
+    shell or density."""
     if isinstance(c, SphericalShell):
         return np.abs(d - c.radius)
     return np.maximum(np.maximum(c.lo_cut - d, d - c.outer_extent()), 0.0)
-
-
-def _adaptive_panels(f, edges, quad, max_refine=3):
-    """Panel sum refined by geometric bisection until two successive sums
-    agree to rel_tol; returns (sum, last difference)."""
-    prev = panel_sum(f, edges, quad.gauss_order)
-    err = math.inf
-    for _ in range(max_refine):
-        new = np.empty(2 * len(edges) - 1)
-        new[0::2] = edges
-        new[1::2] = np.sqrt(edges[:-1] * edges[1:])
-        edges = new
-        cur = panel_sum(f, edges, quad.gauss_order)
-        err = abs(cur - prev)
-        prev = cur
-        if err <= quad.rel_tol * max(abs(cur), _TINY):
-            break
-    return prev, err
 
 
 def wolff_profile(mu: RadonMeasure, params: ProblemParams,
@@ -185,107 +194,48 @@ def wolff_profile(mu: RadonMeasure, params: ProblemParams,
                   d_grid=None, R=None) -> RadialFunction:
     """Radial Wolff-potential profile of a radial measure.
 
-    Evaluates W at a log grid of center distances in one vectorized pass
-    (the potential of a radial measure is radial); the tail coefficient
-    is the exact constant-mass asymptote.
+    Evaluates W at a log grid of center distances, batched (the potential
+    of a radial measure is radial), and at the center.  The tail
+    coefficient is the exact constant-mass asymptote, or for infinite mass
+    the power law through the last two values.
     """
     validate(params)
     if not mu.is_radial:
         raise NonRadialMeasure("wolff_profile needs a radial measure")
-    n, p = params.n, params.p
-    ipm1 = 1.0 / (p - 1.0)
-    e = (n - p) * ipm1
-    comps = [c for c in mu.components() if c.total_mass() > 0]
-
     if d_grid is None:
         decades = math.log10(quad.r_max / quad.r_min)
         npts = int(round(decades * quad.profile_points_per_decade)) + 1
         d_grid = np.geomspace(quad.r_min, quad.r_max, npts)
     d_grid = np.asarray(d_grid, dtype=float)
+    radial, atoms = _split(mu)
 
-    if not comps:
-        z = np.zeros_like(d_grid)
-        return RadialFunction(d_grid, z, 0.0, params.tail_exp, 0.0, None)
+    def rows(d, resolution):  # radial atoms sit at the origin
+        dist = np.repeat(d[:, None], len(atoms), axis=1)
+        return _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution)[0]
 
-    total_mass = sum(c.total_mass() for c in comps)
-    # the analytic constant-mass tail absorbs the sliver of mass beyond
-    # the horizon, so the profile can use a looser horizon than pointwise
-    extents = [c.effective_extent(max(quad.rel_tol * 1e-2, 1e-7)) for c in comps]
-    if any(math.isinf(x) for x in extents) or math.isinf(total_mass):
-        # rare flagged-infinite cases: pointwise fallback
-        vals = np.array([
-            _wolff_point(mu, _ray_point(d, mu.dim), params, quad, R).value
-            for d in d_grid])
-        return _profile_from_values(d_grid, vals, total_mass, params, mu, quad, R)
-    ext = max(extents)
-
-    def integrand(d, r):
-        m = sum(c._radial_mass(d.ravel(), r.ravel()) for c in comps).reshape(r.shape)
-        return np.maximum(m, 0.0) ** ipm1 * r ** (-e - 1.0)
-
-    # ball-mass breakpoints of every distance: the support marks seen from
-    # d, plus d itself (where the centered atoms enter the ball)
-    marks = np.array(sorted({m for c in comps for m in c.radial_marks()}))
-    dcol = d_grid[:, None]
-    breaks = np.concatenate([np.abs(dcol - marks), dcol + marks, dcol], axis=1)
-    first = np.min(np.where(breaks > 0, breaks, math.inf), axis=1)
-    min_dist = np.min([_support_distance(c, d_grid) for c in comps], axis=0)
-    in_support = min_dist <= 0
-    # in-support: the ball mass is a clean power law below the first
-    # geometry feature, so the closed-form head can start higher
-    r_lo = np.minimum(quad.r_min, 0.25 * first)
-    r_lo = np.maximum(r_lo, np.minimum(d_grid * 2e-3, 0.25 * first))
-    if R is not None:
-        r_lo = np.minimum(r_lo, 0.5 * R)
-    r_lo = np.where(in_support, r_lo, min_dist)
-    r_out = np.maximum(d_grid + ext, r_lo * 2.0)
-    r_hi = r_out if R is None else np.minimum(r_out, R)
-
-    core = np.zeros_like(d_grid)
-    live = r_hi > r_lo
-    if np.any(live):
-        k = quad.profile_gauss_order
-        left, right, row = panelize(r_lo[live], r_hi[live], breaks[live],
-                                    quad.profile_r_panels_per_decade)
-        d_nodes = np.repeat(d_grid[live][row], k)
-        sums = panel_sum(lambda r: integrand(d_nodes, r), (left, right), k, rows=len(row))
-        core[live] = np.bincount(row, weights=sums, minlength=int(np.sum(live)))
-
-    # head below r_lo for distances inside the support
-    head = np.zeros_like(d_grid)
-    if np.any(in_support):
-        d_in = d_grid[in_support]
-        head[in_support] = power_law_head(
-            lambda r: integrand(np.broadcast_to(d_in, r.shape), r), r_lo[in_support])
-
-    # tail beyond the support: constant ball mass
-    tail_coeff = total_mass ** ipm1 / e
-    if R is None:
-        tail = tail_coeff * r_out ** (-e)
+    # the constant-mass tail absorbs the sliver of mass beyond a looser
+    # horizon, and a profile needs no refinement; but this resolution is
+    # good only to about 1e-7 at the center and to 3e-3 near r_min for
+    # infinite mass, so those rows keep the pointwise one
+    point = _point_resolution(quad)
+    total_mass = mu.total_mass()
+    if math.isfinite(total_mass):
+        coarse = (quad.profile_gauss_order, quad.profile_r_panels_per_decade, 0,
+                  max(quad.rel_tol * 1e-2, 1e-7))
+        vals = np.append(rows(d_grid, coarse), rows(np.zeros(1), point))
     else:
-        tail = np.where(R > r_out, tail_coeff * (r_out ** (-e) - R ** (-e)), 0.0)
-    vals = head + core + tail
-
-    center = _wolff_point(mu, np.zeros(mu.dim), params, quad, R).value
-    tc = tail_coeff if R is None else 0.0
-    return RadialFunction(d_grid, vals, tc, e, center, None, smooth=True)
-
-
-def _ray_point(d, dim):
-    x = np.zeros(dim)
-    x[0] = d
-    return x
-
-
-def _profile_from_values(d_grid, vals, total_mass, params, mu, quad, R):
-    center = _wolff_point(mu, np.zeros(mu.dim), params, quad, R).value
-    if len(d_grid) >= 2 and vals[-1] > 0 and vals[-2] > 0:
-        tau = math.log(vals[-2] / vals[-1]) / math.log(d_grid[-1] / d_grid[-2])
-        coeff = vals[-1] * d_grid[-1] ** tau
-    else:
-        tau, coeff = params.tail_exp, 0.0
-    return RadialFunction(d_grid, vals, coeff, tau, center, None,
-                          smooth=bool(np.all(vals > 0)))
+        vals = rows(np.append(d_grid, 0.0), point)
+    vals, center = vals[:-1], vals[-1]
+    ipm1 = 1.0 / (params.p - 1.0)
+    tau = (params.n - params.p) * ipm1
+    coeff = total_mass ** ipm1 / tau if R is None else 0.0
+    if math.isinf(total_mass):  # the power law through the last two values
+        if len(d_grid) >= 2 and vals[-1] > 0 and vals[-2] > 0:
+            tau = math.log(vals[-2] / vals[-1]) / math.log(d_grid[-1] / d_grid[-2])
+            coeff = vals[-1] * d_grid[-1] ** tau
+        else:
+            tau, coeff = params.tail_exp, 0.0
+    return RadialFunction(d_grid, vals, coeff, tau, center, None, smooth=True)
 
 
 def wolff_sup_on_support(mu: RadonMeasure, params: ProblemParams,
@@ -297,18 +247,17 @@ def wolff_sup_on_support(mu: RadonMeasure, params: ProblemParams,
     exact inf for atomic components.
     """
     validate(params)
-    comps = [c for c in mu.components() if c.total_mass() > 0]
-    if not comps:
+    radial, atoms = _split(mu)
+    if not radial and not atoms:
         raise ZeroMeasure("sup over the support of the zero measure")
-    for c in comps:
-        if isinstance(c, Atom):
-            return math.inf  # the potential blows up at the atom itself
-    # remaining components are radial: sample radii on the supports
+    if atoms:
+        return math.inf  # the potential blows up at the atom itself
+    # sample radii on the supports of the radial components
     radii = []
-    nd = max(1, sum(1 for c in comps if isinstance(c, RadialDensity)))
+    nd = max(1, sum(1 for c in radial if isinstance(c, RadialDensity)))
     per = max(8, sample_budget // max(nd, 1))
     include_zero = False
-    for c in comps:
+    for c in radial:
         if isinstance(c, SphericalShell):
             radii.append(np.array([c.radius]))
         elif isinstance(c, RadialDensity):
@@ -322,9 +271,7 @@ def wolff_sup_on_support(mu: RadonMeasure, params: ProblemParams,
     d = np.unique(np.concatenate(radii))
     prof = wolff_profile(mu, params, quad, d_grid=d)
     best = float(np.max(prof.values))
-    if include_zero:
-        best = max(best, _wolff_point(mu, np.zeros(mu.dim), params, quad, None).value)
-    return best
+    return max(best, prof.center_value) if include_zero else best
 
 
 def cutoff_measure(mu: RadonMeasure, k: int, params: ProblemParams,
@@ -339,39 +286,25 @@ def cutoff_measure(mu: RadonMeasure, k: int, params: ProblemParams,
     validate(params)
     if k < 1:
         raise ValueError("k must be >= 1")
-    comps = mu.components()
-    live = [c for c in comps if c.total_mass() > 0]
-    if not live:
-        return mu
-    for c in live:
-        if isinstance(c, Atom) and np.any(c.location):
-            raise NonRadialMeasure("cutoffs need a radial measure")
+    atom_free, atoms = _split(mu)
+    if any(np.any(a.location) for a in atoms):
+        raise NonRadialMeasure("cutoffs need a radial measure")
 
     ball_cap = 2.0 ** k
     kept = []
-    nontrivial = False
-    atom_free = [c for c in live if not isinstance(c, Atom)]
-    prof = None
-    if atom_free:
-        prof = wolff_profile(Sum(atom_free) if len(atom_free) > 1 else atom_free[0],
-                             params, quad)
+    nontrivial = bool(atoms)  # atoms are always cut away
+    prof = wolff_profile(Sum(atom_free), params, quad) if atom_free else None
 
     def w_at(s):
-        vals = prof.eval(s) if prof is not None else np.zeros_like(np.asarray(s, float))
+        s = np.asarray(s, dtype=float)
+        vals = prof.eval(s) if prof is not None else np.zeros_like(s)
         # prof covers the atom-free part; origin atoms contribute their
         # closed-form potential on top
-        add = np.zeros_like(np.asarray(s, dtype=float))
-        for c in live:
-            if isinstance(c, Atom):
-                e = (params.n - params.p) / (params.p - 1.0)
-                add = add + c.weight ** (1.0 / (params.p - 1.0)) / e \
-                    * np.asarray(s, dtype=float) ** (-e)
-        return vals + add
+        e = (params.n - params.p) / (params.p - 1.0)
+        return vals + sum(a.weight ** (1.0 / (params.p - 1.0)) / e * s ** (-e)
+                          for a in atoms)
 
-    for c in live:
-        if isinstance(c, Atom):
-            nontrivial = True  # atoms are always cut away
-            continue
+    for c in atom_free:
         if isinstance(c, SphericalShell):
             if c.radius <= ball_cap and float(np.atleast_1d(w_at(np.array([c.radius])))[0]) <= k:
                 kept.append(c)
@@ -418,19 +351,10 @@ def cutoff_measure(mu: RadonMeasure, k: int, params: ProblemParams,
 
 
 def _crossing(s, w_at, k, i0, i1):
-    """Radius where W crosses k between samples i0 and i1 (log bisection)."""
-    a, b = s[i0], s[i1]
-    fa = float(np.atleast_1d(w_at(np.array([a])))[0]) - k
-    for _ in range(40):
-        m = math.sqrt(a * b)
-        fm = float(np.atleast_1d(w_at(np.array([m])))[0]) - k
-        if (fm > 0) == (fa > 0):
-            a, fa = m, fm
-        else:
-            b = m
-        if b / a < 1 + 1e-12:
-            break
-    return math.sqrt(a * b)
+    """Radius where W crosses k between samples i0 and i1."""
+    above = w_at(s[i0:i0 + 1]) > k
+    a, b = log_bisect(lambda m: (w_at(m) > k) != above, s[i0:i0 + 1], s[i1:i1 + 1], 1e-12)
+    return float(np.sqrt(a * b)[0])
 
 
 def _check_cutoff_energy(mu_k, k, params, quad):

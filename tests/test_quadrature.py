@@ -122,20 +122,27 @@ def test_head_zero_and_nonfinite():
     assert power_law_head(lambda r: np.where(r > 0.6, 1.0, 0.0), 1.0) == 0.0
 
 
-@pytest.mark.parametrize("kappa", [-1.5, 0.0, 2.0])
+@pytest.mark.parametrize("kappa", [-1.5, -0.5, 0.0, 2.0])
 def test_head_with_support_edge_inside(kappa):
     # f vanishes below an edge in (r0/4, r0/2): the stub is integrated on
-    # geometric panels (finite even for kappa <= -1); a jump inside a panel
-    # limits it to a few percent
+    # either side of the located edge (finite even for kappa <= -1)
     r0 = np.array([0.8, 2.0, 3.0])
     edge = np.array([0.3, 0.9, 1.4])
     got = power_law_head(lambda r: np.where(r > edge, r ** kappa, 0.0), r0)
     exact = (r0 ** (kappa + 1.0) - edge ** (kappa + 1.0)) / (kappa + 1.0)
     assert np.all(np.isfinite(got))
-    assert got == pytest.approx(exact, rel=5e-2)
+    assert got == pytest.approx(exact, rel=1e-10)
     # rows without an edge keep the closed form in the same call
     mixed = power_law_head(lambda r: np.where(r > edge * [1, 0, 1], r ** 0.5, 0.0), r0)
     assert mixed[1] == pytest.approx(r0[1] ** 1.5 / 1.5, rel=1e-12)
+    # the edge swept across (r0/4, r0/2), and a scalar r0
+    sweep_r0 = np.full(47, 1.7)
+    sweep_edge = np.linspace(0.26, 0.49, 47) * sweep_r0
+    got = power_law_head(lambda r: np.where(r > sweep_edge, r ** kappa, 0.0), sweep_r0)
+    exact = (sweep_r0 ** (kappa + 1.0) - sweep_edge ** (kappa + 1.0)) / (kappa + 1.0)
+    assert got == pytest.approx(exact, rel=1e-10)
+    assert power_law_head(lambda r: np.where(r > 0.4, r ** kappa, 0.0), 1.0) == \
+        pytest.approx((1.0 - 0.4 ** (kappa + 1.0)) / (kappa + 1.0), rel=1e-10)
 
 
 # -- decade tail -----------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wolfflab import (Atom, NonpositiveR, RadialDensity, SphericalShell,
+from wolfflab import (Atom, NonpositiveR, RadialDensity, SphericalShell, Sum,
                       ZeroMeasure, add, cutoff_measure, dirac, params, scale,
                       truncated_wolff, wolff, wolff_profile,
                       wolff_sup_on_support, integrate_against)
@@ -137,6 +137,64 @@ def test_profile_matches_pointwise(pp3, quad):
     for d in (1e-4, 0.05, 1.0, 8.0, 1e3):
         pv = wolff(fam, [d, 0.0, 0.0], pp3, quad).value
         assert prof.eval(d) == pytest.approx(pv, rel=5e-4)
+
+
+def test_infinite_mass_profile(pp3, quad):
+    # density s^-tau, tau = 2.5 in n = 3: mu(B(0, r)) ~ r^{n - tau} is
+    # unbounded and W mu(x) = C |x|^{-(tau - p)/(p - 1)} exactly
+    tau = 2.5
+    mu = RadialDensity.from_function(3, lambda s: np.asarray(s, float) ** -tau, quad,
+                                     tail=(1.0, tau), allow_infinite_mass=True)
+    assert math.isinf(mu.total_mass())
+    d = np.array([0.01, 0.1, 1.0, 10.0])
+    prof = wolff_profile(mu, pp3, quad, d_grid=d)
+    for di, got in zip(d, prof.values):
+        pv = wolff(mu, [di, 0.0, 0.0], pp3, quad).value
+        assert got == pytest.approx(pv, rel=5e-4)
+    beta = (tau - pp3.p) / (pp3.p - 1.0)
+    slopes = np.diff(np.log(prof.values)) / np.diff(np.log(d))
+    assert slopes == pytest.approx(-beta, abs=1e-6)
+    assert prof.tail_exp == pytest.approx(beta, abs=1e-6)
+
+
+def test_rotation_invariance_with_atoms(np_grid_params, quad):
+    gen = np.random.default_rng(4242)
+    for n, p in np_grid_params:
+        pp = params(n, p, (p - 1) / 2, 1.0)
+        q_mat, _ = np.linalg.qr(gen.normal(size=(n, n)))
+        locs = [gen.normal(size=n) * s for s in (0.3, 0.8, 1.5)]
+        weights = (0.7, 1.2, 0.4)
+        radial = [family_density(n, 1.1, 0.6, n / 2 + 0.9, quad, cut=1.7),
+                  SphericalShell(n, 0.9, 0.8)]
+
+        def measure(rot):
+            return Sum([Atom(rot @ loc, w) for loc, w in zip(locs, weights)] + radial)
+
+        mu, mu_rot = measure(np.eye(n)), measure(q_mat)
+        for scale_x in (0.2, 0.7, 1.4):
+            x = gen.normal(size=n) * scale_x
+            assert wolff(mu_rot, q_mat @ x, pp, quad).value == pytest.approx(
+                wolff(mu, x, pp, quad).value, rel=1e-12)
+            truncated = truncated_wolff(mu, x, 2.0, pp, quad).value
+            assert truncated > 0
+            assert truncated_wolff(mu_rot, q_mat @ x, 2.0, pp, quad).value == \
+                pytest.approx(truncated, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_shell_newton(n, quad):
+    # p = 2: the potential of a shell of mass M and radius R is
+    # M max(|x|, R)^{2-n} / (n - 2)  (Newton's theorem)
+    pp = params(n, 2.0, 0.5, 1.0)
+    radius, mass = 1.0, 1.3
+    sh = SphericalShell(n, radius, mass)
+    d = np.array([0.05, 0.6, radius - 0.01, radius + 0.01, 2.0, 9.0])
+    exact = mass * np.maximum(d, radius) ** (2.0 - n) / (n - 2.0)
+    for di, ex in zip(d, exact):
+        x = np.zeros(n)
+        x[0] = di
+        assert wolff(sh, x, pp, quad).value == pytest.approx(ex, rel=1e-8)
+    assert wolff_profile(sh, pp, quad, d_grid=d).values == pytest.approx(exact, rel=1e-5)
 
 
 @pytest.mark.parametrize("cut", [None, 2.5], ids=["tailed", "compact"])
