@@ -119,18 +119,10 @@ class RadonMeasure:
         (support edges, shell radii)."""
         return []
 
-    def breakpoints(self, d: float) -> list:
-        """Radii where r -> mu(B(x, r)), |x| = d, has kinks or jumps."""
-        return [b for e in self.radial_marks() for b in (abs(d - e), d + e) if b > 0]
-
-    def outer_extent(self) -> float:
-        """Radius beyond which no mass lives (inf for measures with tails)."""
-        raise NotImplementedError
-
     def effective_extent(self, rel_tol: float = 1e-12) -> float:
         """Radius past which the remaining mass is below rel_tol * total;
         inf only for genuinely infinite-mass measures."""
-        return self.outer_extent()
+        return self.support_radius()
 
     # hooks: 1-d float arrays in, 1-d float arrays out
     def _ball_mass(self, center, r):
@@ -207,9 +199,6 @@ class Atom(RadonMeasure):
     def _scale(self, lam):
         return Atom(self.location, lam * self.weight)
 
-    def outer_extent(self):
-        return self.support_radius()
-
 
 class SphericalShell(RadonMeasure):
     """Uniform surface measure on the sphere |x| = radius with given mass."""
@@ -253,9 +242,6 @@ class SphericalShell(RadonMeasure):
 
     def radial_marks(self):
         return [self.radius]
-
-    def outer_extent(self):
-        return self.radius if self.total else 0.0
 
 
 class RadialDensity(RadonMeasure):
@@ -417,8 +403,9 @@ class RadialDensity(RadonMeasure):
             return self._base_density(s) * nwn * s ** (self.dim - 1)
 
         if E[0] == 0.0 and len(E) > 1:
-            sub = np.concatenate([[0.0], np.geomspace(E[1] * 1e-12, E[1], 13)])
-            masses[0] = panel_sum(shell_mass, sub, 24)
+            sub = np.geomspace(E[1] * 1e-12, E[1], 13)
+            masses[0] = panel_sum(shell_mass, sub, 24) \
+                + power_law_head(lambda s, _: shell_mass(s), sub[0])
             start = 1
         if len(E) - 1 > start:
             masses[start:] = panel_sum(shell_mass, E[start:], 24, rows=len(E) - 1 - start)
@@ -609,11 +596,6 @@ class RadialDensity(RadonMeasure):
             marks.add(self._hi)
         return sorted(marks)
 
-    def outer_extent(self):
-        if self._tail_total > 0:
-            return math.inf
-        return self.support_radius()
-
     def effective_extent(self, rel_tol: float = 1e-12):
         if self._tail_total == 0.0:
             return self.support_radius()
@@ -674,10 +656,6 @@ class Sum(RadonMeasure):
 
     def radial_marks(self):
         return [m for t in self.terms for m in t.radial_marks()]
-
-    def outer_extent(self):
-        live = [t for t in self.terms if t.total_mass() > 0]
-        return max((t.outer_extent() for t in live), default=0.0)
 
     def effective_extent(self, rel_tol: float = 1e-12):
         live = [t for t in self.terms if t.total_mass() > 0]
@@ -787,7 +765,7 @@ def _integrate_density(comp: RadialDensity, g, quad, radial) -> float:
 
     total = panel_sum(integrand, work, quad.gauss_order)
     # remainder below the smallest panel edge via a local power-law fit
-    total += power_law_head(integrand, work[0])
+    total += power_law_head(lambda r, _: integrand(r), work[0])
     if comp._tail_total > 0 and math.isfinite(total):
         total += decade_tail(integrand, float(work[-1]), quad.gauss_order, quad.rel_tol)
     return float(total)

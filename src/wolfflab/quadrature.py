@@ -6,7 +6,8 @@ Every improper radial integral in the package runs through these helpers
 so there is a single tolerance story.  Integrands are piecewise smooth
 between known breakpoints (support edges, atom distances, grid knots);
 panels never straddle a breakpoint.  Integrands take an array of radii
-(1-D, except in a batched head) and return values of the same shape.
+(1-D, except in a batched head, whose integrand also takes the columns it
+is evaluated on) and return values of the same shape.
 """
 
 from __future__ import annotations
@@ -112,11 +113,13 @@ def power_law_head(f, r0):
     fit value is not finite, and where f(r0/4) = 0 < f(r0/2) (a support edge
     inside (r0/4, r0/2)) the stub is integrated on either side of the edge.
 
-    f is called with radii of shape (j,) + shape(r0); column i of a 2-D
-    call belongs to r0[i].
+    f is called as f(r, cols) with radii r of shape (j,) + shape(r0[cols]),
+    column i of a 2-D call belonging to r0[cols][i]: cols is Ellipsis for
+    all of r0, and for the stub of a 1-D r0 the indices of its stub
+    columns, which alone are evaluated there.
     """
     r0 = np.asarray(r0, dtype=float)
-    y = np.asarray(f(np.multiply.outer(_HEAD_FIT, r0)), dtype=float)
+    y = np.asarray(f(np.multiply.outer(_HEAD_FIT, r0), ...), dtype=float)
     y_q, y_h, y_0 = y
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kappa = np.log2(y_h / y_q)
@@ -124,7 +127,8 @@ def power_law_head(f, r0):
     head = np.where(y_h > 0, head, 0.0)
     stub = (y_q <= 0) & (y_h > 0)
     if np.any(stub):
-        head = np.where(stub, _stub(f, r0), head)
+        cols = np.flatnonzero(stub) if r0.ndim else ...
+        head[cols] = _stub(lambda r: f(r, cols), r0[cols])
     head = np.where(np.all(np.isfinite(y), axis=0), head, math.inf)
     return float(head) if head.ndim == 0 else head
 

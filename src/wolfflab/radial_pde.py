@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DivergentTail, NonMonotoneProfile, NonRadialMeasure
 from .measure import RadialDensity, RadonMeasure
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
-from .quadrature import panel_sum, power_law_head
+from .quadrature import decade_tail, panel_sum, power_law_head
 
 _TINY = 1e-300
 
@@ -237,6 +237,15 @@ def _loglog_interp(xs, ys, x):
     return np.interp(x, xs, ys)
 
 
+def marked_grid(grid, measures):
+    """grid with the radial marks (support edges, shell radii) of the
+    measures with mass that lie strictly inside it added as nodes."""
+    grid = np.asarray(grid, dtype=float)
+    marks = [b for m in measures if m.total_mass() > 0
+             for b in m.radial_marks() if grid[0] < b < grid[-1]]
+    return np.unique(np.concatenate([grid, marks])) if marks else grid
+
+
 def solve_radial_p_laplace(nu: RadonMeasure, params: ProblemParams,
                            quad: QuadratureConfig = DEFAULT_QUAD,
                            grid=None) -> RadialFunction:
@@ -248,13 +257,7 @@ def solve_radial_p_laplace(nu: RadonMeasure, params: ProblemParams,
     nwn = params.sphere_area
     ipm1 = 1.0 / (p - 1.0)
 
-    if grid is None:
-        grid = quad.radial_grid()
-    grid = np.asarray(grid, dtype=float)
-    breaks = [b for b in nu.breakpoints(0.0) if grid[0] < b < grid[-1]]
-    if breaks:
-        grid = np.unique(np.concatenate([grid, breaks]))
-
+    grid = marked_grid(quad.radial_grid() if grid is None else grid, [nu])
     if nu.total_mass() == 0.0:
         z = np.zeros_like(grid)
         return RadialFunction(grid, z, 0.0, params.tail_exp, 0.0, z)
@@ -281,15 +284,15 @@ def solve_radial_p_laplace(nu: RadonMeasure, params: ProblemParams,
     u = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + tail_val
     deriv = -h(grid)
 
-    center = u[0] + power_law_head(h, grid[0])
+    center = u[0] + power_law_head(lambda r, _: h(r), grid[0])
     return RadialFunction(grid, u, tail_coeff, tail_exp, center, deriv,
                           mass_fn=nu.centered_mass, mass_pow=(n, p, nwn))
 
 
 def _divergent_mass_tail(h, params, quad, r_end):
-    """Tail of int h for flagged infinite-mass measures: numeric panels to
-    a far horizon plus an analytic power remainder; DivergentTail when the
-    integral cannot converge."""
+    """Tail of int h beyond r_end for flagged infinite-mass measures, summed
+    decade by decade, with the power law fitted far out as the profile's
+    tail; DivergentTail when the integral cannot converge."""
     h1 = float(h(np.array([r_end * 1e6]))[0])
     h2 = float(h(np.array([r_end * 1e7]))[0])
     if h1 <= 0:
@@ -297,13 +300,9 @@ def _divergent_mass_tail(h, params, quad, r_end):
     expo = math.log(h2 / h1) / math.log(10.0)
     if expo >= -1.0 - 1e-9:
         raise DivergentTail("measure grows too fast at infinity for decay at infinity")
-    horizon = r_end * 1e8
-    val = panel_sum(h, np.geomspace(r_end, horizon, 65), quad.gauss_order)
-    h_end = float(h(np.array([horizon]))[0])
-    remainder = h_end * horizon / (-expo - 1.0)
+    val = decade_tail(h, r_end, quad.gauss_order, quad.rel_tol)
     tail_exp = -(expo + 1.0)
-    tail_coeff = remainder * horizon ** tail_exp
-    return val + remainder, tail_coeff, tail_exp
+    return val, val * r_end ** tail_exp, tail_exp
 
 
 def riesz_measure_of(u: RadialFunction, params: ProblemParams) -> RadonMeasure:
@@ -387,7 +386,8 @@ def dirichlet_energy(u: RadialFunction, params: ProblemParams,
         return out * nwn * s ** (n - 1)
 
     # grid panels plus the power-law head below the first node
-    total = panel_sum(integrand, g, quad.gauss_order) + power_law_head(integrand, g[0])
+    total = panel_sum(integrand, g, quad.gauss_order) \
+        + power_law_head(lambda r, _: integrand(r), g[0])
     if math.isinf(total):
         return math.inf
 

@@ -31,9 +31,11 @@ from .measure import (RadonMeasure, Sum, integrate_against, multiply_radial,
                       scale, zero_measure)
 from .params import (DEFAULT_QUAD, Mode, ProblemParams, QuadratureConfig,
                      derive_exponents, validate)
-from .radial_pde import (RadialFunction, dirichlet_energy, nodewise_max,
-                         riesz_ball_mass, solve_radial_p_laplace, zero_profile)
-from .wolff import cutoff_measure, truncated_wolff, wolff_profile
+from .radial_pde import (RadialFunction, dirichlet_energy, marked_grid,
+                         nodewise_max, riesz_ball_mass, solve_radial_p_laplace,
+                         zero_profile)
+from .wolff import (cutoff_measure, truncated_wolff, wolff_profile,
+                    wolff_sup_on_support)
 
 _EPS = 1e-300
 _TRUNCATION_BOUND = 10.0
@@ -87,18 +89,6 @@ def compose_measure(sigma_list, q_list, mu, u: RadialFunction) -> RadonMeasure:
     return Sum(comps) if len(comps) > 1 else comps[0]
 
 
-def _master_grid(measures, quad):
-    grid = quad.radial_grid()
-    breaks = []
-    for m in measures:
-        if m is None or m.total_mass() == 0:
-            continue
-        breaks.extend(b for b in m.breakpoints(0.0) if grid[0] < b < grid[-1])
-    if breaks:
-        grid = np.unique(np.concatenate([grid, breaks]))
-    return grid
-
-
 def initial_subsolution(sigma: RadonMeasure, q: float, params: ProblemParams,
                         quad: QuadratureConfig = DEFAULT_QUAD,
                         c_init: float = 1.0, grid=None) -> RadialFunction:
@@ -145,12 +135,36 @@ def iterate_once(u_prev: RadialFunction, sigma_list, q_list, mu,
     return solve_radial_p_laplace(nu, params, quad, grid=grid)
 
 
-def _run_iteration(sigma_list, q_list, mu, params, quad, u0, grid,
-                   enforce_monotone=True, track_energies=False,
-                   sup_recursion=False):
-    """Shared Picard loop; returns (u, riesz, trace, converged, residual)."""
-    conv_tol = quad.conv_tol
-    mass_tol = 10.0 * quad.rel_tol
+def _inputs(sigma_list, q_list, mu, params, quad, mode, mismatch):
+    """Checked solver inputs: (sigma terms, mu, master grid).  A None
+    sigma term or mu is the zero measure."""
+    validate(params)
+    if params.mode is not mode:
+        raise ModeMismatch(mismatch)
+    sigma_list = [zero_measure(params.n) if s is None else s
+                  for s in _as_list(sigma_list)]
+    if len(sigma_list) != len(q_list):
+        raise ValueError("sigma_list and q_list lengths differ")
+    mu = mu if mu is not None else zero_measure(params.n)
+    if not any(s.total_mass() > 0 for s in sigma_list) and mu.total_mass() == 0.0:
+        raise ZeroMeasure("all data vanish: (sigma, mu) must not be (0, 0)")
+    return sigma_list, mu, marked_grid(quad.radial_grid(), sigma_list + [mu])
+
+
+def _picard(sigma_list, q_list, mu, params, quad, u0, grid,
+            track_energies=False) -> Solution:
+    """Picard iteration u_{j+1} = potential of sum_m sigma^(m) u_j^{q_m} + mu
+    from u0 on the grid; one exact solve when every sigma vanishes.
+
+    Iterates must increase except at gamma = 0, whose seed may start above
+    the solution; at gamma = inf each step records the sup-recursion
+    constant."""
+    if not any(s.total_mass() > 0 for s in sigma_list):
+        u = solve_radial_p_laplace(mu, params, quad, grid=grid)
+        return Solution(u=u, riesz=mu, residual_final=0.0, converged=True,
+                        iterations_used=1, mode=params.mode, sup_norm=u.sup_norm)
+    monotone = params.mode is not Mode.GAMMA_ZERO
+    sup_recursion = params.mode is Mode.GAMMA_INFINITY
     trace = []
     u_prev = u0
     current = compose_measure(sigma_list, q_list, mu, u_prev)
@@ -162,7 +176,7 @@ def _run_iteration(sigma_list, q_list, mu, params, quad, u0, grid,
         u = solve_radial_p_laplace(current, params, quad, grid=grid) \
             if current.total_mass() > 0 else zero_profile(quad)
         prev_vals = u_prev.eval(u.grid)
-        if enforce_monotone and np.any(u.values < prev_vals - 1e-12):
+        if monotone and np.any(u.values < prev_vals - 1e-12):
             worst = float(np.max(prev_vals - u.values))
             raise MonotonicityViolated(
                 f"iterate decreased by {worst:.3e} at step {j}")
@@ -180,13 +194,14 @@ def _run_iteration(sigma_list, q_list, mu, params, quad, u0, grid,
             state.energies["sup_recursion_constant"] = \
                 u.sup_norm / (u_prev.sup_norm ** (q_bar / (params.p - 1.0)) + 1.0)
         trace.append(state)
-        if residual <= conv_tol and mass_residual <= mass_tol:
-            converged = True
-            current = nxt
-            break
         current = nxt
+        if residual <= quad.conv_tol and mass_residual <= 10.0 * quad.rel_tol:
+            converged = True
+            break
         u_prev = u
-    return u, current, trace, converged, residual
+    return Solution(u=u, riesz=current, residual_final=residual,
+                    converged=converged, iterations_used=len(trace),
+                    mode=params.mode, sup_norm=u.sup_norm, trace=trace)
 
 
 def _cheap_energies(u, sigma_list, q_list, params, quad, with_wolff):
@@ -214,44 +229,40 @@ def solve_minimal(sigma_list, q_list, mu, params: ProblemParams,
                   track_energies: bool = False) -> Solution:
     """Minimal solution for finite gamma; raises NotConverged (carrying the
     partial Solution) when the iteration cap is hit."""
-    validate(params)
-    if params.mode is not Mode.FINITE_GAMMA:
-        raise ModeMismatch("solve_minimal needs finite gamma > 0")
-    sigma_list = _as_list(sigma_list)
-    if len(sigma_list) != len(q_list):
-        raise ValueError("sigma_list and q_list lengths differ")
-    mu = mu if mu is not None else zero_measure(params.n)
-    live_sigma = any(s.total_mass() > 0 for s in sigma_list)
-    if not live_sigma and mu.total_mass() == 0.0:
-        raise ZeroMeasure("all data vanish: (sigma, mu) must not be (0, 0)")
-
-    grid = _master_grid(list(sigma_list) + [mu], quad)
-    profiles = {}
+    sigma_list, mu, grid = _inputs(sigma_list, q_list, mu, params, quad,
+                                   Mode.FINITE_GAMMA,
+                                   "solve_minimal needs finite gamma > 0")
+    # W sigma^(m) of the live terms and W mu for an atom-free mu, used by
+    # the condition energies and the lower-bound ratio
+    sigma_prof = [wolff_profile(s, params, quad) if s.total_mass() > 0 else None
+                  for s in sigma_list]
+    mu_prof = wolff_profile(mu, params, quad) if (
+        mu.total_mass() > 0 and mu.is_radial and not _has_atoms(mu)) else None
+    energies = {}
     if check_conditions:
-        _warn_infinite_conditions(sigma_list, q_list, mu, params, quad, profiles)
+        g = params.gamma
+        for m, (sig, q, prof) in enumerate(zip(sigma_list, q_list, sigma_prof)):
+            if prof is not None:
+                energies[f"sigma{m}_energy"] = e = sigma_energy(sig, g, q, params,
+                                                                quad, profile=prof)
+                if math.isinf(e):
+                    warnings.warn(f"coefficient energy for term {m} is infinite",
+                                  stacklevel=2)
+        if mu.total_mass() > 0:
+            energies["mu_energy"] = e = wolff_energy(mu, g, params, quad,
+                                                     profile=mu_prof)
+            if math.isinf(e):
+                warnings.warn("datum energy is infinite", stacklevel=2)
 
     u0 = start if start is not None else _start(sigma_list, q_list, mu, params,
                                                 quad, grid)
-
-    if not live_sigma:
-        # pure measure data: a single exact solve
-        u = solve_radial_p_laplace(mu, params, quad, grid=grid)
-        sol = Solution(u=u, riesz=mu, residual_final=0.0, converged=True,
-                       iterations_used=1, mode=params.mode)
-        _finalize(sol, sigma_list, q_list, mu, params, quad, profiles)
-        return sol
-
-    u, riesz, trace, converged, residual = _run_iteration(
-        sigma_list, q_list, mu, params, quad, u0, grid,
-        enforce_monotone=True, track_energies=track_energies)
-    sol = Solution(u=u, riesz=riesz, residual_final=residual,
-                   converged=converged, iterations_used=len(trace),
-                   mode=params.mode, trace=trace)
-    _finalize(sol, sigma_list, q_list, mu, params, quad, profiles)
-    if not converged:
+    sol = _picard(sigma_list, q_list, mu, params, quad, u0, grid, track_energies)
+    _finalize(sol, sigma_list, q_list, mu, params, quad, sigma_prof, mu_prof)
+    sol.extras["condition_energies"] = energies
+    if not sol.converged:
         raise NotConverged(
             f"no convergence within {quad.max_iter} iterations "
-            f"(residual {residual:.3e})", solution=sol)
+            f"(residual {sol.residual_final:.3e})", solution=sol)
     return sol
 
 
@@ -267,63 +278,26 @@ def _start(sigma_list, q_list, mu, params, quad, grid):
                           0.0, np.zeros_like(grid))
 
 
-def _warn_infinite_conditions(sigma_list, q_list, mu, params, quad, profiles):
-    g = params.gamma
-    for m, (sig, q) in enumerate(zip(sigma_list, q_list)):
-        if sig.total_mass() == 0:
-            continue
-        prof = wolff_profile(sig, params, quad) if sig.is_radial else None
-        profiles[f"sigma{m}"] = prof
-        e = sigma_energy(sig, g, q, params, quad, profile=prof)
-        profiles[f"sigma{m}_energy"] = e
-        if math.isinf(e):
-            warnings.warn(f"coefficient energy for term {m} is infinite",
-                          stacklevel=3)
-    if mu is not None and mu.total_mass() > 0:
-        prof = wolff_profile(mu, params, quad) if (mu.is_radial and
-                                                   not _has_atoms(mu)) else None
-        profiles["mu"] = prof
-        e = wolff_energy(mu, g, params, quad, profile=prof)
-        profiles["mu_energy"] = e
-        if math.isinf(e):
-            warnings.warn("datum energy is infinite", stacklevel=3)
-
-
-def _finalize(sol: Solution, sigma_list, q_list, mu, params, quad, profiles):
-    u = sol.u
-    if params.mode is Mode.FINITE_GAMMA:
-        g = params.gamma
-        sol.generalized_energy = generalized_energy(u, sigma_list, q_list, mu,
-                                                    g, params, quad)
-        ex = derive_exponents(params)
-        sol.lorentz_norm = lorentz_norm(u, ex.lorentz_r, ex.lorentz_rho,
-                                        params, quad)
-    sol.sup_norm = u.sup_norm
-    sol.lower_bound_ratio = _lower_bound_ratio(sol, sigma_list, q_list, mu,
-                                               params, quad, profiles)
-    sol.extras["condition_energies"] = {
-        k: v for k, v in profiles.items() if k.endswith("_energy")}
-
-
-def _lower_bound_ratio(sol, sigma_list, q_list, mu, params, quad, profiles):
-    """min over the grid of u / [sum_m (W sigma^(m))^{(p-1)/(p-1-q_m)} + W mu]."""
+def _finalize(sol: Solution, sigma_list, q_list, mu, params, quad,
+              sigma_prof, mu_prof):
+    """Energy and Lorentz norm of a finite-gamma solution, and the lower
+    bound ratio min over the grid of
+    u / [sum_m (W sigma^(m))^{(p-1)/(p-1-q_m)} + W mu]."""
     u = sol.u
     p = params.p
+    sol.generalized_energy = generalized_energy(u, sigma_list, q_list, mu,
+                                                params.gamma, params, quad)
+    ex = derive_exponents(params)
+    sol.lorentz_norm = lorentz_norm(u, ex.lorentz_r, ex.lorentz_rho, params, quad)
     denom = np.zeros_like(u.grid)
-    for m, (sig, q) in enumerate(zip(sigma_list, q_list)):
-        if sig.total_mass() == 0:
-            continue
-        prof = profiles.get(f"sigma{m}") or wolff_profile(sig, params, quad)
-        profiles.setdefault(f"sigma{m}", prof)
-        denom += np.maximum(prof.eval(u.grid), 0.0) ** ((p - 1.0) / (p - 1.0 - q))
-    if mu is not None and mu.total_mass() > 0 and mu.is_radial and not _has_atoms(mu):
-        prof = profiles.get("mu") or wolff_profile(mu, params, quad)
-        profiles.setdefault("mu", prof)
-        denom += np.maximum(prof.eval(u.grid), 0.0)
+    for prof, q in zip(sigma_prof, q_list):
+        if prof is not None:
+            denom += np.maximum(prof.eval(u.grid), 0.0) ** ((p - 1.0) / (p - 1.0 - q))
+    if mu_prof is not None:
+        denom += np.maximum(mu_prof.eval(u.grid), 0.0)
     live = denom > 0
-    if not np.any(live):
-        return None
-    return float(np.min(u.values[live] / denom[live]))
+    if np.any(live):
+        sol.lower_bound_ratio = float(np.min(u.values[live] / denom[live]))
 
 
 def solve_with_exhaustion(sigma_list, q_list, mu, params: ProblemParams,
@@ -372,42 +346,28 @@ def solve_with_exhaustion(sigma_list, q_list, mu, params: ProblemParams,
 def solve_bounded_endpoint(sigma_list, q_list, mu, params: ProblemParams,
                            quad: QuadratureConfig = DEFAULT_QUAD) -> Solution:
     """Minimal bounded solution under sup-norm hypotheses (gamma = inf)."""
-    validate(params)
-    if params.mode is not Mode.GAMMA_INFINITY:
-        raise ModeMismatch("bounded endpoint needs gamma = inf")
-    from .wolff import wolff_sup_on_support
-    sigma_list = _as_list(sigma_list)
-    mu = mu if mu is not None else zero_measure(params.n)
-    live_sigma = any(s.total_mass() > 0 for s in sigma_list)
-    if not live_sigma and mu.total_mass() == 0.0:
-        raise ZeroMeasure("all data vanish: (sigma, mu) must not be (0, 0)")
+    sigma_list, mu, grid = _inputs(sigma_list, q_list, mu, params, quad,
+                                   Mode.GAMMA_INFINITY,
+                                   "bounded endpoint needs gamma = inf")
     for name, m in [("sigma", s) for s in sigma_list] + [("mu", mu)]:
-        if m.total_mass() == 0:
-            continue
-        s_val = wolff_sup_on_support(m, params, quad)
-        if math.isinf(s_val):
+        if m.total_mass() > 0 and math.isinf(wolff_sup_on_support(m, params, quad)):
             raise UnboundedCondition(f"potential of {name} is unbounded on its support")
 
-    grid = _master_grid(list(sigma_list) + [mu], quad)
     u0 = _start(sigma_list, q_list, mu, params, quad, grid)
-    u, riesz, trace, converged, residual = _run_iteration(
-        sigma_list, q_list, mu, params, quad, u0, grid,
-        enforce_monotone=True, sup_recursion=True)
-    consts = [st.energies.get("sup_recursion_constant") for st in trace]
+    sol = _picard(sigma_list, q_list, mu, params, quad, u0, grid)
+    consts = [st.energies.get("sup_recursion_constant") for st in sol.trace]
     consts = [c for c in consts if c is not None and math.isfinite(c)]
-    sol = Solution(u=u, riesz=riesz, residual_final=residual,
-                   converged=converged, iterations_used=len(trace),
-                   mode=params.mode, trace=trace, sup_norm=u.sup_norm)
     sol.extras["sup_recursion_constant"] = max(consts) if consts else None
-    sol.extras["bounded"] = math.isfinite(u.sup_norm)
-    if not converged:
+    sol.extras["bounded"] = math.isfinite(sol.sup_norm)
+    if not sol.converged:
         raise NotConverged("bounded endpoint did not converge", solution=sol)
     return sol
 
 
 def intrinsic_fixed_point(sigma, q, mu, params: ProblemParams,
                           quad: QuadratureConfig = DEFAULT_QUAD) -> Solution:
-    """gamma = 0 endpoint: Picard iteration from the potential-power seed.
+    """gamma = 0 endpoint: Picard iteration from the potential-power seed
+    (W sigma)^{(p-1)/(p-1-q)}.
 
     Reports convergence of the L^q(d sigma) quantity, finiteness of the
     Riesz mass, and the weak Lorentz norm at (n(p-1)/(n-p), inf).
@@ -415,31 +375,15 @@ def intrinsic_fixed_point(sigma, q, mu, params: ProblemParams,
     intrinsic fixed point is a hypothesis, and the iteration cannot
     decide existence.
     """
-    validate(params)
-    if params.mode is not Mode.GAMMA_ZERO:
-        raise ModeMismatch("intrinsic endpoint needs gamma = 0")
-    mu = mu if mu is not None else zero_measure(params.n)
-    sigma = sigma if sigma is not None else zero_measure(params.n)
-    if sigma.total_mass() == 0.0 and mu.total_mass() == 0.0:
-        raise ZeroMeasure("all data vanish: (sigma, mu) must not be (0, 0)")
-    grid = _master_grid([sigma, mu], quad)
+    (sigma,), mu, grid = _inputs([sigma], [q], mu, params, quad, Mode.GAMMA_ZERO,
+                                 "intrinsic endpoint needs gamma = 0")
     p = params.p
-
-    if sigma.total_mass() == 0.0:
-        u = solve_radial_p_laplace(mu, params, quad, grid=grid)
-        sol = Solution(u=u, riesz=mu, residual_final=0.0, converged=True,
-                       iterations_used=1, mode=params.mode, sup_norm=u.sup_norm)
-    else:
-        w_prof = wolff_profile(sigma, params, quad, d_grid=grid)
-        u0 = w_prof ** ((p - 1.0) / (p - 1.0 - q))
-        u, riesz, trace, converged, residual = _run_iteration(
-            [sigma], [q], mu, params, quad, u0, grid, enforce_monotone=False)
-        sol = Solution(u=u, riesz=riesz, residual_final=residual,
-                       converged=converged, iterations_used=len(trace),
-                       mode=params.mode, trace=trace, sup_norm=u.sup_norm)
-
+    live = sigma.total_mass() > 0
+    u0 = wolff_profile(sigma, params, quad, d_grid=grid) ** ((p - 1.0) / (p - 1.0 - q)) \
+        if live else None
+    sol = _picard([sigma], [q], mu, params, quad, u0, grid)
     lq = integrate_against(sigma, lambda s: np.maximum(sol.u.eval(s), 0.0) ** q,
-                           quad) if sigma.total_mass() > 0 else 0.0
+                           quad) if live else 0.0
     sol.extras["sigma_lq"] = lq
     sol.extras["riesz_mass"] = lq + mu.total_mass()
     r0 = params.n * (p - 1.0) / (params.n - p)

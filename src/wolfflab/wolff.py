@@ -162,7 +162,8 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
     head = np.zeros(rows)
     if np.any(inside):
         i_in = np.flatnonzero(inside)
-        head[inside] = power_law_head(lambda r: integrand(i_in, r), r_lo[inside])
+        head[inside] = power_law_head(lambda r, cols: integrand(i_in[cols], r),
+                                      r_lo[inside])
 
     # beyond the horizon: constant ball mass in closed form, or decade by
     # decade for infinite mass
@@ -186,7 +187,7 @@ def _support_distance(c, d):
     shell or density."""
     if isinstance(c, SphericalShell):
         return np.abs(d - c.radius)
-    return np.maximum(np.maximum(c.lo_cut - d, d - c.outer_extent()), 0.0)
+    return np.maximum(np.maximum(c.lo_cut - d, d - c.support_radius()), 0.0)
 
 
 def wolff_profile(mu: RadonMeasure, params: ProblemParams,

@@ -258,8 +258,15 @@ def test_csv_profile_loading(tmp_path):
 
 
 def test_console_script_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+
+    import wolfflab
+    # the subprocess imports the same wolfflab as this test
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wolfflab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     cfg = write_config(tmp_path, {
         "params": BASE_PARAMS,
         "measures": {"d0": {"type": "atom", "location": [0, 0, 0], "weight": 1.0}},
@@ -267,7 +274,7 @@ def test_console_script_entry_point(tmp_path):
     })
     proc = subprocess.run(
         [sys.executable, "-m", "wolfflab.cli", "wolff", "--config", cfg,
-         "--out", str(tmp_path)], capture_output=True, text=True)
+         "--out", str(tmp_path)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     rows = read_csv(tmp_path / "w.csv")
     assert float(rows[1][1]) == pytest.approx(1.0, rel=1e-9)

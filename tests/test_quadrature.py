@@ -102,24 +102,24 @@ def test_panelize_rejects_bad_rows():
 @pytest.mark.parametrize("kappa", [-0.95, -0.5, 0.0, 0.7, 3.0])
 def test_head_exact_on_power_laws(kappa):
     r0 = np.array([1e-6, 0.3, 2.0, 50.0])
-    got = power_law_head(lambda r: 2.5 * r ** kappa, r0)
+    got = power_law_head(lambda r, _: 2.5 * r ** kappa, r0)
     assert got == pytest.approx(2.5 * r0 ** (kappa + 1.0) / (kappa + 1.0), rel=1e-12)
-    assert power_law_head(lambda r: 2.5 * r ** kappa, 0.3) == pytest.approx(
+    assert power_law_head(lambda r, _: 2.5 * r ** kappa, 0.3) == pytest.approx(
         2.5 * 0.3 ** (kappa + 1.0) / (kappa + 1.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("kappa", [-1.0, -1.5, -4.0])
 def test_head_divergent_power_laws_are_infinite(kappa):
-    got = power_law_head(lambda r: r ** kappa, np.array([1e-3, 1.0, 10.0]))
+    got = power_law_head(lambda r, _: r ** kappa, np.array([1e-3, 1.0, 10.0]))
     assert np.all(np.isinf(got))
-    assert math.isinf(power_law_head(lambda r: r ** kappa, 1.0))
+    assert math.isinf(power_law_head(lambda r, _: r ** kappa, 1.0))
 
 
 def test_head_zero_and_nonfinite():
-    assert power_law_head(lambda r: np.zeros_like(r), 1.0) == 0.0
-    assert math.isinf(power_law_head(lambda r: np.full_like(r, np.inf), 1.0))
+    assert power_law_head(lambda r, _: np.zeros_like(r), 1.0) == 0.0
+    assert math.isinf(power_law_head(lambda r, _: np.full_like(r, np.inf), 1.0))
     # nothing below r0/2: no head at all
-    assert power_law_head(lambda r: np.where(r > 0.6, 1.0, 0.0), 1.0) == 0.0
+    assert power_law_head(lambda r, _: np.where(r > 0.6, 1.0, 0.0), 1.0) == 0.0
 
 
 @pytest.mark.parametrize("kappa", [-1.5, -0.5, 0.0, 2.0])
@@ -128,21 +128,39 @@ def test_head_with_support_edge_inside(kappa):
     # either side of the located edge (finite even for kappa <= -1)
     r0 = np.array([0.8, 2.0, 3.0])
     edge = np.array([0.3, 0.9, 1.4])
-    got = power_law_head(lambda r: np.where(r > edge, r ** kappa, 0.0), r0)
+    got = power_law_head(lambda r, cols: np.where(r > edge[cols], r ** kappa, 0.0), r0)
     exact = (r0 ** (kappa + 1.0) - edge ** (kappa + 1.0)) / (kappa + 1.0)
     assert np.all(np.isfinite(got))
     assert got == pytest.approx(exact, rel=1e-10)
     # rows without an edge keep the closed form in the same call
-    mixed = power_law_head(lambda r: np.where(r > edge * [1, 0, 1], r ** 0.5, 0.0), r0)
+    mixed = power_law_head(
+        lambda r, cols: np.where(r > (edge * [1, 0, 1])[cols], r ** 0.5, 0.0), r0)
     assert mixed[1] == pytest.approx(r0[1] ** 1.5 / 1.5, rel=1e-12)
     # the edge swept across (r0/4, r0/2), and a scalar r0
     sweep_r0 = np.full(47, 1.7)
     sweep_edge = np.linspace(0.26, 0.49, 47) * sweep_r0
-    got = power_law_head(lambda r: np.where(r > sweep_edge, r ** kappa, 0.0), sweep_r0)
+    got = power_law_head(
+        lambda r, cols: np.where(r > sweep_edge[cols], r ** kappa, 0.0), sweep_r0)
     exact = (sweep_r0 ** (kappa + 1.0) - sweep_edge ** (kappa + 1.0)) / (kappa + 1.0)
     assert got == pytest.approx(exact, rel=1e-10)
-    assert power_law_head(lambda r: np.where(r > 0.4, r ** kappa, 0.0), 1.0) == \
+    assert power_law_head(lambda r, _: np.where(r > 0.4, r ** kappa, 0.0), 1.0) == \
         pytest.approx((1.0 - 0.4 ** (kappa + 1.0)) / (kappa + 1.0), rel=1e-10)
+
+
+def test_head_stub_sees_only_stub_columns():
+    # one stub among three columns: its edge search and panels evaluate
+    # that column alone
+    edge = np.array([0.0, 0.4, 0.0])
+    widths = []
+
+    def f(r, cols):
+        widths.append(r.shape[1])
+        return np.where(r > edge[cols], r, 0.0)
+
+    got = power_law_head(f, np.ones(3))
+    assert widths[0] == 3 and len(widths) > 1
+    assert all(w == 1 for w in widths[1:])
+    assert got == pytest.approx([0.5, (1.0 - 0.4 ** 2) / 2.0, 0.5], rel=1e-10)
 
 
 # -- decade tail -----------------------------------------------------------------

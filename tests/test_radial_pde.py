@@ -183,6 +183,22 @@ def test_infinite_mass_convergent_tail(pp3, quad):
     assert u.tail_exp == pytest.approx((tau - pp3.p) / (pp3.p - 1.0), rel=1e-6)
 
 
+@pytest.mark.parametrize("tau", [2.25, 2.5, 2.75])
+def test_infinite_mass_power_density_closed_form(pp3, suite_quad, tau):
+    # density s^-tau, 2 < tau < 3, in n = 3 at p = 2: mu(B(0, r)) =
+    # 4 pi r^(3-tau)/(3-tau) and u = r^(2-tau)/((3-tau)(tau-2)); the mass
+    # table's head at 0 and the solver's decade tail at infinity are exact
+    mu = RadialDensity.from_function(
+        3, lambda s: np.asarray(s, float) ** -tau, suite_quad,
+        tail=(1.0, tau), allow_infinite_mass=True)
+    assert mu.centered_mass(1.0) == pytest.approx(4 * math.pi / (3 - tau), rel=1e-10)
+    u = solve_radial_p_laplace(mu, pp3, suite_quad)
+    coeff = 1.0 / ((3 - tau) * (tau - 2))
+    assert u.values == pytest.approx(coeff * u.grid ** (2 - tau), rel=1e-10)
+    assert u.tail_coeff == pytest.approx(coeff, rel=1e-10)
+    assert u.tail_exp == pytest.approx(tau - 2, rel=1e-10)
+
+
 def test_stored_derivative_matches_mass_formula(pp3, quad):
     ball = RadialDensity.uniform_ball(3, 1.0, 1.0, quad)
     u = solve_radial_p_laplace(ball, pp3, quad)

@@ -260,6 +260,19 @@ def test_verify_solution_pure_measure(pp3, quad):
     assert all(r.passed for r in reports)
 
 
+def test_bounded_endpoint_zero_sigma_is_one_solve(quad):
+    # with every sigma zero the bounded endpoint makes the one exact solve
+    # of the pure measure problem, so no step records a sup-recursion
+    pp_inf = params(3, 2.0, 0.5, math.inf)
+    mu = RadialDensity.uniform_ball(3, 1.0, 1.0, quad)
+    sol = solve_bounded_endpoint([zero_measure(3)], [0.5], mu, pp_inf, quad)
+    assert sol.converged and sol.iterations_used == 1 and sol.trace == []
+    assert sol.extras["sup_recursion_constant"] is None
+    assert sol.extras["bounded"] and sol.sup_norm == sol.u.sup_norm
+    direct = solve_radial_p_laplace(mu, pp_inf, quad, grid=sol.u.grid)
+    assert np.array_equal(sol.u.values, direct.values)
+
+
 def test_condition_warnings_for_atomic_sigma(pp3, quad):
     # atomic sigma has infinite coefficient energy: warn, not raise
     sigma = add(RadialDensity.uniform_ball(3, 1.0, 1.0, quad), dirac(3, 0.1))
