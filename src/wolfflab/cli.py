@@ -2,8 +2,10 @@
 
 One JSON config per run; outputs are CSV and JSON-lines files written to
 the output directory.  Identical config and seed give byte-identical
-outputs regardless of the thread count: instances are generated from
-(seed, check, index) and results are assembled in index order.
+outputs regardless of the worker count: instances are generated from
+(seed, check, index) and results are assembled in index order.  ``--threads
+N`` (fallback ``WOLFFLAB_THREADS``) runs verify/suite instances on N worker
+processes, capped at the number of instances and at the usable CPUs.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 not converged (files still written), 5 verification failure (summary
@@ -14,11 +16,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -96,16 +98,24 @@ def _emit_error(args, kind, message):
         sys.stderr.write(f"wolfflab: {kind}: {message}\n")
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("WOLFFLAB_THREADS")
-    if env:
+def _workers(args, ntasks) -> int:
+    """--threads (fallback WOLFFLAB_THREADS, default 1), capped at the
+    number of tasks and at the CPUs this process may run on."""
+    requested = args.threads
+    if requested is None:
+        env = os.environ.get("WOLFFLAB_THREADS")
         try:
-            return max(1, int(env))
+            requested = int(env) if env else 1
         except ValueError:
             raise ConfigError(f"WOLFFLAB_THREADS: cannot parse {env!r}")
-    return 1
+    return min(requested, ntasks, _usable_cpus())
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _load(args) -> RunConfig:
@@ -264,8 +274,14 @@ def cmd_checks(args) -> int:
     cfg = _load(args)
     checks = cfg.command.get("checks", list(CHECK_NAMES))
     default = 16 if args.cmd == "verify" else 100
-    instances = int(cfg.command.get("instances", default))
-    bound = float(cfg.command.get("bound", 1e3))
+    instances = cfg.command.get("instances", default)
+    if type(instances) is not int or instances < 0:
+        raise ConfigError(f"command.instances: need a non-negative integer, "
+                          f"got {instances!r}")
+    bound = cfg.command.get("bound", 1e3)
+    if type(bound) not in (int, float) or not bound > 0:
+        raise ConfigError(f"command.bound: need a positive number, "
+                          f"got {bound!r}")
     canonical = []
     for name in checks:
         name = CHECK_ALIASES.get(name, name)
@@ -273,16 +289,21 @@ def cmd_checks(args) -> int:
             raise ConfigError(f"command.checks: unknown check {name!r}")
         canonical.append(name)
     tasks = [(name, idx) for name in canonical for idx in range(instances)]
+    run = functools.partial(_run_task, seed=cfg.seed, pp=cfg.params,
+                            quad=cfg.quad, bound=float(bound))
 
-    def run(task):
-        name, idx = task
-        reports = run_check_instance(name, idx, cfg.seed, cfg.params, cfg.quad,
-                                     bound)
-        return task, [r.as_dict() for r in reports]
-
-    nthreads = _threads(args)
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+    workers = _workers(args, len(tasks))
+    if workers > 1:
+        # The instances spend most of their time in Python and hold the
+        # GIL, so threads do not overlap them.  Forked workers inherit the
+        # imported numpy/scipy and the parsed config; spawn or forkserver
+        # would import them again in every worker, which costs more than a
+        # small check.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork")) as pool:
             results = list(pool.map(run, tasks))
     else:
         results = [run(t) for t in tasks]
@@ -320,6 +341,14 @@ def _tally(cells, key, rep):
     if r is not None:
         cur = cell["max_ratio"]
         cell["max_ratio"] = r if cur is None else max(cur, r)
+
+
+def _run_task(task, seed, pp, quad, bound):
+    """One (check, index) task as ((check, index), report dicts); module
+    level so that worker processes can receive it."""
+    name, idx = task
+    reports = run_check_instance(name, idx, seed, pp, quad, bound)
+    return task, [r.as_dict() for r in reports]
 
 
 def run_check_instance(name, idx, seed, pp: ProblemParams, quad,

@@ -71,6 +71,11 @@ class NotConverged(WolffLabError):
         super().__init__(message)
         self.solution = solution
 
+    def __reduce__(self):
+        # A Solution holds closures and does not pickle; the error sent
+        # back from a worker process keeps its message only.
+        return type(self), self.args
+
 
 class MonotonicityViolated(WolffLabError):
     """Internal error: the monotone scheme produced a decreasing step,

@@ -185,11 +185,122 @@ def test_verify_seed_changes_output(tmp_path):
         (out2 / "reports.jsonl").read_bytes()
 
 
+def test_verify_module_run_deterministic_across_workers(tmp_path):
+    # under ``python -m`` the task function lives in __main__
+    import os
+    import subprocess
+    import sys
+
+    import wolfflab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wolfflab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("WOLFFLAB_THREADS", None)
+    doc = dict(VERIFY_DOC)
+    doc["command"] = {"checks": ["picone", "density_conditions"],
+                      "instances": 2}
+    cfg = write_config(tmp_path, doc)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"w{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "wolfflab.cli", "verify", "--config", cfg,
+             "--out", str(out), "--threads", threads],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "reports.jsonl").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_threads_env_fallback(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, VERIFY_DOC)
     monkeypatch.setenv("WOLFFLAB_THREADS", "2")
     out = tmp_path / "env"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("field, command", [
+    ("instances", {"checks": ["picone"], "instances": "two"}),
+    ("bound", {"checks": ["picone"], "instances": 1, "bound": "x"}),
+])
+def test_verify_bad_command_field_exit_2(tmp_path, capsys, field, command):
+    doc = dict(VERIFY_DOC)
+    doc["command"] = command
+    cfg = write_config(tmp_path, doc)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path),
+                 "--json-errors"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert f"command.{field}" in err["message"]
+
+
+def test_verify_zero_instances_writes_empty_outputs(tmp_path):
+    doc = dict(VERIFY_DOC)
+    doc["command"] = {"checks": ["picone"], "instances": 0}
+    cfg = write_config(tmp_path, doc)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path),
+                 "--threads", "2"]) == 0
+    assert (tmp_path / "reports.jsonl").read_bytes() == b""
+    assert read_csv(tmp_path / "summary.csv") == [
+        ["name", "count", "failed", "vacuous", "max_ratio"]]
+
+
+@pytest.mark.parametrize("instances, cpus, expected", [(2, 64, 2), (4, 3, 3)])
+def test_worker_count_capped(tmp_path, monkeypatch, instances, cpus, expected):
+    import concurrent.futures
+
+    import wolfflab.cli as cli
+    built = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers, mp_context=None):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        SerialExecutor)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    doc = dict(VERIFY_DOC)
+    doc["command"] = {"checks": ["picone"], "instances": instances}
+    cfg = write_config(tmp_path, doc)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path),
+                 "--threads", "64"]) == 0
+    assert built == [expected]
+
+
+def test_worker_errors_match_serial(tmp_path, monkeypatch, capsys):
+    import wolfflab.cli as cli
+    from wolfflab.errors import NotConverged, SubsolutionSearchFailed
+
+    def not_converged(*args):
+        raise NotConverged("picard: no convergence", solution=lambda: None)
+
+    def no_subsolution(*args):
+        raise SubsolutionSearchFailed("no admissible scale")
+
+    # forked workers inherit these patches
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    doc = dict(VERIFY_DOC)
+    doc["command"] = {"checks": ["picone"], "instances": 2}
+    cfg = write_config(tmp_path, doc)
+    for fake, code, kind in ((not_converged, 4, "NotConverged"),
+                             (no_subsolution, 3, "SubsolutionSearchFailed")):
+        monkeypatch.setattr(cli, "run_check_instance", fake)
+        lines = []
+        for threads in ("1", "2"):
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path),
+                         "--threads", threads, "--json-errors"]) == code
+            lines.append(capsys.readouterr().err)
+        assert lines[0] == lines[1]
+        assert json.loads(lines[0])["error"] == kind
 
 
 def test_suite_command(tmp_path):
