@@ -27,7 +27,8 @@ from .errors import (
     SignError,
 )
 from .params import DEFAULT_QUAD, QuadratureConfig, unit_ball_volume
-from .quadrature import decade_tail, gauss_rule, panel_sum, power_law_head
+from .quadrature import (decade_tail, gauss_rule, panel_nodes, panel_sum,
+                         power_law_head)
 
 _TINY = 1e-300
 
@@ -69,21 +70,6 @@ class RadonMeasure:
         center = _as_point(center, self.dim)
         r = _radius_array(radius)
         return _shape_like(self._ball_mass(center, r), radius)
-
-    def radial_mass(self, d, r):
-        """mu(B(x, r)) for |x| = d, broadcast over arrays.
-
-        Only valid for radial measures (the ball mass depends on |x| alone).
-        """
-        if not self.is_radial:
-            raise NonRadialMeasure(f"{self!r} is not radial")
-        d = np.asarray(d, dtype=float)
-        r = np.asarray(r, dtype=float)
-        db, rb = np.broadcast_arrays(np.atleast_1d(d), np.atleast_1d(r))
-        out = self._radial_mass(db.ravel(), rb.ravel()).reshape(db.shape)
-        if d.ndim == 0 and r.ndim == 0:
-            return float(out.reshape(-1)[0])
-        return out.reshape(np.broadcast(d, r).shape)
 
     def centered_mass(self, r):
         """mu(B(0, r)); exact for every supported class."""
@@ -244,7 +230,146 @@ class SphericalShell(RadonMeasure):
         return [self.radius]
 
 
-class RadialDensity(RadonMeasure):
+class MassTable(RadonMeasure):
+    """Centered ball masses of a radial density from its piece masses, its
+    values at the piece edges (interp as in RadialDensity) and a power-law
+    tail A s**-tau past the last edge; no off-center masses."""
+
+    def __init__(self, dim, edges, piece_mass, edge_vals, tail=None, interp="loglog"):
+        self.dim, self.interp = int(dim), interp
+        self._nwn = self.dim * unit_ball_volume(self.dim)
+        self._edges, self._piece_mass, self._edge_vals = edges, piece_mass, edge_vals
+        self._cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
+        self._tail = tail if tail is not None and tail[0] > 0 else None
+        self._tail_total = 0.0
+        if self._tail is not None:
+            A, tau = self._tail
+            e = self.dim - 1 - tau
+            self._tail_total = math.inf if e >= -1.0 else \
+                self._nwn * A * edges[-1] ** (e + 1.0) / (-e - 1.0)
+        self._total = float(self._cum[-1] + self._tail_total)
+
+    @property
+    def is_radial(self):
+        return True
+
+    def total_mass(self):
+        return self._total
+
+    def radial_marks(self):
+        return sorted({float(self._edges[0]), float(self._edges[-1])})
+
+    def _tail_mass_to(self, r):
+        """Mass between the last edge and radii r >= last edge."""
+        if self._tail_total == 0.0:
+            return np.zeros_like(np.asarray(r, dtype=float))
+        A, tau = self._tail
+        e = self.dim - 1 - tau
+        a = self._edges[-1]
+        r = np.asarray(r, dtype=float)
+        if e == -1.0:
+            return self._nwn * A * np.log(r / a)
+        return self._nwn * A * (r ** (e + 1.0) - a ** (e + 1.0)) / (e + 1.0)
+
+    def _centered_mass(self, r):
+        out = np.empty_like(r)
+        edges, cum = self._edges, self._cum
+        idx = np.searchsorted(edges, r, side="right") - 1
+        below = idx < 0
+        beyond = idx >= len(edges) - 1
+        out[below] = 0.0
+        if np.any(beyond):
+            out[beyond] = cum[-1] + self._tail_mass_to(np.maximum(r[beyond], edges[-1]))
+        mid = ~(beyond | below)
+        if np.any(mid):
+            i = idx[mid]
+            out[mid] = cum[i] + self._partial_piece(i, r[mid])
+        return out
+
+    def _partial_piece(self, i, r):
+        """Mass between edges[i] and r inside piece i (arrays).
+
+        Closed-form interpolant shape normalized so the full piece equals
+        the tabulated piece mass exactly; node masses stay exact and the
+        interior deviates only by the interpolation shape error within
+        one narrow segment.
+        """
+        a = self._edges[i]
+        b = self._edges[i + 1]
+        full = self._piece_mass[i]
+        out = np.zeros_like(r)
+        live = (full > 0) & (r > a)
+        if not np.any(live):
+            return out
+        n = self.dim
+        aa, bb, rr = a[live], b[live], r[live]
+        if self.interp == "segment":
+            frac = (rr ** n - aa ** n) / (bb ** n - aa ** n)
+            out[live] = np.clip(frac, 0.0, 1.0) * full[live]
+            return out
+        fa, fb = self._edge_vals[i][live], self._edge_vals[i + 1][live]
+        frac = np.empty_like(rr)
+        powerlaw = (fa > 0) & (fb > 0) & (aa > 0)
+        if np.any(powerlaw):
+            al = np.log(fb[powerlaw] / fa[powerlaw]) / np.log(bb[powerlaw] / aa[powerlaw])
+            e = al + n
+            az, bz, rz = aa[powerlaw], bb[powerlaw], rr[powerlaw]
+            near_log = np.abs(e) < 1e-9
+            # overflow-free ratio form of (r^e - a^e) / (b^e - a^e)
+            num = (rz / az) ** e - 1.0
+            den = (bz / az) ** e - 1.0
+            fr = np.where(near_log,
+                          np.log(rz / az) / np.log(bz / az),
+                          num / np.where(den != 0, den, 1.0))
+            frac[powerlaw] = fr
+        rest = ~powerlaw
+        if np.any(rest):
+            az, bz, rz = aa[rest], bb[rest], rr[rest]
+            f0, f1 = fa[rest], fb[rest]
+            slope = np.where(bz > az, (f1 - f0) / np.maximum(bz - az, _TINY), 0.0)
+
+            def prim(x):
+                return f0 * (x ** n - az ** n) / n + slope * (
+                    (x ** (n + 1) - az ** (n + 1)) / (n + 1)
+                    - az * (x ** n - az ** n) / n)
+
+            den = prim(bz)
+            frac[rest] = np.where(den > 0, prim(rz) / np.maximum(den, _TINY),
+                                  (rz ** n - az ** n) / (bz ** n - az ** n))
+        out[live] = np.clip(frac, 0.0, 1.0) * full[live]
+        return out
+
+
+def _table_layout(grid, lo_cut, hi):
+    """Mass table on the grid between lo_cut and hi: edges, 24-point Gauss
+    points and weights, each panel's piece and the head's anchor (from 0:
+    12 geometric panels from edges[1] * 1e-12, the power-law head below)."""
+    end = [hi] if math.isfinite(hi) and hi > lo_cut else []
+    edges = np.concatenate([[lo_cut], grid[(grid > lo_cut) & (grid < hi)], end])
+    if lo_cut > 0.0 or len(edges) < 2:
+        nodes, weights = panel_nodes(edges, 24)
+        return edges, nodes.ravel(), weights, np.arange(len(edges) - 1), None
+    head = edges[1] * 1e-12
+    nodes, weights = panel_nodes(np.append(np.geomspace(head, edges[1], 13), edges[2:]), 24)
+    piece = np.repeat(np.arange(len(edges) - 1), [12] + [1] * (len(edges) - 2))
+    return edges, nodes.ravel(), weights, piece, head
+
+
+def _piece_masses(density, dim, layout, vals=None):
+    """Piece masses of a density on a _table_layout; vals, when known, are
+    its shell mass n omega_n s^{n-1} density(s) at the layout's points."""
+    edges, points, weights, piece, head = layout
+    nwn = dim * unit_ball_volume(dim)
+    shell = lambda s, _=None: density(s) * nwn * s ** (dim - 1)
+    vals = shell(points) if vals is None else vals
+    masses = np.bincount(piece, (vals.reshape(weights.shape) * weights).sum(axis=1),
+                         minlength=len(edges) - 1)
+    if head is not None:
+        masses[0] += power_law_head(shell, head)
+    return masses
+
+
+class RadialDensity(MassTable):
     """Radial density f(s) (mass per unit volume) tabulated on a log grid.
 
     The measure is f(s) dx restricted to {lo_cut <= |x| <= cut}.  Between
@@ -276,8 +401,6 @@ class RadialDensity(RadonMeasure):
                 raise ValueError("segment mode needs one value per grid segment")
         elif len(self.values) != len(self.grid):
             raise ValueError("values must match grid length")
-        else:
-            pass
         if interp not in ("loglog", "segment"):
             raise ValueError(f"unknown interp mode {interp!r}")
         if np.any(self.values < 0):
@@ -383,126 +506,15 @@ class RadialDensity(RadonMeasure):
 
     # -- cumulative mass tables ----------------------------------------
     def _build_tables(self):
-        nwn = self.dim * unit_ball_volume(self.dim)
-        self._nwn = nwn
         hi = self.cut if self.cut is not None else (
             math.inf if self.tail is not None else float(self.grid[-1]))
         self._hi = hi
-        edges = [self.lo_cut]
-        for s in self.grid:
-            if edges[-1] < s and s < hi:
-                edges.append(float(s))
-        if math.isfinite(hi) and hi > edges[-1]:
-            edges.append(float(hi))
-        self._edges = np.asarray(edges, dtype=float)
-        E = self._edges
-        masses = np.zeros(len(E) - 1)
-        start = 0
-
-        def shell_mass(s):
-            return self._base_density(s) * nwn * s ** (self.dim - 1)
-
-        if E[0] == 0.0 and len(E) > 1:
-            sub = np.geomspace(E[1] * 1e-12, E[1], 13)
-            masses[0] = panel_sum(shell_mass, sub, 24) \
-                + power_law_head(lambda s, _: shell_mass(s), sub[0])
-            start = 1
-        if len(E) - 1 > start:
-            masses[start:] = panel_sum(shell_mass, E[start:], 24, rows=len(E) - 1 - start)
-        self._piece_mass = masses
-        self._edge_vals = self._base_density(np.maximum(E, _TINY))
-        self._cum = np.concatenate([[0.0], np.cumsum(masses)])
-        if math.isinf(hi) and self.tail is not None and self.tail[0] > 0:
-            A, tau = self.tail
-            e = self.dim - 1 - tau
-            a = self._edges[-1]
-            if e >= -1.0:
-                self._tail_total = math.inf
-            else:
-                self._tail_total = nwn * A * a ** (e + 1.0) / (-e - 1.0)
-        else:
-            self._tail_total = 0.0
-        self._total = float(self._cum[-1] + self._tail_total)
-
-    def _tail_mass_to(self, r):
-        """Mass between the last edge and radii r >= last edge."""
-        if self._tail_total == 0.0:
-            return np.zeros_like(np.asarray(r, dtype=float))
-        A, tau = self.tail
-        e = self.dim - 1 - tau
-        a = self._edges[-1]
-        r = np.asarray(r, dtype=float)
-        if e == -1.0:
-            return self._nwn * A * np.log(r / a)
-        return self._nwn * A * (r ** (e + 1.0) - a ** (e + 1.0)) / (e + 1.0)
-
-    def _centered_mass(self, r):
-        out = np.empty_like(r)
-        edges, cum = self._edges, self._cum
-        idx = np.searchsorted(edges, r, side="right") - 1
-        below = idx < 0
-        beyond = idx >= len(edges) - 1
-        out[below] = 0.0
-        if np.any(beyond):
-            out[beyond] = cum[-1] + self._tail_mass_to(np.maximum(r[beyond], edges[-1]))
-        mid = ~(beyond | below)
-        if np.any(mid):
-            i = idx[mid]
-            out[mid] = cum[i] + self._partial_piece(i, r[mid])
-        return out
-
-    def _partial_piece(self, i, r):
-        """Mass between edges[i] and r inside piece i (arrays).
-
-        Closed-form interpolant shape normalized so the full piece equals
-        the tabulated piece mass exactly; node masses stay exact and the
-        interior deviates only by the interpolation shape error within
-        one narrow segment.
-        """
-        a = self._edges[i]
-        b = self._edges[i + 1]
-        full = self._piece_mass[i]
-        out = np.zeros_like(r)
-        live = (full > 0) & (r > a)
-        if not np.any(live):
-            return out
-        n = self.dim
-        aa, bb, rr = a[live], b[live], r[live]
-        if self.interp == "segment":
-            frac = (rr ** n - aa ** n) / (bb ** n - aa ** n)
-            out[live] = np.clip(frac, 0.0, 1.0) * full[live]
-            return out
-        fa, fb = self._edge_vals[i][live], self._edge_vals[i + 1][live]
-        frac = np.empty_like(rr)
-        powerlaw = (fa > 0) & (fb > 0) & (aa > 0)
-        if np.any(powerlaw):
-            al = np.log(fb[powerlaw] / fa[powerlaw]) / np.log(bb[powerlaw] / aa[powerlaw])
-            e = al + n
-            az, bz, rz = aa[powerlaw], bb[powerlaw], rr[powerlaw]
-            near_log = np.abs(e) < 1e-9
-            # overflow-free ratio form of (r^e - a^e) / (b^e - a^e)
-            num = (rz / az) ** e - 1.0
-            den = (bz / az) ** e - 1.0
-            fr = np.where(near_log,
-                          np.log(rz / az) / np.log(bz / az),
-                          num / np.where(den != 0, den, 1.0))
-            frac[powerlaw] = fr
-        rest = ~powerlaw
-        if np.any(rest):
-            az, bz, rz = aa[rest], bb[rest], rr[rest]
-            f0, f1 = fa[rest], fb[rest]
-            slope = np.where(bz > az, (f1 - f0) / np.maximum(bz - az, _TINY), 0.0)
-
-            def prim(x):
-                return f0 * (x ** n - az ** n) / n + slope * (
-                    (x ** (n + 1) - az ** (n + 1)) / (n + 1)
-                    - az * (x ** n - az ** n) / n)
-
-            den = prim(bz)
-            frac[rest] = np.where(den > 0, prim(rz) / np.maximum(den, _TINY),
-                                  (rz ** n - az ** n) / (bz ** n - az ** n))
-        out[live] = np.clip(frac, 0.0, 1.0) * full[live]
-        return out
+        layout = _table_layout(self.grid, self.lo_cut, hi)
+        edges = layout[0]
+        masses = _piece_masses(self._base_density, self.dim, layout)
+        MassTable.__init__(self, self.dim, edges, masses,
+                           self._base_density(np.maximum(edges, _TINY)),
+                           self.tail if math.isinf(hi) else None, self.interp)
 
     # -- off-center masses ---------------------------------------------
     def _radial_mass(self, d, r):
@@ -558,13 +570,6 @@ class RadialDensity(RadonMeasure):
         return np.sum(f * self._nwn * nodes ** (self.dim - 1) * frac * weights, axis=1)
 
     # -- bookkeeping ----------------------------------------------------
-    @property
-    def is_radial(self):
-        return True
-
-    def total_mass(self):
-        return self._total
-
     def support_radius(self):
         if self._total == 0.0:
             return 0.0
@@ -589,12 +594,6 @@ class RadialDensity(RadonMeasure):
                              lo_cut=self.lo_cut,
                              allow_infinite_mass=self.allow_infinite_mass,
                              interp=self.interp, window_order=self._window_k)
-
-    def radial_marks(self):
-        marks = {self.lo_cut, float(self._edges[-1])}
-        if math.isfinite(self._hi):
-            marks.add(self._hi)
-        return sorted(marks)
 
     def effective_extent(self, rel_tol: float = 1e-12):
         if self._tail_total == 0.0:
@@ -778,48 +777,76 @@ def multiply_radial(mu: RadonMeasure, g) -> RadonMeasure:
     center_value (RadialFunction does); the tail attributes drive the
     composed power-law tail.
     """
-    out = []
-    for comp in mu.components():
-        if isinstance(comp, Atom):
-            if comp.weight == 0.0:
-                out.append(comp)
-                continue
-            d = float(np.linalg.norm(comp.location))
-            val = g.center_value if d == 0.0 else float(np.atleast_1d(g.eval(d))[0])
-            if math.isinf(val):
-                raise InfiniteEnergy("weight function is infinite at an atom")
-            out.append(Atom(comp.location, comp.weight * val))
-        elif isinstance(comp, SphericalShell):
-            val = float(np.atleast_1d(g.eval(comp.radius))[0])
-            out.append(SphericalShell(comp.dim, comp.radius, comp.total * val))
-        elif isinstance(comp, RadialDensity):
-            out.append(_multiply_density(comp, g))
-        else:
-            raise NonRadialMeasure(f"cannot weight {comp!r}")
+    out = [_multiply_density(c, g) if isinstance(c, RadialDensity)
+           else _weigh_point(c, g) for c in mu.components()]
     return Sum(out) if len(out) > 1 else out[0]
 
 
-def _multiply_density(comp: RadialDensity, g) -> RadialDensity:
-    def fn(s, _c=comp, _g=g):
-        s = np.asarray(s, dtype=float)
-        return _c.density_at(s) * np.maximum(np.asarray(_g.eval(s), dtype=float), 0.0)
+def weighting(comp: RadonMeasure, wgrid):
+    """g -> multiply_radial(comp, g), centered masses only, for weights on
+    wgrid: a density's table is laid out here once, each g is a MassTable."""
+    if not isinstance(comp, RadialDensity):
+        return lambda g: _weigh_point(comp, g)
+    layout = _table_layout(_product_grid(comp, wgrid), comp.lo_cut, comp._hi)
+    edges, points = layout[:2]
+    k = len(points)
+    at = np.append(points, np.maximum(edges, _TINY))
+    f = comp.density_at(at)
+    f[:k] *= comp._nwn * points ** (comp.dim - 1)
 
-    ggrid = np.asarray(getattr(g, "grid", np.empty(0)), dtype=float)
-    grid = np.unique(np.concatenate([comp.grid, ggrid]))
+    def table(g):
+        gf = f * np.maximum(g.eval(at), 0.0)
+        masses = _piece_masses(_product_density(comp, g), comp.dim, layout, gf[:k])
+        return MassTable(comp.dim, edges, masses, gf[k:], _product_tail(comp, g))
+    return table
+
+
+def _weigh_point(comp, g):
+    """An atom or a shell with its mass times g at its radius."""
+    if isinstance(comp, Atom):
+        if comp.weight == 0.0:
+            return comp
+        d = float(np.linalg.norm(comp.location))
+        val = g.center_value if d == 0.0 else float(np.atleast_1d(g.eval(d))[0])
+        if math.isinf(val):
+            raise InfiniteEnergy("weight function is infinite at an atom")
+        return Atom(comp.location, comp.weight * val)
+    if isinstance(comp, SphericalShell):
+        val = float(np.atleast_1d(g.eval(comp.radius))[0])
+        return SphericalShell(comp.dim, comp.radius, comp.total * val)
+    raise NonRadialMeasure(f"cannot weight {comp!r}")
+
+
+def _product_grid(comp: RadialDensity, ggrid):
+    """Grid of comp times a weight on ggrid: both grids inside comp's range."""
+    grid = np.unique(np.concatenate([comp.grid, np.asarray(ggrid, dtype=float)]))
     grid = grid[grid > 0]
     if math.isfinite(comp._hi):
         grid = grid[grid <= comp._hi]
         if len(grid) == 0 or grid[-1] < comp._hi:
             grid = np.append(grid, comp._hi)
-    if len(grid) < 2:
-        grid = comp.grid
-    tail = None
-    if comp.tail is not None and not math.isfinite(comp._hi):
-        gc = float(getattr(g, "tail_coeff", 0.0) or 0.0)
-        ge = float(getattr(g, "tail_exp", 0.0) or 0.0)
-        tail = (comp.tail[0] * gc, comp.tail[1] + ge)
+    return grid if len(grid) >= 2 else comp.grid
+
+
+def _product_tail(comp: RadialDensity, g):
+    """Power-law tail of comp times g, from both tails."""
+    if comp.tail is None or math.isfinite(comp._hi):
+        return None
+    gc = float(getattr(g, "tail_coeff", 0.0) or 0.0)
+    ge = float(getattr(g, "tail_exp", 0.0) or 0.0)
+    return (comp.tail[0] * gc, comp.tail[1] + ge)
+
+
+def _product_density(comp: RadialDensity, g):
+    """The density of comp times the weight g."""
+    return lambda s: comp.density_at(s) * np.maximum(np.asarray(g.eval(s), dtype=float), 0.0)
+
+
+def _multiply_density(comp: RadialDensity, g) -> RadialDensity:
+    fn = _product_density(comp, g)
+    grid = _product_grid(comp, getattr(g, "grid", np.empty(0)))
     return RadialDensity(comp.dim, grid, np.maximum(fn(grid), 0.0),
-                         density_fn=fn, tail=tail, cut=comp.cut,
+                         density_fn=fn, tail=_product_tail(comp, g), cut=comp.cut,
                          lo_cut=comp.lo_cut,
                          allow_infinite_mass=comp.allow_infinite_mass,
                          window_order=comp._window_k)

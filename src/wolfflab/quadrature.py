@@ -97,10 +97,12 @@ def panel_sum(f, edges, k: int, rows: int = None):
 
     Returns the total, or with rows given one sum for each of `rows` equal
     runs of consecutive panels (rows = the panel count: one sum per
-    panel).  f sees the nodes panel by panel, k at a time.
+    panel).  f sees the nodes panel by panel, k at a time, or is its
+    values there.
     """
     nodes, weights = panel_nodes(edges, k)
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape) * weights
+    vals = f(nodes.ravel()) if callable(f) else f
+    vals = np.asarray(vals, dtype=float).reshape(nodes.shape) * weights
     return float(np.sum(vals)) if rows is None else vals.reshape(rows, -1).sum(axis=1)
 
 

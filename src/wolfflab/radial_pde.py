@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DivergentTail, NonMonotoneProfile, NonRadialMeasure
 from .measure import RadialDensity, RadonMeasure
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
-from .quadrature import decade_tail, panel_sum, power_law_head
+from .quadrature import decade_tail, panel_nodes, panel_sum, power_law_head
 
 _TINY = 1e-300
 
@@ -90,43 +90,42 @@ class RadialFunction:
 
     def _eval_grid(self, r):
         g, v = self.grid, self.values
-        idx = np.clip(np.searchsorted(g, r) - 1, 0, len(g) - 2)
+        k = np.searchsorted(g, r)
+        idx = np.clip(k - 1, 0, len(g) - 2)
+        hit = np.clip(k, 0, len(g) - 1)
+        on_node = g[hit] == r
         v0, v1 = v[idx], v[idx + 1]
         out = np.empty_like(r)
         if self._pchip is not None:
             vals = np.exp(self._pchip(np.log(r)))
-            hit = np.clip(np.searchsorted(g, r), 0, len(g) - 1)
-            on_node = g[hit] == r
             vals[on_node] = v[hit[on_node]]
             return vals
         pos = (v0 > 0) & (v1 > 0)
+        sel = slice(None) if np.all(pos) else pos  # views when all positive
         if np.any(pos):
-            i = idx[pos]
+            i = idx[sel]
             h = self._lng[i + 1] - self._lng[i]
-            t = (np.log(r[pos]) - self._lng[i]) / h
+            t = (np.log(r[sel]) - self._lng[i]) / h
             y0, y1 = self._lnv[i], self._lnv[i + 1]
             if self.deriv is not None:
                 # cubic Hermite in log-log with exact node slopes
-                s0 = g[i] * self.deriv[i] / np.maximum(v[i], _TINY) * h
-                s1 = g[i + 1] * self.deriv[i + 1] / np.maximum(v[i + 1], _TINY) * h
+                slope = g * self.deriv / np.maximum(v, _TINY)
+                s0, s1 = slope[i] * h, slope[i + 1] * h
                 t2 = t * t
                 t3 = t2 * t
                 val = (2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + t) * s0 \
                     + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * s1
                 # keep the interpolant between the node values
                 val = np.clip(val, np.minimum(y0, y1), np.maximum(y0, y1))
-                out[pos] = np.exp(val)
+                out[sel] = np.exp(val)
             else:
-                out[pos] = np.exp(y0 * (1 - t) + y1 * t)
+                out[sel] = np.exp(y0 * (1 - t) + y1 * t)
         lin = ~pos
         if np.any(lin):
             i = idx[lin]
             t = (r[lin] - g[i]) / (g[i + 1] - g[i])
             out[lin] = v0[lin] * (1 - t) + v1[lin] * t
         # stored node values verbatim
-        hit = np.searchsorted(g, r)
-        hit = np.clip(hit, 0, len(g) - 1)
-        on_node = g[hit] == r
         out[on_node] = v[hit[on_node]]
         return out
 
@@ -246,31 +245,46 @@ def marked_grid(grid, measures):
     return np.unique(np.concatenate([grid, marks])) if marks else grid
 
 
+def solve_points(grid, quad: QuadratureConfig = DEFAULT_QUAD):
+    """Radii where the radial solve on grid reads ball masses: the grid,
+    then the Gauss nodes panel by panel."""
+    nodes, _ = panel_nodes(grid, quad.gauss_order)
+    return np.concatenate([grid, nodes.ravel()])
+
+
 def solve_radial_p_laplace(nu: RadonMeasure, params: ProblemParams,
                            quad: QuadratureConfig = DEFAULT_QUAD,
                            grid=None) -> RadialFunction:
     """Radial p-superharmonic potential of a radial measure."""
+    grid = marked_grid(quad.radial_grid() if grid is None else grid, [nu])
+    return _solve_on_grid(nu, nu.centered_mass(solve_points(grid, quad)),
+                          params, quad, grid)
+
+
+def _solve_on_grid(nu: RadonMeasure, masses, params: ProblemParams,
+                   quad: QuadratureConfig, grid) -> RadialFunction:
+    """solve_radial_p_laplace on a grid holding nu's marks, with nu's ball
+    masses at solve_points(grid, quad) given."""
     validate(params)
     if not nu.is_radial:
         raise NonRadialMeasure("the radial solver needs a radial measure")
     n, p = params.n, params.p
     nwn = params.sphere_area
     ipm1 = 1.0 / (p - 1.0)
-
-    grid = marked_grid(quad.radial_grid() if grid is None else grid, [nu])
     if nu.total_mass() == 0.0:
         z = np.zeros_like(grid)
         return RadialFunction(grid, z, 0.0, params.tail_exp, 0.0, z)
 
-    def h(s):
-        m = nu.centered_mass(s)
+    def h(s, m=None):
+        m = nu.centered_mass(s) if m is None else m
         return (np.maximum(m, 0.0) / (nwn * s ** (n - 1))) ** ipm1
 
+    hv = h(solve_points(grid, quad), masses)
     # per-segment Gauss integrals of h
-    seg = panel_sum(h, grid, quad.gauss_order, rows=len(grid) - 1)
+    seg = panel_sum(hv[len(grid):], grid, quad.gauss_order, rows=len(grid) - 1)
 
     # tail beyond the last node
-    m_end = float(nu.centered_mass(np.array([grid[-1]]))[0])
+    m_end = masses[len(grid) - 1]
     total = nu.total_mass()
     if math.isinf(total):
         tail_val, tail_coeff, tail_exp = _divergent_mass_tail(h, params, quad, grid[-1])
@@ -282,7 +296,7 @@ def solve_radial_p_laplace(nu: RadonMeasure, params: ProblemParams,
         tail_val = tail_coeff * grid[-1] ** (-tail_exp)
 
     u = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + tail_val
-    deriv = -h(grid)
+    deriv = -hv[:len(grid)]
 
     center = u[0] + power_law_head(lambda r, _: h(r), grid[0])
     return RadialFunction(grid, u, tail_coeff, tail_exp, center, deriv,

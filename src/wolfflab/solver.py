@@ -6,7 +6,10 @@ pure measure term is present), solves the linear-in-measure problem
 -Delta_p u_{j+1} = sum_m sigma^(m) u_j^{q_m} + mu exactly at each step,
 and increases pointwise to the minimal solution.  Convergence requires
 both a small sup-relative change between iterates and agreement of the
-composed right-hand measure with the Riesz measure of the iterate.
+composed right-hand measure with the Riesz measure of the iterate.  Every
+iterate lives on one grid, so a step is array work on nodes fixed once
+per solve; the Riesz measure is built once, at the end, and per-step
+energies only with track_energies.
 
 Endpoints: the bounded variant tracks sup norms under sup-norm finiteness
 hypotheses; the intrinsic (gamma = 0) variant runs the same Picard map
@@ -28,12 +31,12 @@ from .energy import (InequalityReport, _has_atoms, generalized_energy,
                      sigma_energy, wolff_energy)
 from .lorentz import lorentz_norm
 from .measure import (RadonMeasure, Sum, integrate_against, multiply_radial,
-                      scale, zero_measure)
+                      scale, weighting, zero_measure)
 from .params import (DEFAULT_QUAD, Mode, ProblemParams, QuadratureConfig,
                      derive_exponents, validate)
 from .radial_pde import (RadialFunction, dirichlet_energy, marked_grid,
-                         nodewise_max, riesz_ball_mass, solve_radial_p_laplace,
-                         zero_profile)
+                         _solve_on_grid, nodewise_max, riesz_ball_mass,
+                         solve_points, solve_radial_p_laplace, zero_profile)
 from .wolff import (cutoff_measure, truncated_wolff, wolff_profile,
                     wolff_sup_on_support)
 
@@ -89,6 +92,24 @@ def compose_measure(sigma_list, q_list, mu, u: RadialFunction) -> RadonMeasure:
     return Sum(comps) if len(comps) > 1 else comps[0]
 
 
+def _fixed_composer(sigma_list, q_list, mu, wgrid, pts):
+    """compose_measure for iterates on wgrid, each sigma density's mass table
+    laid out here once, with the composed ball masses at pts (mu's read
+    once); the zero measure when the composed mass is not positive (or NaN)."""
+    terms = [([weighting(c, wgrid) for c in s.components()], q)
+             for s, q in zip(sigma_list, q_list) if s.total_mass() != 0.0]
+    zero = zero_measure(mu.dim if mu is not None else sigma_list[0].dim)
+    rest = [mu] if mu is not None and mu.total_mass() > 0 else [zero]
+    mu_m = rest[0].centered_mass(pts)
+
+    def compose(u):
+        comps = [w(g) for ws, q in terms for g in [u ** q] for w in ws]
+        nu = Sum(comps + rest)
+        return nu if nu.total_mass() > 0 else zero, \
+            sum((c.centered_mass(pts) for c in comps), mu_m)
+    return compose
+
+
 def initial_subsolution(sigma: RadonMeasure, q: float, params: ProblemParams,
                         quad: QuadratureConfig = DEFAULT_QUAD,
                         c_init: float = 1.0, grid=None) -> RadialFunction:
@@ -127,12 +148,9 @@ def iterate_once(u_prev: RadialFunction, sigma_list, q_list, mu,
                  grid=None) -> RadialFunction:
     """One monotone step: solve with the measure composed from u_prev."""
     sigma_list = _as_list(sigma_list)
-    nu = compose_measure(sigma_list, q_list, mu, u_prev)
-    if nu.total_mass() == 0.0:
-        return zero_profile(quad) if grid is None else \
-            RadialFunction(grid, np.zeros_like(grid), 0.0, params.tail_exp, 0.0,
-                           np.zeros_like(grid))
-    return solve_radial_p_laplace(nu, params, quad, grid=grid)
+    nu = _fixed_composer(sigma_list, q_list, mu, u_prev.grid, np.empty(0))(u_prev)[0]
+    grid = marked_grid(quad.radial_grid() if grid is None else grid, [nu])
+    return _solve_on_grid(nu, nu.centered_mass(solve_points(grid, quad)), params, quad, grid)
 
 
 def _inputs(sigma_list, q_list, mu, params, quad, mode, mismatch):
@@ -165,16 +183,16 @@ def _picard(sigma_list, q_list, mu, params, quad, u0, grid,
                         iterations_used=1, mode=params.mode, sup_norm=u.sup_norm)
     monotone = params.mode is not Mode.GAMMA_ZERO
     sup_recursion = params.mode is Mode.GAMMA_INFINITY
+    compose = _fixed_composer(sigma_list, q_list, mu, grid, solve_points(grid, quad))
     trace = []
     u_prev = u0
-    current = compose_measure(sigma_list, q_list, mu, u_prev)
+    current, cur_m = compose(u_prev)
     q_bar = max(q_list) if q_list else 0.0
     residual = math.inf
     converged = False
     u = u_prev
     for j in range(1, quad.max_iter + 1):
-        u = solve_radial_p_laplace(current, params, quad, grid=grid) \
-            if current.total_mass() > 0 else zero_profile(quad)
+        u = _solve_on_grid(current, cur_m, params, quad, grid)
         prev_vals = u_prev.eval(u.grid)
         if monotone and np.any(u.values < prev_vals - 1e-12):
             worst = float(np.max(prev_vals - u.values))
@@ -182,29 +200,29 @@ def _picard(sigma_list, q_list, mu, params, quad, u0, grid,
                 f"iterate decreased by {worst:.3e} at step {j}")
         residual = float(np.max(np.abs(u.values - prev_vals)
                                 / np.maximum(u.values, _EPS))) if len(u.grid) else 0.0
-        nxt = compose_measure(sigma_list, q_list, mu, u)
-        cur_m = current.centered_mass(u.grid)
-        nxt_m = nxt.centered_mass(u.grid)
-        mass_residual = float(np.max(np.abs(nxt_m - cur_m) / np.maximum(nxt_m, _EPS)))
+        nxt, nxt_m = compose(u)
+        m1, m0 = nxt_m[:len(grid)], cur_m[:len(grid)]  # at the grid nodes
+        mass_residual = float(np.max(np.abs(m1 - m0) / np.maximum(m1, _EPS)))
         state = IterationState(j=j, residual=residual, mass_residual=mass_residual,
                                sup_norm=u.sup_norm)
-        state.energies = _cheap_energies(u, sigma_list, q_list, params, quad,
-                                         track_energies)
+        if track_energies:
+            state.energies = _cheap_energies(u, sigma_list, q_list, params, quad)
         if sup_recursion and u_prev.sup_norm > 0:
             state.energies["sup_recursion_constant"] = \
                 u.sup_norm / (u_prev.sup_norm ** (q_bar / (params.p - 1.0)) + 1.0)
         trace.append(state)
-        current = nxt
+        current, cur_m = nxt, nxt_m
         if residual <= quad.conv_tol and mass_residual <= 10.0 * quad.rel_tol:
             converged = True
             break
         u_prev = u
-    return Solution(u=u, riesz=current, residual_final=residual,
+    return Solution(u=u, riesz=compose_measure(sigma_list, q_list, mu, u),
+                    residual_final=residual,
                     converged=converged, iterations_used=len(trace),
                     mode=params.mode, sup_norm=u.sup_norm, trace=trace)
 
 
-def _cheap_energies(u, sigma_list, q_list, params, quad, with_wolff):
+def _cheap_energies(u, sigma_list, q_list, params, quad):
     out = {}
     g = params.gamma if params.mode is Mode.FINITE_GAMMA else 0.0
     for m, (sig, q) in enumerate(zip(sigma_list, q_list)):
@@ -212,9 +230,8 @@ def _cheap_energies(u, sigma_list, q_list, params, quad, with_wolff):
             continue
         out[f"sigma{m}_integral"] = integrate_against(
             sig, lambda s: np.maximum(u.eval(s), 0.0) ** (g + q), quad)
-        if with_wolff:
-            weighted = multiply_radial(sig, u ** q)
-            out[f"sigma{m}_wolff_energy"] = wolff_energy(weighted, g, params, quad)
+        out[f"sigma{m}_wolff_energy"] = wolff_energy(multiply_radial(sig, u ** q),
+                                                     g, params, quad)
     if params.mode is Mode.FINITE_GAMMA:
         ex = derive_exponents(params)
         out["lorentz_norm"] = lorentz_norm(u, ex.lorentz_r, ex.lorentz_rho,

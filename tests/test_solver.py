@@ -4,16 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
-from wolfflab import (ModeMismatch, NotConverged, QuadratureConfig,
-                      RadialDensity, UnboundedCondition,
+from wolfflab import (DivergentTail, ModeMismatch, NotConverged,
+                      QuadratureConfig, RadialDensity, SphericalShell,
+                      UnboundedCondition,
                       ZeroMeasure, add, dirac, initial_subsolution,
                       intrinsic_fixed_point, iterate_once, params,
                       riesz_ball_mass, scale, solve_bounded_endpoint,
                       solve_minimal, solve_radial_p_laplace,
                       solve_with_exhaustion, verify_solution, zero_measure)
 from wolfflab.families import family_density
-from wolfflab.solver import compose_measure
-from wolfflab.radial_pde import zero_profile
+from wolfflab.solver import _fixed_composer, compose_measure
+from wolfflab.radial_pde import marked_grid, zero_profile
 
 
 def manufactured_sigma(quad):
@@ -91,6 +92,10 @@ def test_iterate_once_from_zero(pp3, quad):
     # zero data: stays zero
     u0 = iterate_once(zero_profile(quad), [zero_measure(3)], [0.5], None, pp3, quad)
     assert not np.any(u0.values)
+    # the zero iterate lies on the step's grid with the potential tail rate
+    pp5 = params(5, 2.0, 0.5, 1.0)
+    z = iterate_once(zero_profile(quad), [zero_measure(5)], [0.5], None, pp5, quad)
+    assert np.array_equal(z.grid, quad.radial_grid()) and z.tail_exp == pp5.tail_exp
 
 
 def test_iterate_once_monotone_in_input(pp3, quad):
@@ -190,7 +195,10 @@ def test_bounded_endpoint_ball(quad):
     assert sol.converged
     assert math.isfinite(sol.sup_norm)
     assert sol.sup_norm == pytest.approx(sol.u.center_value)
-    assert sol.extras["sup_recursion_constant"] is not None
+    # the trace keeps the sup-recursion constant and no per-step energies
+    assert all(set(st.energies) == {"sup_recursion_constant"} for st in sol.trace)
+    assert sol.extras["sup_recursion_constant"] == max(
+        st.energies["sup_recursion_constant"] for st in sol.trace)
 
 
 def test_bounded_endpoint_rejects_atom(quad):
@@ -295,3 +303,103 @@ def test_track_energies_records_wolff_energies(pp3, suite_quad):
     assert "sigma0_wolff_energy" in st.energies
     assert "lorentz_norm" in st.energies
     assert all(math.isfinite(st.energies[k]) for k in st.energies)
+
+
+# -- the Picard step on fixed node sets -------------------------------------
+
+def _step_case(case, n, quad):
+    """(sigma, mu) of one reference case."""
+    tailed = family_density(n, 2.0, 0.8, n / 2.0 + 1.0, quad)
+    if case == "tailed":
+        return tailed, None
+    if case == "cut":
+        return family_density(n, 2.0, 0.8, n / 2.0 + 1.0, quad, cut=1.7), None
+    if case == "shell_atom_mu":
+        return tailed, add(SphericalShell(n, 0.7, 0.3), dirac(n, 0.2))
+    return RadialDensity.from_function(
+        n, lambda s: np.asarray(s, float) ** -2.5, quad, tail=(1.0, 2.5),
+        allow_infinite_mass=True), None
+
+
+@pytest.mark.parametrize("n,p", [(3, 1.5), (3, 2.0), (3, 2.95),
+                                 (5, 1.5), (5, 2.0), (5, 2.95)])
+@pytest.mark.parametrize("case", ["tailed", "cut", "shell_atom_mu", "infinite"])
+def test_fixed_step_matches_composed_solve(case, n, p):
+    # one step on the fixed node sets against the solve of the measure
+    # compose_measure builds, to 1e-12 in every node value, the center
+    # value, the tail coefficient and every node ball mass
+    quad = QuadratureConfig(points_per_decade=16)
+    pp = params(n, p, 0.5 * (p - 1.0), 1.0)
+    qs = [pp.q]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sigma, mu = _step_case(case, n, quad)
+        grid = marked_grid(quad.radial_grid(), [sigma] + ([mu] if mu else []))
+        u = solve_radial_p_laplace(family_density(n, 1.0, 1.0, n / 2.0 + 1.0, quad),
+                                   pp, quad, grid=grid)
+        assert np.array_equal(u.grid, grid)
+        nu = compose_measure([sigma], qs, mu, u)
+        try:
+            ref = solve_radial_p_laplace(nu, pp, quad, grid=grid)
+        except DivergentTail:
+            with pytest.raises(DivergentTail):
+                iterate_once(u, [sigma], qs, mu, pp, quad, grid=grid)
+            return
+        got = iterate_once(u, [sigma], qs, mu, pp, quad, grid=grid)
+        masses = _fixed_composer([sigma], qs, mu, grid, grid)(u)[1]
+    rel = dict(rtol=1e-12, atol=0.0)
+    assert np.array_equal(got.grid, ref.grid)
+    assert np.allclose(got.values, ref.values, **rel)
+    assert np.allclose(got.deriv, ref.deriv, **rel)
+    assert np.allclose(got.center_value, ref.center_value, **rel)
+    assert np.allclose(got.tail_coeff, ref.tail_coeff, **rel)
+    assert got.tail_exp == pytest.approx(ref.tail_exp, rel=1e-12)
+    assert np.allclose(masses[:len(grid)], nu.centered_mass(grid), **rel)
+
+
+def _count_calls(monkeypatch):
+    """Count the measure-building calls of the solver layers."""
+    import wolfflab.energy
+    import wolfflab.measure
+    import wolfflab.solver
+    counts = {"init": 0, "multiply_radial": 0, "integrate_against": 0}
+    init = RadialDensity.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["init"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RadialDensity, "__init__", counted_init)
+    for name in ("multiply_radial", "integrate_against"):
+        fn = getattr(wolfflab.measure, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in (wolfflab.measure, wolfflab.solver, wolfflab.energy):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_picard_steps_build_no_measures(pp3, monkeypatch):
+    # without track_energies a step builds no RadialDensity and calls
+    # neither multiply_radial nor integrate_against: 10 and 30 allowed
+    # steps cost the same number of such calls
+    counts = _count_calls(monkeypatch)
+    seen = []
+    for max_iter in (10, 30):
+        quad = QuadratureConfig(points_per_decade=32, max_iter=max_iter)
+        sigma = manufactured_sigma(quad)
+        before = dict(counts)
+        try:
+            sol = solve_minimal([sigma], [0.5], None, pp3, quad,
+                                check_conditions=False)
+        except NotConverged as e:
+            sol = e.solution
+        seen.append({k: counts[k] - before[k] for k in counts})
+        assert all(st.energies == {} for st in sol.trace)
+    assert seen[0] == seen[1]
+    assert sol.iterations_used > 10
+
