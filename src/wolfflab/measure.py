@@ -14,6 +14,7 @@ belong to B(x, r).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,20 +28,60 @@ from .errors import (
     SignError,
 )
 from .params import DEFAULT_QUAD, QuadratureConfig, unit_ball_volume
-from .quadrature import (decade_tail, gauss_rule, panel_nodes, panel_sum,
-                         power_law_head)
+from .quadrature import decade_tail, panel_nodes, panel_sum, power_law_head
 
 _TINY = 1e-300
+# nodes per fused window pass, updated in place: bounds its temporaries
+_WINDOW_NODES = 8192
+# phi - sin(phi) = phi^3 * sum_k (-1)^k phi^(2k) / (2k+3)!, for phi < 0.7
+_PHI_SERIES = [(-1) ** k / math.factorial(2 * k + 3) for k in range(6, -1, -1)]
+
+
+def _cap_area(n: int, x):
+    """I_x(a, a), a = (n-1)/2, at x clipped to [0, 1]; see cap_fraction."""
+    x = np.clip(x, 0.0, 1.0)
+    if n == 3:
+        return x
+    if n == 5:
+        return x * x * (3.0 - 2.0 * x)
+    if n not in (2, 4):
+        return betainc(0.5 * (n - 1), 0.5 * (n - 1), x)
+    phi = 4.0 * np.arcsin(np.sqrt(x))     # the cap's full angle
+    if n == 2:
+        return phi / (2.0 * math.pi)
+    out = np.asarray(phi - np.sin(phi))
+    small = phi < 0.7
+    out[small] = phi[small] ** 3 * np.polyval(_PHI_SERIES, phi[small] ** 2)
+    return out / (2.0 * math.pi)
+
+
+@lru_cache(maxsize=16)
+def _window_rule(edges: tuple, k: int, even: bool):
+    """Nodes u and weights on [0, 1]: k-point Gauss panels split at edges.
+
+    For even n the rule is mapped through psi(u) = (1 - cos(pi u))/2, which
+    smooths the half-integer power of the cap at the window ends.  A single
+    panel, only ever given windows whose ends are both cap ends, gets the
+    midpoint rule in u: the mapped integrand is then a smooth periodic
+    function of pi u, on which it converges geometrically and Gauss does not."""
+    if even and len(edges) == 2:
+        u, w = (np.arange(k) + 0.5) / k, np.full(k, 1.0 / k)
+    else:
+        u, w = (v.ravel() for v in panel_nodes(np.asarray(edges), k))
+    if even:
+        u, w = 0.5 - 0.5 * np.cos(np.pi * u), w * 0.5 * np.pi * np.sin(np.pi * u)
+    return u, w
 
 
 def cap_fraction(n: int, s, d, r):
     """Fraction of the sphere {|y| = s} lying in the open ball B(x, r),
     |x| = d.
 
-    Closed-form cap-area formula: the cap {cos(theta) > c} with
-    c = (s^2 + d^2 - r^2) / (2 s d) has normalized area I_x(a, a) where
-    a = (n-1)/2 and x = (1-c)/2 = (r^2 - (s-d)^2) / (4 s d), the
-    cancellation-free form of the argument.
+    The cap {cos(theta) > c} with c = (s^2 + d^2 - r^2) / (2 s d) has
+    normalized area I_x(a, a), a = (n-1)/2, at the cancellation-free
+    x = (1-c)/2 = (r^2 - (s-d)^2) / (4 s d).  Closed forms: x (n = 3),
+    x^2 (3 - 2x) (n = 5), phi/(2 pi) (n = 2) and (phi - sin phi)/(2 pi)
+    (n = 4, a series at small phi), phi = 4 arcsin(sqrt(x)); else betainc.
     """
     s = np.asarray(s, float)
     d = np.asarray(d, float)
@@ -48,14 +89,7 @@ def cap_fraction(n: int, s, d, r):
     denom = 4.0 * s * d
     gap = s - d
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.clip((r * r - gap * gap) / np.maximum(denom, _TINY), 0.0, 1.0)
-    if n == 3:
-        frac = x
-    elif n == 5:
-        frac = x * x * (3.0 - 2.0 * x)
-    else:
-        a = 0.5 * (n - 1)
-        frac = betainc(a, a, x)
+        frac = _cap_area(n, (r * r - gap * gap) / np.maximum(denom, _TINY))
     # point sphere or centered query: inside iff max(s, d) < r
     return np.where(denom > 0.0, frac, 1.0 * (np.maximum(s, d) < r))
 
@@ -112,7 +146,8 @@ class RadonMeasure:
 
     # hooks: 1-d float arrays in, 1-d float arrays out
     def _ball_mass(self, center, r):
-        raise NotImplementedError
+        # radial measures: the mass depends on |center| only
+        return self._radial_mass(np.full_like(r, float(np.linalg.norm(center))), r)
 
     def _radial_mass(self, d, r):
         raise NotImplementedError
@@ -204,10 +239,6 @@ class SphericalShell(RadonMeasure):
     @property
     def is_radial(self):
         return True
-
-    def _ball_mass(self, center, r):
-        d = float(np.linalg.norm(center))
-        return self._radial_mass(np.full_like(r, d), r)
 
     def _radial_mass(self, d, r):
         if self.total == 0.0:
@@ -465,27 +496,17 @@ class RadialDensity(MassTable):
         if self.interp == "segment":
             idx = np.clip(np.searchsorted(g, s, side="right") - 1, 0, len(v) - 1)
             out = v[idx].astype(float)
-            above = s > g[-1]
-            if np.any(above):
-                if self.tail is None:
-                    out[above] = 0.0
-                else:
-                    A, tau = self.tail
-                    out[above] = A * s[above] ** (-tau)
-            return out
-        out = np.empty_like(s)
-        below = s < g[0]
+        else:
+            out = np.empty_like(s)
+            below = s < g[0]
+            mid = ~below & (s <= g[-1])
+            out[below] = v[0]
+            if np.any(mid):
+                out[mid] = self._interp_nodes(s[mid])
         above = s > g[-1]
-        mid = ~(below | above)
-        out[below] = v[0]
-        if np.any(mid):
-            out[mid] = self._interp_nodes(s[mid])
         if np.any(above):
-            if self.tail is None:
-                out[above] = 0.0
-            else:
-                A, tau = self.tail
-                out[above] = A * s[above] ** (-tau)
+            A, tau = (0.0, 0.0) if self.tail is None else self.tail
+            out[above] = A * s[above] ** (-tau)
         return out
 
     def _interp_nodes(self, s):
@@ -527,47 +548,46 @@ class RadialDensity(MassTable):
             out[off] = self._offcenter_mass(d[off], r[off])
         return out
 
-    def _ball_mass(self, center, r):
-        d = float(np.linalg.norm(center))
-        return self._radial_mass(np.full_like(r, d), r)
-
     def _offcenter_mass(self, d, r):
         # spheres with s <= r - d lie fully inside B(x, r)
         out = self._centered_mass(np.clip(r - d, 0.0, None))
         hi = self._hi
         a = np.maximum(np.abs(d - r), self.lo_cut)
-        b = np.minimum(d + r, hi) if math.isfinite(hi) else d + r
-        live = b > a
-        if not np.any(live):
-            return out
-        # window quadrature resolution scales with the relative width:
-        # narrow windows see a smooth low-degree integrand
-        relw = (b - a) / np.maximum(b, _TINY)
-        narrow = live & (relw <= 0.05)
-        mid_w = live & (relw > 0.05) & (relw <= 0.5)
-        wide = live & (relw > 0.5)
-        for mask, rel, k in (
-                (narrow, np.array([0.0, 1.0]), 10),
-                (mid_w, np.array([0.0, 0.5, 1.0]), 12),
-                (wide, np.array([0.0, 0.08, 0.5, 0.92, 1.0]), self._window_k)):
-            if not np.any(mask):
-                continue
-            out[mask] += self._window_integral(a[mask], b[mask], d[mask], r[mask],
-                                               rel, k)
+        b = np.minimum(d + r, hi)
+        # the gap s - d is lead + width u, with lead = -r exactly where the
+        # window starts at d - r: no cancellation in s - d when r << d
+        start = (r < d) & (a == d - r)
+        lead = np.where(start, -r, a - d)
+        whole = start & (b == d + r)
+        width = np.where(whole, 2.0 * r, b - a)
+        # resolution grows with the relative width (b - a)/b, split at 0.05
+        # and 0.5: narrow windows see a smooth low-degree integrand; for even
+        # n, a narrow window clipped at lo_cut or hi takes the middle tier
+        tier = np.searchsorted((0.05, 0.5), (b - a) / np.maximum(b, _TINY))
+        tier[(tier == 0) & ~whole & (self.dim % 2 == 0)] = 1
+        tier[b <= a] = -1
+        for i, rule in enumerate((((0.0, 1.0), 10), ((0.0, 0.5, 1.0), 12),
+                                  ((0.0, 0.08, 0.5, 0.92, 1.0), self._window_k))):
+            u, w = _window_rule(*rule, self.dim % 2 == 0)
+            idx = np.flatnonzero(tier == i)
+            step = max(1, _WINDOW_NODES // len(u))
+            for rows in (idx[j:j + step] for j in range(0, len(idx), step)):
+                gap = width[rows, None] * u
+                s = gap + a[rows, None]
+                gap += lead[rows, None]
+                num = np.subtract(r[rows, None] ** 2, gap * gap, out=gap)  # 4 s d x
+                f = self._base_density(s.ravel()).reshape(s.shape)
+                scale = self._nwn * width[rows]
+                if self.dim == 3:                         # s^2 x = s num / (4 d)
+                    f *= s
+                    f *= num
+                    scale /= 4.0 * d[rows]
+                else:
+                    num /= 4.0 * s * d[rows, None]
+                    f *= s ** (self.dim - 1)
+                    f *= _cap_area(self.dim, num)
+                out[rows] += scale * (f @ w)
         return out
-
-    def _window_integral(self, aa, bb, dd, rr, rel, k):
-        t, w = gauss_rule(k)
-        edges = aa[:, None] + (bb - aa)[:, None] * rel[None, :]
-        lo = edges[:, :-1]
-        hi_e = edges[:, 1:]
-        mid = 0.5 * (lo + hi_e)
-        half = 0.5 * (hi_e - lo)
-        nodes = (mid[:, :, None] + half[:, :, None] * t[None, None, :]).reshape(len(aa), -1)
-        weights = (half[:, :, None] * w[None, None, :]).reshape(len(aa), -1)
-        frac = cap_fraction(self.dim, nodes, dd[:, None], rr[:, None])
-        f = self.density_at(nodes.ravel()).reshape(nodes.shape)
-        return np.sum(f * self._nwn * nodes ** (self.dim - 1) * frac * weights, axis=1)
 
     # -- bookkeeping ----------------------------------------------------
     def support_radius(self):

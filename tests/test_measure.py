@@ -1,14 +1,20 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad as scipy_quad
+from scipy.special import beta, betainc
 
-from wolfflab import (Atom, NegativeRadius, NegativeScale, RadialDensity,
-                      SignError, SphericalShell, Sum, add, ball_mass, dirac,
-                      integrate_against, scale, support_radius, total_mass,
-                      zero_measure)
-from wolfflab.families import family_density
-from wolfflab.measure import cap_fraction
+from wolfflab import (Atom, NegativeRadius, NegativeScale, QuadratureConfig,
+                      RadialDensity, SignError, SphericalShell, Sum, add,
+                      ball_mass, dirac, integrate_against, scale,
+                      support_radius, total_mass, zero_measure)
+from wolfflab.families import family_density, family_density_fn
+from wolfflab.measure import _cap_area, cap_fraction
+from wolfflab.params import unit_ball_volume
 
 from oracles import MC_LENS_VOLUME, mc_lens_volume, sphere_intersection_volume
 
@@ -83,7 +89,7 @@ def test_shell_centered_and_offcenter():
 
 
 def test_cap_fraction_against_direct_sampling(rng):
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         s, d, r = 1.3, 0.9, 1.1
         v = rng.normal(size=(200_000, n))
         v /= np.linalg.norm(v, axis=1)[:, None]
@@ -95,10 +101,26 @@ def test_cap_fraction_against_direct_sampling(rng):
 
 
 def test_cap_fraction_small_radius_stability():
-    # r much smaller than d: the stable form must not cancel away
-    frac = cap_fraction(3, 100.0, 100.0, 1e-7)
-    want = (1e-7) ** 2 / (4.0 * 100.0 * 100.0)
-    assert frac == pytest.approx(want, rel=1e-9)
+    # r much smaller than d: the stable form must not cancel away; at
+    # x = r^2 / (4 s d) = 2.5e-19, I_x(a, a) = x^a / (a B(a, a)) to 1e-18
+    x = (1e-7) ** 2 / (4.0 * 100.0 * 100.0)
+    for n in (3, 4, 5, 6):
+        a = 0.5 * (n - 1)
+        frac = cap_fraction(n, 100.0, 100.0, 1e-7)
+        assert frac == pytest.approx(x ** a / (a * beta(a, a)), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_form_caps_match_betainc(n):
+    # the whole range of x: the n = 4 series (phi < 0.7, x < 0.0302), the
+    # switch to phi - sin(phi) and x -> 1
+    a = 0.5 * (n - 1)
+    switch = math.sin(0.7 / 4.0) ** 2
+    x = np.concatenate([np.geomspace(1e-300, 1.0, 601),
+                        switch * (1.0 + np.linspace(-1e-6, 1e-6, 21)),
+                        1.0 - np.geomspace(1e-16, 1e-1, 31)])
+    np.testing.assert_allclose(_cap_area(n, x), betainc(a, a, x),
+                               rtol=1e-14, atol=1e-300)
 
 
 # -- algebra -------------------------------------------------------------------
@@ -241,3 +263,91 @@ def test_random_offcenter_mass_vs_monte_carlo(quad):
         sd = vol * float(np.std(f_vals)) / math.sqrt(n_mc)
         got = ball_mass(fam, np.array([d, 0.0, 0.0]), r)
         assert abs(got - est) < 3.0 * sd + 1e-12
+
+
+# -- off-center window quadrature -------------------------------------------
+
+_SMOOTH = lambda s: (1.0 + np.asarray(s, float) ** 2) ** -4.0
+
+
+def _reference_mass(mu, fn, n, d, r):
+    """mu(B(x, r)), |x| = d, with the window integral done by adaptive quad."""
+    a, b = abs(d - r), d + r
+    nwn = n * unit_ball_volume(n)
+    g = lambda s: fn(s) * nwn * s ** (n - 1) * cap_fraction(n, s, d, r)
+    inner = mu.centered_mass(max(r - d, 0.0))
+    return inner + scipy_quad(g, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_even_n_offcenter_mass_against_quad(quad, n):
+    # the cap behaves like (1 - t^2)^((n-1)/2) at the window ends, a
+    # half-integer power for even n
+    mu = RadialDensity.from_function(n, _SMOOTH, quad, tail=(1.0, 8.0))
+    for d in (0.3, 1.0, 3.7):
+        r = d * np.geomspace(1e-3, 10.0, 25)
+        got = mu._radial_mass(np.full_like(r, d), r)
+        want = [_reference_mass(mu, _SMOOTH, n, d, ri) for ri in r]
+        np.testing.assert_allclose(got, want, rtol=1e-8)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_small_ball_mass_is_density_times_volume(quad, n):
+    # r << d: the gap s - d must not be formed by cancellation
+    mu = RadialDensity.from_function(n, _SMOOTH, quad, tail=(1.0, 8.0))
+    for d in (2.4e-3, 1.15, 37.0):
+        x = np.zeros(n)
+        x[0] = d
+        for ratio in (1e-6, 1e-9, 3e-12):
+            r = ratio * d
+            want = _SMOOTH(d) * unit_ball_volume(n) * r ** n
+            assert ball_mass(mu, x, r) / want == pytest.approx(1.0, abs=1e-8)
+
+
+@lru_cache(maxsize=None)
+def _window_density(n, kind):
+    quad = QuadratureConfig(points_per_decade=32)
+    c = 0.5 * n + 1.0
+    fn = family_density_fn(1.3, 0.7, c)
+    if kind == "cut":
+        return RadialDensity.from_function(n, fn, quad, cut=2.1)
+    tail = (1.3 * 0.7 ** (2.0 * c), 2.0 * c)
+    return RadialDensity.from_function(n, fn, quad, tail=tail,
+                                       lo_cut=0.45 if kind == "lo_cut" else 0.0)
+
+
+def _relative_width(mu, d, r):
+    # as in RadialDensity._offcenter_mass
+    a = max(abs(d - r), mu.lo_cut)
+    b = min(d + r, mu._hi)
+    return (b - a) / max(b, 1e-300)
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.sampled_from([3, 4, 5, 6]),
+       kind=st.sampled_from(["tailed", "cut", "lo_cut"]),
+       log_d=st.floats(-2.0, 1.5),
+       log_r=st.lists(st.floats(-4.0, 2.0), min_size=2, max_size=40))
+def test_offcenter_mass_window_properties(n, kind, log_d, log_r):
+    mu = _window_density(n, kind)
+    d = 10.0 ** log_d
+    r = np.sort(10.0 ** np.array(log_r))
+    m = mu._radial_mass(np.full_like(r, d), r)
+    # nondecreasing in r, between the masses of the balls about the origin
+    # inside and around B(x, r)
+    assert np.all(np.diff(m) >= -1e-12 * m[1:])
+    assert np.all(m >= mu.centered_mass(np.maximum(r - d, 0.0)) * (1.0 - 1e-12))
+    assert np.all(m <= mu.centered_mass(d + r) * (1.0 + 1e-12))
+    # no jump where the window changes tier; for r < d the relative width
+    # grows with r, so bisect to neighbouring floats around each switch
+    for bound in (0.05, 0.5):
+        lo, hi = d * 1e-9, d * (1.0 - 1e-9)
+        if _relative_width(mu, d, lo) > bound or _relative_width(mu, d, hi) <= bound:
+            continue
+        while True:
+            mid = math.sqrt(lo * hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (lo, mid) if _relative_width(mu, d, mid) > bound else (mid, hi)
+        pair = mu._radial_mass(np.full(2, d), np.array([lo, hi]))
+        assert abs(pair[1] - pair[0]) <= 1e-9 * pair[1]
