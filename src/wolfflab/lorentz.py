@@ -199,7 +199,7 @@ def check_lorentz_embedding(mu: RadonMeasure, gamma: float,
     ex = derive_exponents(params)
     prof = wolff_profile(mu, params, quad)
     lhs = lorentz_norm(prof, ex.lorentz_r, ex.lorentz_rho, params, quad)
-    energy = wolff_energy(mu, gamma, params, quad)
+    energy = wolff_energy(mu, gamma, params, quad, profile=prof)
     rhs = energy ** (1.0 / (params.p - 1.0 + gamma)) if math.isfinite(energy) else math.inf
     return InequalityReport.build("lorentz_embed", lhs, rhs, bound)
 

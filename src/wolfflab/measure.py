@@ -271,6 +271,13 @@ class MassTable(RadonMeasure):
         self._nwn = self.dim * unit_ball_volume(self.dim)
         self._edges, self._piece_mass, self._edge_vals = edges, piece_mass, edge_vals
         self._cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
+        # per piece [a, b]: log(b/a), e for edge values on a power law (mass ~ r^e), (b/a)^e - 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ba = edges[1:] / edges[:-1]
+            self._lba = np.log(ba)
+            self._e = np.log(edge_vals[1:] / edge_vals[:-1]) / self._lba + self.dim
+        self._powerlaw = (edge_vals[:-1] > 0) & (edge_vals[1:] > 0) & (edges[:-1] > 0)
+        self._den = ba ** self._e - 1.0
         self._tail = tail if tail is not None and tail[0] > 0 else None
         self._tail_total = 0.0
         if self._tail is not None:
@@ -303,60 +310,51 @@ class MassTable(RadonMeasure):
         return self._nwn * A * (r ** (e + 1.0) - a ** (e + 1.0)) / (e + 1.0)
 
     def _centered_mass(self, r):
-        out = np.empty_like(r)
+        return self.mass_at(TablePoints(self._edges, r))
+
+    def mass_at(self, loc: TablePoints):
+        """Centered ball masses at radii located on this table's edges."""
         edges, cum = self._edges, self._cum
-        idx = np.searchsorted(edges, r, side="right") - 1
-        below = idx < 0
-        beyond = idx >= len(edges) - 1
-        out[below] = 0.0
-        if np.any(beyond):
-            out[beyond] = cum[-1] + self._tail_mass_to(np.maximum(r[beyond], edges[-1]))
-        mid = ~(beyond | below)
-        if np.any(mid):
-            i = idx[mid]
-            out[mid] = cum[i] + self._partial_piece(i, r[mid])
+        if not (loc.edges is edges or np.array_equal(loc.edges, edges)):
+            raise ValueError("radii located on other edges")
+        out = np.zeros(loc.size)  # the mass below the first edge
+        if len(loc.r_beyond):
+            out[loc.beyond] = cum[-1] + self._tail_mass_to(np.maximum(loc.r_beyond, edges[-1]))
+        if len(loc.idx):
+            out[loc.mid] = cum[loc.idx] + self._partial_piece(loc)
         return out
 
-    def _partial_piece(self, i, r):
-        """Mass between edges[i] and r inside piece i (arrays).
+    def _partial_piece(self, loc):
+        """Mass between edges[i] and r inside piece i, at located radii.
 
         Closed-form interpolant shape normalized so the full piece equals
         the tabulated piece mass exactly; node masses stay exact and the
         interior deviates only by the interpolation shape error within
         one narrow segment.
         """
-        a = self._edges[i]
-        b = self._edges[i + 1]
+        edges, f, i = self._edges, self._edge_vals, loc.idx
         full = self._piece_mass[i]
-        out = np.zeros_like(r)
-        live = (full > 0) & (r > a)
+        out = np.zeros(len(i))
+        live = (full > 0) & loc.inside
         if not np.any(live):
             return out
         n = self.dim
-        aa, bb, rr = a[live], b[live], r[live]
         if self.interp == "segment":
+            aa, bb, rr = edges[i][live], edges[i + 1][live], loc.r[live]
             frac = (rr ** n - aa ** n) / (bb ** n - aa ** n)
             out[live] = np.clip(frac, 0.0, 1.0) * full[live]
             return out
-        fa, fb = self._edge_vals[i][live], self._edge_vals[i + 1][live]
-        frac = np.empty_like(rr)
-        powerlaw = (fa > 0) & (fb > 0) & (aa > 0)
+        frac, powerlaw = np.empty(len(i)), live & self._powerlaw[i]
         if np.any(powerlaw):
-            al = np.log(fb[powerlaw] / fa[powerlaw]) / np.log(bb[powerlaw] / aa[powerlaw])
-            e = al + n
-            az, bz, rz = aa[powerlaw], bb[powerlaw], rr[powerlaw]
-            near_log = np.abs(e) < 1e-9
+            j = i[powerlaw]
+            ej, dj = self._e[j], self._den[j]
             # overflow-free ratio form of (r^e - a^e) / (b^e - a^e)
-            num = (rz / az) ** e - 1.0
-            den = (bz / az) ** e - 1.0
-            fr = np.where(near_log,
-                          np.log(rz / az) / np.log(bz / az),
-                          num / np.where(den != 0, den, 1.0))
-            frac[powerlaw] = fr
-        rest = ~powerlaw
+            frac[powerlaw] = np.where(np.abs(ej) < 1e-9, loc.lra[powerlaw] / self._lba[j],
+                                      (loc.ra[powerlaw] ** ej - 1.0) / np.where(dj != 0, dj, 1.0))
+        rest = live & ~powerlaw
         if np.any(rest):
-            az, bz, rz = aa[rest], bb[rest], rr[rest]
-            f0, f1 = fa[rest], fb[rest]
+            az, bz, rz = edges[i[rest]], edges[i[rest] + 1], loc.r[rest]
+            f0, f1 = f[i[rest]], f[i[rest] + 1]
             slope = np.where(bz > az, (f1 - f0) / np.maximum(bz - az, _TINY), 0.0)
 
             def prim(x):
@@ -367,8 +365,24 @@ class MassTable(RadonMeasure):
             den = prim(bz)
             frac[rest] = np.where(den > 0, prim(rz) / np.maximum(den, _TINY),
                                   (rz ** n - az ** n) / (bz ** n - az ** n))
-        out[live] = np.clip(frac, 0.0, 1.0) * full[live]
+        out[live] = np.clip(frac[live], 0.0, 1.0) * full[live]
         return out
+
+
+class TablePoints:
+    """Radii r located on a mass table's edges: the part of mass_at free of masses."""
+
+    def __init__(self, edges, r):
+        idx = np.searchsorted(edges, r, side="right") - 1
+        self.edges, self.size = edges, len(r)
+        self.beyond = idx >= len(edges) - 1
+        self.mid = ~self.beyond & (idx >= 0)
+        self.r_beyond, self.r = r[self.beyond], r[self.mid]
+        i = self.idx = idx[self.mid]
+        self.inside = self.r > edges[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.ra = self.r / edges[i]
+            self.lra = np.log(self.ra)
 
 
 def _table_layout(grid, lo_cut, hi):
@@ -802,22 +816,30 @@ def multiply_radial(mu: RadonMeasure, g) -> RadonMeasure:
     return Sum(out) if len(out) > 1 else out[0]
 
 
-def weighting(comp: RadonMeasure, wgrid):
-    """g -> multiply_radial(comp, g), centered masses only, for weights on
-    wgrid: a density's table is laid out here once, each g is a MassTable."""
+def weighting(comp: RadonMeasure, wgrid, pts):
+    """g -> (multiply_radial(comp, g), centered masses only; its masses at pts)
+    for weights on wgrid: a density's table laid out and located here once."""
+    from .radial_pde import GridPoints
     if not isinstance(comp, RadialDensity):
-        return lambda g: _weigh_point(comp, g)
+        def point(g):
+            m = _weigh_point(comp, g)
+            return m, m.centered_mass(pts)
+        return point
     layout = _table_layout(_product_grid(comp, wgrid), comp.lo_cut, comp._hi)
     edges, points = layout[:2]
     k = len(points)
     at = np.append(points, np.maximum(edges, _TINY))
     f = comp.density_at(at)
     f[:k] *= comp._nwn * points ** (comp.dim - 1)
+    at_pts, on_g = TablePoints(edges, pts), [None]
 
     def table(g):
-        gf = f * np.maximum(g.eval(at), 0.0)
+        if on_g[0] is None or not on_g[0].on(g.grid):
+            on_g[0] = GridPoints(g, at)
+        gf = f * np.maximum(g.eval_at(on_g[0]), 0.0)
         masses = _piece_masses(_product_density(comp, g), comp.dim, layout, gf[:k])
-        return MassTable(comp.dim, edges, masses, gf[k:], _product_tail(comp, g))
+        m = MassTable(comp.dim, edges, masses, gf[k:], _product_tail(comp, g))
+        return m, m.mass_at(at_pts)
     return table
 
 

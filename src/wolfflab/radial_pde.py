@@ -68,65 +68,54 @@ class RadialFunction:
     def eval(self, r):
         """Monotone log-log interpolation on the grid, analytic tail beyond,
         center value at 0."""
-        r_in = np.asarray(r, dtype=float)
-        r1 = np.atleast_1d(r_in).ravel().astype(float)
-        out = np.empty_like(r1)
-        g, v = self.grid, self.values
-        at0 = r1 == 0.0
-        out[at0] = self.center_value
-        low = (r1 > 0) & (r1 < g[0])
-        if np.any(low):
-            out[low] = self._eval_below(r1[low])
-        high = r1 > g[-1]
-        if np.any(high):
-            out[high] = self.tail_coeff * r1[high] ** (-self.tail_exp) \
-                if self.tail_coeff else 0.0
-        mid = ~(at0 | low | high)
-        if np.any(mid):
-            out[mid] = self._eval_grid(r1[mid])
-        if r_in.ndim == 0:
-            return float(out[0])
-        return out.reshape(r_in.shape)
+        return self.eval_at(GridPoints(self, r))
 
-    def _eval_grid(self, r):
+    def eval_at(self, loc: GridPoints):
+        """eval at radii located on this profile's grid."""
+        if not loc.on(self.grid):
+            raise ValueError("radii located on another grid")
+        out = np.full(loc.size, self.center_value)  # the value at r = 0
+        if len(loc.r_low):
+            out[loc.low] = self._eval_below(loc.r_low)
+        if len(loc.r_high):
+            out[loc.high] = self.tail_coeff * loc.r_high ** (-self.tail_exp) \
+                if self.tail_coeff else 0.0
+        if len(loc.idx):
+            out[loc.mid] = self._eval_grid(loc)
+        return float(out[0]) if loc.shape == () else out.reshape(loc.shape)
+
+    def _eval_grid(self, loc):
         g, v = self.grid, self.values
-        k = np.searchsorted(g, r)
-        idx = np.clip(k - 1, 0, len(g) - 2)
-        hit = np.clip(k, 0, len(g) - 1)
-        on_node = g[hit] == r
-        v0, v1 = v[idx], v[idx + 1]
-        out = np.empty_like(r)
+        idx, on_node = loc.idx, loc.on_node
         if self._pchip is not None:
-            vals = np.exp(self._pchip(np.log(r)))
-            vals[on_node] = v[hit[on_node]]
+            vals = np.exp(self._pchip(loc.log_r))
+            vals[on_node] = v[loc.hit]
             return vals
+        v0, v1 = v[idx], v[idx + 1]
+        out = np.empty_like(v0)
         pos = (v0 > 0) & (v1 > 0)
         sel = slice(None) if np.all(pos) else pos  # views when all positive
         if np.any(pos):
             i = idx[sel]
-            h = self._lng[i + 1] - self._lng[i]
-            t = (np.log(r[sel]) - self._lng[i]) / h
             y0, y1 = self._lnv[i], self._lnv[i + 1]
             if self.deriv is not None:
                 # cubic Hermite in log-log with exact node slopes
                 slope = g * self.deriv / np.maximum(v, _TINY)
-                s0, s1 = slope[i] * h, slope[i + 1] * h
-                t2 = t * t
-                t3 = t2 * t
-                val = (2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + t) * s0 \
-                    + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * s1
+                s0, s1 = slope[i] * loc.h[sel], slope[i + 1] * loc.h[sel]
+                b00, b10, b01, b11 = (b[sel] for b in loc.hermite)
+                val = b00 * y0 + b10 * s0 + b01 * y1 + b11 * s1
                 # keep the interpolant between the node values
                 val = np.clip(val, np.minimum(y0, y1), np.maximum(y0, y1))
                 out[sel] = np.exp(val)
             else:
+                t = loc.t[sel]
                 out[sel] = np.exp(y0 * (1 - t) + y1 * t)
         lin = ~pos
         if np.any(lin):
-            i = idx[lin]
-            t = (r[lin] - g[i]) / (g[i + 1] - g[i])
+            t = loc.t_lin[lin]
             out[lin] = v0[lin] * (1 - t) + v1[lin] * t
         # stored node values verbatim
-        out[on_node] = v[hit[on_node]]
+        out[on_node] = v[loc.hit]
         return out
 
     def _eval_below(self, r):
@@ -188,6 +177,34 @@ class RadialFunction:
         dv = np.diff(self.values)
         scale = np.maximum(self.values[:-1], _TINY)
         return bool(np.all(dv <= slack * scale + 1e-300))
+
+
+class GridPoints:
+    """Radii r located on a profile's grid: the part of eval free of values."""
+
+    def __init__(self, f: RadialFunction, r):
+        r_in = np.asarray(r, dtype=float)
+        r1 = np.atleast_1d(r_in).ravel().astype(float)
+        g = self.grid = f.grid
+        self.shape, self.size = r_in.shape, len(r1)
+        self.low, self.high = (r1 > 0) & (r1 < g[0]), r1 > g[-1]
+        self.mid = ~((r1 == 0.0) | self.low | self.high)
+        self.r_low, self.r_high, r = r1[self.low], r1[self.high], r1[self.mid]
+        k = np.searchsorted(g, r)
+        i = self.idx = np.clip(k - 1, 0, len(g) - 2)
+        hit = np.clip(k, 0, len(g) - 1)
+        self.on_node = g[hit] == r
+        self.hit = hit[self.on_node]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.log_r = np.log(r)
+            self.h = f._lng[i + 1] - f._lng[i]
+            t = self.t = (self.log_r - f._lng[i]) / self.h
+            self.t_lin = (r - g[i]) / (g[i + 1] - g[i])
+            t2, t3 = t * t, t * t * t
+            self.hermite = (2 * t3 - 3 * t2 + 1, t3 - 2 * t2 + t, -2 * t3 + 3 * t2, t3 - t2)
+
+    def on(self, grid) -> bool:
+        return grid is self.grid or np.array_equal(grid, self.grid)
 
 
 def nodewise_max(funcs) -> RadialFunction:

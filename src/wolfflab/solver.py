@@ -94,19 +94,19 @@ def compose_measure(sigma_list, q_list, mu, u: RadialFunction) -> RadonMeasure:
 
 def _fixed_composer(sigma_list, q_list, mu, wgrid, pts):
     """compose_measure for iterates on wgrid, each sigma density's mass table
-    laid out here once, with the composed ball masses at pts (mu's read
-    once); the zero measure when the composed mass is not positive (or NaN)."""
-    terms = [([weighting(c, wgrid) for c in s.components()], q)
+    laid out and located here once, with the composed ball masses at pts
+    (mu's read once); the zero measure when the mass is not positive (or NaN)."""
+    terms = [([weighting(c, wgrid, pts) for c in s.components()], q)
              for s, q in zip(sigma_list, q_list) if s.total_mass() != 0.0]
     zero = zero_measure(mu.dim if mu is not None else sigma_list[0].dim)
     rest = [mu] if mu is not None and mu.total_mass() > 0 else [zero]
     mu_m = rest[0].centered_mass(pts)
 
     def compose(u):
-        comps = [w(g) for ws, q in terms for g in [u ** q] for w in ws]
-        nu = Sum(comps + rest)
+        parts = [w(g) for ws, q in terms for g in [u ** q] for w in ws]
+        nu = Sum([m for m, _ in parts] + rest)
         return nu if nu.total_mass() > 0 else zero, \
-            sum((c.centered_mass(pts) for c in comps), mu_m)
+            sum((masses for _, masses in parts), mu_m)
     return compose
 
 
@@ -193,7 +193,8 @@ def _picard(sigma_list, q_list, mu, params, quad, u0, grid,
     u = u_prev
     for j in range(1, quad.max_iter + 1):
         u = _solve_on_grid(current, cur_m, params, quad, grid)
-        prev_vals = u_prev.eval(u.grid)
+        # at the nodes eval returns the stored values
+        prev_vals = u_prev.values if np.array_equal(u_prev.grid, u.grid) else u_prev.eval(u.grid)
         if monotone and np.any(u.values < prev_vals - 1e-12):
             worst = float(np.max(prev_vals - u.values))
             raise MonotonicityViolated(

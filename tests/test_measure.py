@@ -13,8 +13,10 @@ from wolfflab import (Atom, NegativeRadius, NegativeScale, QuadratureConfig,
                       ball_mass, dirac, integrate_against, scale,
                       support_radius, total_mass, zero_measure)
 from wolfflab.families import family_density, family_density_fn
-from wolfflab.measure import _cap_area, cap_fraction
+from wolfflab.measure import (MassTable, TablePoints, _cap_area, cap_fraction,
+                              weighting)
 from wolfflab.params import unit_ball_volume
+from wolfflab.radial_pde import RadialFunction
 
 from oracles import MC_LENS_VOLUME, mc_lens_volume, sphere_intersection_volume
 
@@ -351,3 +353,105 @@ def test_offcenter_mass_window_properties(n, kind, log_d, log_r):
             lo, hi = (lo, mid) if _relative_width(mu, d, mid) > bound else (mid, hi)
         pair = mu._radial_mass(np.full(2, d), np.array([lo, hi]))
         assert abs(pair[1] - pair[0]) <= 1e-9 * pair[1]
+
+
+# -- located mass tables -----------------------------------------------------
+
+def _reference_centered_mass(t, r):
+    """MassTable centered masses as written before located evaluation,
+    locating the radii inside: the arithmetic the located form must
+    reproduce."""
+    out = np.empty_like(r)
+    edges, cum, n = t._edges, t._cum, t.dim
+    idx = np.searchsorted(edges, r, side="right") - 1
+    below, beyond = idx < 0, idx >= len(edges) - 1
+    out[below] = 0.0
+    if np.any(beyond):
+        out[beyond] = cum[-1] + t._tail_mass_to(np.maximum(r[beyond], edges[-1]))
+    mid = ~(beyond | below)
+    i, rm = idx[mid], r[mid]
+    a, b, full = edges[i], edges[i + 1], t._piece_mass[i]
+    part = np.zeros_like(rm)
+    live = (full > 0) & (rm > a)
+    aa, bb, rr = a[live], b[live], rm[live]
+    if t.interp == "segment":
+        frac = (rr ** n - aa ** n) / (bb ** n - aa ** n)
+    else:
+        fa, fb = t._edge_vals[i][live], t._edge_vals[i + 1][live]
+        frac = np.empty_like(rr)
+        pl = (fa > 0) & (fb > 0) & (aa > 0)
+        e = np.log(fb[pl] / fa[pl]) / np.log(bb[pl] / aa[pl]) + n
+        az, bz, rz = aa[pl], bb[pl], rr[pl]
+        den = (bz / az) ** e - 1.0
+        frac[pl] = np.where(np.abs(e) < 1e-9, np.log(rz / az) / np.log(bz / az),
+                            ((rz / az) ** e - 1.0) / np.where(den != 0, den, 1.0))
+        az, bz, rz, f0, f1 = aa[~pl], bb[~pl], rr[~pl], fa[~pl], fb[~pl]
+        slope = np.where(bz > az, (f1 - f0) / np.maximum(bz - az, 1e-300), 0.0)
+
+        def prim(x):
+            return f0 * (x ** n - az ** n) / n + slope * (
+                (x ** (n + 1) - az ** (n + 1)) / (n + 1) - az * (x ** n - az ** n) / n)
+
+        den = prim(bz)
+        frac[~pl] = np.where(den > 0, prim(rz) / np.maximum(den, 1e-300),
+                             (rz ** n - az ** n) / (bz ** n - az ** n))
+    part[live] = np.clip(frac, 0.0, 1.0) * full[live]
+    out[mid] = cum[i] + part
+    return out
+
+
+_piece_values = st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 1e4)),
+                         min_size=9, max_size=9)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.sampled_from([2, 3, 5]), log_lo=st.floats(-3.0, 0.0),
+       from_zero=st.booleans(), interp=st.sampled_from(["loglog", "segment"]),
+       masses=st.tuples(_piece_values, _piece_values),
+       vals=st.tuples(_piece_values, _piece_values),
+       tail=st.sampled_from([None, (0.5, 4.5), (2.0, 3.0)]),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_located_masses_match_centered_mass(n, log_lo, from_zero, interp, masses,
+                                            vals, tail, fracs):
+    # below and beyond the edges, on them and inside pieces; zero-mass
+    # pieces, pieces whose edge values are no power law, with and without
+    # a tail
+    edges = np.geomspace(10.0 ** log_lo, 10.0 ** (log_lo + 3.0), 9)
+    if from_zero:
+        edges[0] = 0.0
+    t, t2 = (MassTable(n, edges, np.array(m[:8]), np.array(v), tail, interp)
+             for m, v in zip(masses, vals))
+    inside = edges[1] * (edges[-1] / edges[1]) ** np.array(fracs)
+    r = np.concatenate([[0.0, edges[1] * 1e-3], edges, inside,
+                        0.5 * (edges[1:] + edges[:-1]), edges[-1] * np.array([1.5, 1e3])])
+    loc = TablePoints(edges, r)
+    for table in (t, t2):
+        want = _reference_centered_mass(table, r)
+        assert np.array_equal(table.centered_mass(r), want, equal_nan=True)
+        assert np.array_equal(table.mass_at(loc), want, equal_nan=True)
+
+
+def test_table_location_is_tied_to_its_edges():
+    edges = np.geomspace(1e-2, 1e2, 5)
+    t = MassTable(3, edges, np.ones(4), np.ones(5))
+    r = np.array([0.05, 3.0, 300.0])
+    assert np.array_equal(MassTable(3, edges.copy(), np.full(4, 2.0), np.ones(5))
+                          .mass_at(TablePoints(edges, r)), 2.0 * t.centered_mass(r))
+    with pytest.raises(ValueError, match="other edges"):
+        MassTable(3, edges * 2.0, np.ones(4), np.ones(5)).mass_at(TablePoints(edges, r))
+
+
+def test_weighting_locates_a_weight_on_another_grid_afresh(quad):
+    comp = family_density(3, 1.0, 1.0, 2.25, quad)
+    wgrid = quad.radial_grid()
+    pts = np.geomspace(1e-3, 1e3, 40)
+    g1 = RadialFunction(wgrid, 1.0 / (1.0 + wgrid))
+    other = np.geomspace(1e-4, 1e4, 200)
+    g2 = RadialFunction(other, 1.0 / (1.0 + other), 1.0, 1.0)
+    reused = weighting(comp, wgrid, pts)
+    reused(g1)
+    table, masses = reused(g2)
+    fresh_table, fresh = weighting(comp, wgrid, pts)(g2)
+    assert np.array_equal(masses, fresh)
+    assert np.array_equal(table.centered_mass(pts), fresh)
+    assert table.total_mass() == fresh_table.total_mass()

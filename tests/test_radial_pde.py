@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wolfflab import (DivergentTail, NonMonotoneProfile, NonRadialMeasure,
                       RadialDensity, RadialFunction, Sum, dirac,
@@ -204,3 +206,97 @@ def test_stored_derivative_matches_mass_formula(pp3, quad):
     u = solve_radial_p_laplace(ball, pp3, quad)
     m = riesz_ball_mass(u, pp3)
     assert np.allclose(m, ball.centered_mass(u.grid), rtol=1e-12)
+
+
+# -- located evaluation ----------------------------------------------------
+
+def _reference_eval(f, r):
+    """RadialFunction.eval as written before located evaluation, locating
+    the radii inside: the arithmetic the located form must reproduce."""
+    out = np.empty_like(r)
+    g, v = f.grid, f.values
+    at0, low, high = r == 0.0, (r > 0) & (r < g[0]), r > g[-1]
+    out[at0] = f.center_value
+    if np.any(low):
+        out[low] = f._eval_below(r[low])
+    if np.any(high):
+        out[high] = f.tail_coeff * r[high] ** (-f.tail_exp) if f.tail_coeff else 0.0
+    mid = ~(at0 | low | high)
+    rm = r[mid]
+    k = np.searchsorted(g, rm)
+    idx = np.clip(k - 1, 0, len(g) - 2)
+    hit = np.clip(k, 0, len(g) - 1)
+    on_node = g[hit] == rm
+    v0, v1 = v[idx], v[idx + 1]
+    val = np.empty_like(rm)
+    if f._pchip is not None:
+        val = np.exp(f._pchip(np.log(rm)))
+    pos = (v0 > 0) & (v1 > 0)
+    if f._pchip is None and np.any(pos):
+        i = idx[pos]
+        h = f._lng[i + 1] - f._lng[i]
+        t = (np.log(rm[pos]) - f._lng[i]) / h
+        y0, y1 = f._lnv[i], f._lnv[i + 1]
+        if f.deriv is not None:
+            slope = g * f.deriv / np.maximum(v, 1e-300)
+            s0, s1 = slope[i] * h, slope[i + 1] * h
+            t2 = t * t
+            t3 = t2 * t
+            w = (2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + t) * s0 \
+                + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * s1
+            val[pos] = np.exp(np.clip(w, np.minimum(y0, y1), np.maximum(y0, y1)))
+        else:
+            val[pos] = np.exp(y0 * (1 - t) + y1 * t)
+    lin = ~pos
+    if f._pchip is None and np.any(lin):
+        i = idx[lin]
+        t = (rm[lin] - g[i]) / (g[i + 1] - g[i])
+        val[lin] = v0[lin] * (1 - t) + v1[lin] * t
+    val[on_node] = v[hit[on_node]]
+    out[mid] = val
+    return out
+
+
+_node_values = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                        min_size=12, max_size=12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(log_lo=st.floats(-4.0, 0.0), width=st.floats(0.5, 4.0),
+       vals=st.tuples(_node_values, _node_values),
+       slopes=st.one_of(st.none(), st.lists(st.floats(0.0, 1e3), min_size=12,
+                                            max_size=12)),
+       smooth=st.booleans(), center=st.sampled_from([None, 2e3, math.inf]),
+       tail=st.sampled_from([0.0, 0.7]),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_located_eval_matches_eval(log_lo, width, vals, slopes, smooth, center,
+                                   tail, fracs):
+    # r = 0, radii below the grid, on and between nodes and past the last
+    # node, for profiles with zero values, with and without node slopes,
+    # log-log pchip and an infinite center value
+    from wolfflab.radial_pde import GridPoints
+    grid = np.geomspace(10.0 ** log_lo, 10.0 ** (log_lo + width), 12)
+    deriv = None if slopes is None else -np.array(slopes)
+    f, f2 = (RadialFunction(grid, np.array(v), tail, 1.5, center, deriv,
+                            smooth=smooth) for v in vals)
+    between = grid[0] * (grid[-1] / grid[0]) ** np.array(fracs)
+    r = np.concatenate([[0.0], grid[0] * np.array([1e-3, 0.5]), grid, between,
+                        np.sqrt(grid[1:] * grid[:-1]), grid[-1] * np.array([1.5, 1e3])])
+    loc = GridPoints(f, r)
+    for h in (f, f2):
+        want = _reference_eval(h, r)
+        assert np.array_equal(h.eval(r), want, equal_nan=True)
+        assert np.array_equal(h.eval_at(loc), want, equal_nan=True)
+    assert f.eval(float(grid[3])) == f.values[3]
+
+
+def test_location_is_tied_to_its_grid():
+    from wolfflab.radial_pde import GridPoints
+    grid = np.geomspace(1e-2, 1e2, 9)
+    f = RadialFunction(grid, 1.0 / grid)
+    other = RadialFunction(grid * 1.5, 1.0 / grid)
+    same = RadialFunction(grid.copy(), 2.0 / grid)
+    loc = GridPoints(f, [0.3, 3.0])
+    assert np.array_equal(same.eval_at(loc), same.eval([0.3, 3.0]))
+    with pytest.raises(ValueError, match="another grid"):
+        other.eval_at(loc)

@@ -403,3 +403,31 @@ def test_picard_steps_build_no_measures(pp3, monkeypatch):
     assert seen[0] == seen[1]
     assert sol.iterations_used > 10
 
+
+def test_picard_locates_fixed_sets_once_per_solve(pp3, monkeypatch):
+    # the table points on the iterate's grid and the solve points in each
+    # table's edges are located once per solve: 10 and 30 allowed steps
+    # build the same number of locations of sets of at least a grid's
+    # size (a step still locates the 3-point head fits and atom radii)
+    from wolfflab.measure import TablePoints
+    from wolfflab.radial_pde import GridPoints
+    sizes = []
+    for cls in (GridPoints, TablePoints):
+        def counted(self, owner, r, _init=cls.__init__):
+            sizes.append(np.size(r))
+            _init(self, owner, r)
+        monkeypatch.setattr(cls, "__init__", counted)
+    seen = []
+    for max_iter in (10, 30):
+        quad = QuadratureConfig(points_per_decade=32, max_iter=max_iter)
+        sigma = manufactured_sigma(quad)
+        del sizes[:]
+        try:
+            sol = solve_minimal([sigma], [0.5], None, pp3, quad,
+                                check_conditions=False)
+        except NotConverged as e:
+            sol = e.solution
+        seen.append(sum(size >= len(sol.u.grid) for size in sizes))
+    assert seen[0] == seen[1] > 0
+    assert sol.iterations_used > 10
+
