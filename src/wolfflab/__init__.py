@@ -26,9 +26,8 @@ from .energy import (InequalityReport, check_mutual_energy_estimate,
 from .lorentz import (RearrangedProfile, check_density_conditions,
                       check_lorentz_embedding, density_condition_exponents,
                       lorentz_norm, rearrange)
-from .solver import (IterationState, Solution, compose_measure,
-                     initial_subsolution, intrinsic_fixed_point, iterate_once,
-                     solve_bounded_endpoint, solve_minimal,
-                     solve_with_exhaustion, verify_solution)
+from .solver import (IterationState, Solution, initial_subsolution,
+                     intrinsic_fixed_point, iterate_once, solve_bounded_endpoint,
+                     solve_minimal, solve_with_exhaustion, verify_solution)
 
 __version__ = "0.1.0"

@@ -160,15 +160,9 @@ def _parse_density(desc, dim, quad, where) -> RadialDensity:
     if kind == "uniform_ball":
         return RadialDensity.uniform_ball(dim, float(profile["radius"]),
                                           float(profile.get("density", 1.0)), quad)
-    if kind == "table":
-        s = np.asarray(profile["s"], dtype=float)
-        f = np.asarray(profile["f"], dtype=float)
-        return RadialDensity(dim, s, f, tail=tuple(tail) if tail else None,
-                             cut=None if cut is None else float(cut),
-                             lo_cut=lo_cut, allow_infinite_mass=allow,
-                             window_order=quad.window_gauss_order)
-    if kind == "csv":
-        s, f = _load_profile_csv(profile["path"], where)
+    if kind in ("table", "csv"):
+        s, f = _load_profile_csv(profile["path"], where) if kind == "csv" else \
+            (np.asarray(profile["s"], dtype=float), np.asarray(profile["f"], dtype=float))
         return RadialDensity(dim, s, f, tail=tuple(tail) if tail else None,
                              cut=None if cut is None else float(cut),
                              lo_cut=lo_cut, allow_infinite_mass=allow,

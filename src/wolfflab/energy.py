@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExponentError, InfiniteEnergy
-from .measure import (Atom, RadonMeasure, add, integrate_against,
+from .measure import (Atom, RadonMeasure, Sum, add, integrate_against,
                       multiply_radial)
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
 from .radial_pde import RadialFunction, dirichlet_energy
-from .wolff import wolff, wolff_profile
+from .wolff import _split, wolff, wolff_profile
 
 DEFAULT_BOUND = 1e3
 
@@ -108,15 +108,10 @@ def sigma_energy(sigma: RadonMeasure, gamma: float, q: float,
                  params: ProblemParams,
                  quad: QuadratureConfig = DEFAULT_QUAD,
                  profile: RadialFunction = None) -> float:
-    """Coefficient-side energy with exponent (gamma+q)(p-1)/(p-1-q)."""
-    validate(params)
+    """Coefficient-side energy: the self energy with exponent
+    (gamma+q)(p-1)/(p-1-q)."""
     e = (gamma + q) * (params.p - 1.0) / (params.p - 1.0 - q)
-    if sigma.total_mass() == 0.0:
-        return 0.0
-    if _has_atoms(sigma):
-        return math.inf
-    prof = profile if profile is not None else wolff_profile(sigma, params, quad)
-    return integrate_against(sigma, lambda s: prof.eval(s) ** e, quad)
+    return wolff_energy(sigma, e, params, quad, profile)
 
 
 def mutual_energy(sigma: RadonMeasure, mu: RadonMeasure, gamma: float, q: float,
@@ -132,9 +127,7 @@ def mutual_energy(sigma: RadonMeasure, mu: RadonMeasure, gamma: float, q: float,
         return 0.0
     if mu.total_mass() == 0.0:
         return 0.0
-    atoms = [c for c in sigma.components() if isinstance(c, Atom) and c.weight > 0]
-    radial_part = [c for c in sigma.components()
-                   if not isinstance(c, Atom) and c.total_mass() > 0]
+    radial_part, atoms = _split(sigma)
     total = 0.0
     for a in atoms:
         w = wolff(mu, a.location, params, quad).value
@@ -143,9 +136,7 @@ def mutual_energy(sigma: RadonMeasure, mu: RadonMeasure, gamma: float, q: float,
             return math.inf
     if radial_part:
         prof = mu_profile if mu_profile is not None else wolff_profile(mu, params, quad)
-        from .measure import Sum
-        rad = Sum(radial_part) if len(radial_part) > 1 else radial_part[0]
-        total += integrate_against(rad, lambda s: prof.eval(s) ** e, quad)
+        total += integrate_against(Sum(radial_part), lambda s: prof.eval(s) ** e, quad)
     return float(total)
 
 

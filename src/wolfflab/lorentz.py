@@ -19,7 +19,7 @@ from .measure import RadonMeasure
 from .params import (DEFAULT_QUAD, Mode, ProblemParams, QuadratureConfig,
                      derive_exponents, unit_ball_volume, validate)
 from .quadrature import panel_sum
-from .radial_pde import RadialFunction
+from .radial_pde import RadialFunction, _loglog_interp
 
 
 @dataclass(frozen=True)
@@ -149,18 +149,10 @@ def lorentz_norm_rearranged(rp: RearrangedProfile, r_idx: float, rho_idx: float,
     total = _ends(rp, e_head, rho_idx, last)
     # grid part up to the last positive node
     if last > 0 and math.isfinite(total):
-        total += panel_sum(
-            lambda tq: _interp_fstar(rp, tq, last) ** rho_idx * tq ** e_head,
-            rp.t_grid[:last + 1], quad.gauss_order)
+        t, f = rp.t_grid[:last + 1], rp.fstar[:last + 1]
+        total += panel_sum(lambda tq: _loglog_interp(t, f, tq) ** rho_idx * tq ** e_head,
+                           t, quad.gauss_order)
     return total ** (1.0 / rho_idx)
-
-
-def _interp_fstar(rp, tq, last):
-    t = rp.t_grid[:last + 1]
-    f = rp.fstar[:last + 1]
-    if np.all(f > 0):
-        return np.exp(np.interp(np.log(tq), np.log(t), np.log(f)))
-    return np.interp(tq, t, f)
 
 
 def _weak_norm(rp, r_idx, last):

@@ -262,12 +262,17 @@ class SphericalShell(RadonMeasure):
 
 
 class MassTable(RadonMeasure):
-    """Centered ball masses of a radial density from its piece masses, its
-    values at the piece edges (interp as in RadialDensity) and a power-law
-    tail A s**-tau past the last edge; no off-center masses."""
+    """A radial density known by its table: the density on [edges[0], hi],
+    its piece masses between the edges, its values at the edges (interp as
+    in RadialDensity) and a power-law tail A s**-tau past the last edge.
+    Centered masses read the table; off-center masses integrate the density
+    over each window with panels of window_k points."""
 
-    def __init__(self, dim, edges, piece_mass, edge_vals, tail=None, interp="loglog"):
+    def __init__(self, dim, edges, piece_mass, edge_vals, tail=None, interp="loglog",
+                 density=None, hi=math.inf, window_k=None):
         self.dim, self.interp = int(dim), interp
+        self.lo_cut, self._hi, self._density = float(edges[0]), hi, density
+        self._window_k = int(window_k or DEFAULT_QUAD.window_gauss_order)
         self._nwn = self.dim * unit_ball_volume(self.dim)
         self._edges, self._piece_mass, self._edge_vals = edges, piece_mass, edge_vals
         self._cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
@@ -296,6 +301,40 @@ class MassTable(RadonMeasure):
 
     def radial_marks(self):
         return sorted({float(self._edges[0]), float(self._edges[-1])})
+
+    def density_at(self, s):
+        """Density at radii s, honoring cuts, interpolation and tail."""
+        s_in = np.asarray(s, dtype=float)
+        s1 = np.atleast_1d(s_in).ravel().astype(float)
+        out = np.where((s1 >= self.lo_cut) & (s1 <= self._hi), self._density(s1), 0.0)
+        if s_in.ndim == 0:
+            return float(out[0])
+        return out.reshape(s_in.shape)
+
+    def support_radius(self):
+        if self._total == 0.0:
+            return 0.0
+        if self._tail_total > 0:
+            return math.inf
+        nz = np.nonzero(self._piece_mass > 0)[0]
+        return float(self._edges[nz[-1] + 1]) if len(nz) else 0.0
+
+    def effective_extent(self, rel_tol: float = 1e-12):
+        if self._tail_total == 0.0:
+            return self.support_radius()
+        if math.isinf(self._total):
+            return math.inf
+        A, tau = self._tail
+        e = self.dim - 1 - tau
+        target = rel_tol * self._total
+        radius = (target * (-e - 1.0) / (self._nwn * A)) ** (1.0 / (e + 1.0))
+        return max(float(self._edges[-1]), radius)
+
+    def _scale(self, lam):
+        tail = None if self._tail is None else (lam * self._tail[0], self._tail[1])
+        return MassTable(self.dim, self._edges, lam * self._piece_mass,
+                         lam * self._edge_vals, tail, self.interp,
+                         lambda s, _d=self._density: lam * _d(s), self._hi, self._window_k)
 
     def _tail_mass_to(self, r):
         """Mass between the last edge and radii r >= last edge."""
@@ -366,6 +405,58 @@ class MassTable(RadonMeasure):
             frac[rest] = np.where(den > 0, prim(rz) / np.maximum(den, _TINY),
                                   (rz ** n - az ** n) / (bz ** n - az ** n))
         out[live] = np.clip(frac[live], 0.0, 1.0) * full[live]
+        return out
+
+    # -- off-center masses ---------------------------------------------
+    def _radial_mass(self, d, r):
+        out = np.zeros_like(r)
+        centered = d == 0.0
+        if np.any(centered):
+            out[centered] = self._centered_mass(r[centered])
+        off = ~centered
+        if np.any(off):
+            out[off] = self._offcenter_mass(d[off], r[off])
+        return out
+
+    def _offcenter_mass(self, d, r):
+        # spheres with s <= r - d lie fully inside B(x, r)
+        out = self._centered_mass(np.clip(r - d, 0.0, None))
+        hi = self._hi
+        a = np.maximum(np.abs(d - r), self.lo_cut)
+        b = np.minimum(d + r, hi)
+        # the gap s - d is lead + width u, with lead = -r exactly where the
+        # window starts at d - r: no cancellation in s - d when r << d
+        start = (r < d) & (a == d - r)
+        lead = np.where(start, -r, a - d)
+        whole = start & (b == d + r)
+        width = np.where(whole, 2.0 * r, b - a)
+        # resolution grows with the relative width (b - a)/b, split at 0.05
+        # and 0.5: narrow windows see a smooth low-degree integrand; for even
+        # n, a narrow window clipped at lo_cut or hi takes the middle tier
+        tier = np.searchsorted((0.05, 0.5), (b - a) / np.maximum(b, _TINY))
+        tier[(tier == 0) & ~whole & (self.dim % 2 == 0)] = 1
+        tier[b <= a] = -1
+        for i, rule in enumerate((((0.0, 1.0), 10), ((0.0, 0.5, 1.0), 12),
+                                  ((0.0, 0.08, 0.5, 0.92, 1.0), self._window_k))):
+            u, w = _window_rule(*rule, self.dim % 2 == 0)
+            idx = np.flatnonzero(tier == i)
+            step = max(1, _WINDOW_NODES // len(u))
+            for rows in (idx[j:j + step] for j in range(0, len(idx), step)):
+                gap = width[rows, None] * u
+                s = gap + a[rows, None]
+                gap += lead[rows, None]
+                num = np.subtract(r[rows, None] ** 2, gap * gap, out=gap)  # 4 s d x
+                f = self._density(s.ravel()).reshape(s.shape)
+                scale = self._nwn * width[rows]
+                if self.dim == 3:                         # s^2 x = s num / (4 d)
+                    f *= s
+                    f *= num
+                    scale /= 4.0 * d[rows]
+                else:
+                    num /= 4.0 * s * d[rows, None]
+                    f *= s ** (self.dim - 1)
+                    f *= _cap_area(self.dim, num)
+                out[rows] += scale * (f @ w)
         return out
 
 
@@ -460,8 +551,7 @@ class RadialDensity(MassTable):
             raise ValueError("lo_cut must be >= 0")
         self.allow_infinite_mass = bool(allow_infinite_mass)
         self.interp = interp
-        self._window_k = int(window_order or DEFAULT_QUAD.window_gauss_order)
-        self._build_tables()
+        self._build_tables(window_order)
         if not allow_infinite_mass and math.isinf(self._total):
             raise ValueError(
                 "density has infinite total mass; pass allow_infinite_mass=True")
@@ -493,16 +583,6 @@ class RadialDensity(MassTable):
                 f"cut={self.cut}, tail={self.tail}, interp={self.interp!r})")
 
     # -- density evaluation --------------------------------------------
-    def density_at(self, s):
-        """Density at radii s, honoring cuts, interpolation and tail."""
-        s_in = np.asarray(s, dtype=float)
-        s1 = np.atleast_1d(s_in).ravel().astype(float)
-        out = np.where((s1 >= self.lo_cut) & (s1 <= self._hi),
-                       self._base_density(s1), 0.0)
-        if s_in.ndim == 0:
-            return float(out[0])
-        return out.reshape(s_in.shape)
-
     def _base_density(self, s):
         if self.density_fn is not None:
             return np.maximum(np.asarray(self.density_fn(s), dtype=float), 0.0)
@@ -540,77 +620,16 @@ class RadialDensity(MassTable):
         return out
 
     # -- cumulative mass tables ----------------------------------------
-    def _build_tables(self):
+    def _build_tables(self, window_order):
         hi = self.cut if self.cut is not None else (
             math.inf if self.tail is not None else float(self.grid[-1]))
-        self._hi = hi
         layout = _table_layout(self.grid, self.lo_cut, hi)
         edges = layout[0]
         masses = _piece_masses(self._base_density, self.dim, layout)
         MassTable.__init__(self, self.dim, edges, masses,
                            self._base_density(np.maximum(edges, _TINY)),
-                           self.tail if math.isinf(hi) else None, self.interp)
-
-    # -- off-center masses ---------------------------------------------
-    def _radial_mass(self, d, r):
-        out = np.zeros_like(r)
-        centered = d == 0.0
-        if np.any(centered):
-            out[centered] = self._centered_mass(r[centered])
-        off = ~centered
-        if np.any(off):
-            out[off] = self._offcenter_mass(d[off], r[off])
-        return out
-
-    def _offcenter_mass(self, d, r):
-        # spheres with s <= r - d lie fully inside B(x, r)
-        out = self._centered_mass(np.clip(r - d, 0.0, None))
-        hi = self._hi
-        a = np.maximum(np.abs(d - r), self.lo_cut)
-        b = np.minimum(d + r, hi)
-        # the gap s - d is lead + width u, with lead = -r exactly where the
-        # window starts at d - r: no cancellation in s - d when r << d
-        start = (r < d) & (a == d - r)
-        lead = np.where(start, -r, a - d)
-        whole = start & (b == d + r)
-        width = np.where(whole, 2.0 * r, b - a)
-        # resolution grows with the relative width (b - a)/b, split at 0.05
-        # and 0.5: narrow windows see a smooth low-degree integrand; for even
-        # n, a narrow window clipped at lo_cut or hi takes the middle tier
-        tier = np.searchsorted((0.05, 0.5), (b - a) / np.maximum(b, _TINY))
-        tier[(tier == 0) & ~whole & (self.dim % 2 == 0)] = 1
-        tier[b <= a] = -1
-        for i, rule in enumerate((((0.0, 1.0), 10), ((0.0, 0.5, 1.0), 12),
-                                  ((0.0, 0.08, 0.5, 0.92, 1.0), self._window_k))):
-            u, w = _window_rule(*rule, self.dim % 2 == 0)
-            idx = np.flatnonzero(tier == i)
-            step = max(1, _WINDOW_NODES // len(u))
-            for rows in (idx[j:j + step] for j in range(0, len(idx), step)):
-                gap = width[rows, None] * u
-                s = gap + a[rows, None]
-                gap += lead[rows, None]
-                num = np.subtract(r[rows, None] ** 2, gap * gap, out=gap)  # 4 s d x
-                f = self._base_density(s.ravel()).reshape(s.shape)
-                scale = self._nwn * width[rows]
-                if self.dim == 3:                         # s^2 x = s num / (4 d)
-                    f *= s
-                    f *= num
-                    scale /= 4.0 * d[rows]
-                else:
-                    num /= 4.0 * s * d[rows, None]
-                    f *= s ** (self.dim - 1)
-                    f *= _cap_area(self.dim, num)
-                out[rows] += scale * (f @ w)
-        return out
-
-    # -- bookkeeping ----------------------------------------------------
-    def support_radius(self):
-        if self._total == 0.0:
-            return 0.0
-        if self._tail_total > 0:
-            return math.inf
-        nz = np.nonzero(self._piece_mass > 0)[0]
-        return float(self._edges[nz[-1] + 1]) if len(nz) else 0.0
+                           self.tail if math.isinf(hi) else None, self.interp,
+                           self._base_density, hi, window_order)
 
     def _scale(self, lam):
         if lam == 0.0:
@@ -628,17 +647,6 @@ class RadialDensity(MassTable):
                              lo_cut=self.lo_cut,
                              allow_infinite_mass=self.allow_infinite_mass,
                              interp=self.interp, window_order=self._window_k)
-
-    def effective_extent(self, rel_tol: float = 1e-12):
-        if self._tail_total == 0.0:
-            return self.support_radius()
-        if math.isinf(self._total):
-            return math.inf
-        A, tau = self.tail
-        e = self.dim - 1 - tau
-        target = rel_tol * self._total
-        radius = (target * (-e - 1.0) / (self._nwn * A)) ** (1.0 / (e + 1.0))
-        return max(float(self._edges[-1]), radius)
 
 
 class Sum(RadonMeasure):
@@ -753,7 +761,7 @@ def integrate_against(mu: RadonMeasure, g, quad: QuadratureConfig = DEFAULT_QUAD
             val = float(np.asarray(_radial_eval(g, np.atleast_1d(comp.radius), radial)).reshape(-1)[0])
             _check_sign(val)
             total += comp.total * val
-        elif isinstance(comp, RadialDensity):
+        elif isinstance(comp, MassTable):
             total += _integrate_density(comp, g, quad, radial)
         else:
             raise NonRadialMeasure(f"cannot integrate against {comp!r}")
@@ -775,7 +783,7 @@ def _check_sign(val):
         raise SignError("integrand is negative on the support")
 
 
-def _integrate_density(comp: RadialDensity, g, quad, radial) -> float:
+def _integrate_density(comp: MassTable, g, quad, radial) -> float:
     if comp.total_mass() == 0.0:
         return 0.0
     edges = comp._edges
@@ -807,38 +815,40 @@ def _integrate_density(comp: RadialDensity, g, quad, radial) -> float:
 def multiply_radial(mu: RadonMeasure, g) -> RadonMeasure:
     """Measure with density multiplied by a radial weight function g.
 
-    g must expose eval(r) (vectorized) plus tail_coeff/tail_exp and
-    center_value (RadialFunction does); the tail attributes drive the
-    composed power-law tail.
+    g must expose grid, eval_at(GridPoints) and eval (RadialFunction does),
+    plus tail_coeff/tail_exp and center_value; the tail attributes drive
+    the product's power-law tail.
     """
-    out = [_multiply_density(c, g) if isinstance(c, RadialDensity)
-           else _weigh_point(c, g) for c in mu.components()]
+    out = [weighting(c, g.grid, np.empty(0))(g)[0] for c in mu.components()]
     return Sum(out) if len(out) > 1 else out[0]
 
 
 def weighting(comp: RadonMeasure, wgrid, pts):
-    """g -> (multiply_radial(comp, g), centered masses only; its masses at pts)
-    for weights on wgrid: a density's table laid out and located here once."""
+    """g -> (comp times g, its centered masses at pts) for weights on wgrid:
+    a density's product table laid out and located here once.  The shell
+    values are formed in RadialDensity's order, so the table equals that of
+    the RadialDensity with the product as its density_fn."""
     from .radial_pde import GridPoints
-    if not isinstance(comp, RadialDensity):
+    if not isinstance(comp, MassTable):
         def point(g):
             m = _weigh_point(comp, g)
             return m, m.centered_mass(pts)
         return point
-    layout = _table_layout(_product_grid(comp, wgrid), comp.lo_cut, comp._hi)
+    layout = _table_layout(np.union1d(comp._edges, wgrid), comp.lo_cut, comp._hi)
     edges, points = layout[:2]
     k = len(points)
     at = np.append(points, np.maximum(edges, _TINY))
-    f = comp.density_at(at)
-    f[:k] *= comp._nwn * points ** (comp.dim - 1)
+    f, pw = comp.density_at(at), points ** (comp.dim - 1)
     at_pts, on_g = TablePoints(edges, pts), [None]
 
     def table(g):
         if on_g[0] is None or not on_g[0].on(g.grid):
             on_g[0] = GridPoints(g, at)
-        gf = f * np.maximum(g.eval_at(on_g[0]), 0.0)
-        masses = _piece_masses(_product_density(comp, g), comp.dim, layout, gf[:k])
-        m = MassTable(comp.dim, edges, masses, gf[k:], _product_tail(comp, g))
+        gf = np.maximum(f * np.maximum(g.eval_at(on_g[0]), 0.0), 0.0)
+        density = _product_density(comp, g)
+        masses = _piece_masses(density, comp.dim, layout, gf[:k] * comp._nwn * pw)
+        m = MassTable(comp.dim, edges, masses, gf[k:], _product_tail(comp, g),
+                      density=density, hi=comp._hi, window_k=comp._window_k)
         return m, m.mass_at(at_pts)
     return table
 
@@ -859,36 +869,16 @@ def _weigh_point(comp, g):
     raise NonRadialMeasure(f"cannot weight {comp!r}")
 
 
-def _product_grid(comp: RadialDensity, ggrid):
-    """Grid of comp times a weight on ggrid: both grids inside comp's range."""
-    grid = np.unique(np.concatenate([comp.grid, np.asarray(ggrid, dtype=float)]))
-    grid = grid[grid > 0]
-    if math.isfinite(comp._hi):
-        grid = grid[grid <= comp._hi]
-        if len(grid) == 0 or grid[-1] < comp._hi:
-            grid = np.append(grid, comp._hi)
-    return grid if len(grid) >= 2 else comp.grid
-
-
-def _product_tail(comp: RadialDensity, g):
+def _product_tail(comp: MassTable, g):
     """Power-law tail of comp times g, from both tails."""
-    if comp.tail is None or math.isfinite(comp._hi):
+    if comp._tail is None:
         return None
     gc = float(getattr(g, "tail_coeff", 0.0) or 0.0)
     ge = float(getattr(g, "tail_exp", 0.0) or 0.0)
-    return (comp.tail[0] * gc, comp.tail[1] + ge)
+    return (comp._tail[0] * gc, comp._tail[1] + ge)
 
 
-def _product_density(comp: RadialDensity, g):
+def _product_density(comp: MassTable, g):
     """The density of comp times the weight g."""
-    return lambda s: comp.density_at(s) * np.maximum(np.asarray(g.eval(s), dtype=float), 0.0)
-
-
-def _multiply_density(comp: RadialDensity, g) -> RadialDensity:
-    fn = _product_density(comp, g)
-    grid = _product_grid(comp, getattr(g, "grid", np.empty(0)))
-    return RadialDensity(comp.dim, grid, np.maximum(fn(grid), 0.0),
-                         density_fn=fn, tail=_product_tail(comp, g), cut=comp.cut,
-                         lo_cut=comp.lo_cut,
-                         allow_infinite_mass=comp.allow_infinite_mass,
-                         window_order=comp._window_k)
+    return lambda s: np.maximum(
+        comp.density_at(s) * np.maximum(np.asarray(g.eval(s), dtype=float), 0.0), 0.0)

@@ -98,7 +98,7 @@ def validate(pp: ProblemParams) -> ProblemParams:
             raise ExponentError(
                 f"growth exponent must satisfy 0 < q < p-1 = {pp.p - 1.0}, got {q}"
             )
-    if pp.gamma < 0:
+    if not pp.gamma >= 0:  # NaN too
         raise ModeMismatch(f"gamma must be >= 0, got {pp.gamma}")
     expected = _infer_mode(pp.gamma)
     if pp.mode is not expected:
@@ -155,8 +155,12 @@ class QuadratureConfig:
     conv_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (0 < self.r_min < self.r_max):
-            raise ValueError("need 0 < r_min < r_max")
+        if not (0 < self.r_min < self.r_max < math.inf):
+            raise ValueError("need 0 < r_min < r_max < inf")
+        for name in ("points_per_decade", "max_iter"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if not (0 < self.rel_tol < 1 and 0 < self.conv_tol < 1):
             raise ValueError("tolerances must lie in (0, 1)")
         if self.points_per_decade < 8:

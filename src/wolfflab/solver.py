@@ -8,8 +8,8 @@ and increases pointwise to the minimal solution.  Convergence requires
 both a small sup-relative change between iterates and agreement of the
 composed right-hand measure with the Riesz measure of the iterate.  Every
 iterate lives on one grid, so a step is array work on nodes fixed once
-per solve; the Riesz measure is built once, at the end, and per-step
-energies only with track_energies.
+per solve; the Riesz measure is the last step's composed measure, and
+per-step energies are computed only with track_energies.
 
 Endpoints: the bounded variant tracks sup norms under sup-norm finiteness
 hypotheses; the intrinsic (gamma = 0) variant runs the same Picard map
@@ -77,25 +77,11 @@ def _as_list(sigma_list):
     return list(sigma_list)
 
 
-def compose_measure(sigma_list, q_list, mu, u: RadialFunction) -> RadonMeasure:
-    """Right-hand measure sum_m sigma^(m) u^{q_m} + mu for the next solve."""
-    comps = []
-    for sig, q in zip(sigma_list, q_list):
-        if sig.total_mass() == 0.0:
-            continue
-        comps.append(multiply_radial(sig, u ** q))
-    if mu is not None and mu.total_mass() > 0:
-        comps.append(mu)
-    if not comps:
-        dim = mu.dim if mu is not None else sigma_list[0].dim
-        return zero_measure(dim)
-    return Sum(comps) if len(comps) > 1 else comps[0]
-
-
 def _fixed_composer(sigma_list, q_list, mu, wgrid, pts):
-    """compose_measure for iterates on wgrid, each sigma density's mass table
-    laid out and located here once, with the composed ball masses at pts
-    (mu's read once); the zero measure when the mass is not positive (or NaN)."""
+    """u -> (the measure sum_m sigma^(m) u^{q_m} + mu, its ball masses at
+    pts) for iterates on wgrid, each sigma density's mass table laid out and
+    located here once (mu's masses read once); the zero measure when the
+    mass is not positive (or NaN)."""
     terms = [([weighting(c, wgrid, pts) for c in s.components()], q)
              for s, q in zip(sigma_list, q_list) if s.total_mass() != 0.0]
     zero = zero_measure(mu.dim if mu is not None else sigma_list[0].dim)
@@ -128,8 +114,7 @@ def initial_subsolution(sigma: RadonMeasure, q: float, params: ProblemParams,
     v = solve_radial_p_laplace(tilde, params, quad, grid=grid)
     base = v ** beta
     lhs1 = riesz_ball_mass(base, params)
-    rhs1_measure = compose_measure([sigma], [q], None, base)
-    rhs1 = rhs1_measure.centered_mass(base.grid)
+    rhs1 = _fixed_composer([sigma], [q], None, base.grid, base.grid)(base)[1]
     live = lhs1 > 0
     if np.any(live & (rhs1 <= 0)):
         raise SubsolutionSearchFailed("coefficient measure cannot dominate the seed")
@@ -217,8 +202,7 @@ def _picard(sigma_list, q_list, mu, params, quad, u0, grid,
             converged = True
             break
         u_prev = u
-    return Solution(u=u, riesz=compose_measure(sigma_list, q_list, mu, u),
-                    residual_final=residual,
+    return Solution(u=u, riesz=current, residual_final=residual,
                     converged=converged, iterations_used=len(trace),
                     mode=params.mode, sup_norm=u.sup_norm, trace=trace)
 

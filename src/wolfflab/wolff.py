@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveR, NonRadialMeasure, ZeroMeasure
-from .measure import Atom, RadialDensity, RadonMeasure, SphericalShell, Sum
+from .measure import Atom, MassTable, RadialDensity, RadonMeasure, SphericalShell, Sum
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
 from .quadrature import (decade_tail, log_bisect, panel_sum, panelize,
                          power_law_head)
@@ -255,13 +255,13 @@ def wolff_sup_on_support(mu: RadonMeasure, params: ProblemParams,
         return math.inf  # the potential blows up at the atom itself
     # sample radii on the supports of the radial components
     radii = []
-    nd = max(1, sum(1 for c in radial if isinstance(c, RadialDensity)))
+    nd = max(1, sum(1 for c in radial if isinstance(c, MassTable)))
     per = max(8, sample_budget // max(nd, 1))
     include_zero = False
     for c in radial:
         if isinstance(c, SphericalShell):
             radii.append(np.array([c.radius]))
-        elif isinstance(c, RadialDensity):
+        elif isinstance(c, MassTable):
             hi = c.support_radius()
             if math.isinf(hi):
                 hi = quad.r_max
@@ -282,7 +282,8 @@ def cutoff_measure(mu: RadonMeasure, k: int, params: ProblemParams,
 
     Atoms never survive (the potential is infinite on them); radial
     densities are restricted with interpolated crossing radii so the
-    admissible set grows with k.
+    admissible set grows with k.  A product table (multiply_radial) has no
+    tabulated values to restrict and raises NonRadialMeasure.
     """
     validate(params)
     if k < 1:
@@ -290,6 +291,8 @@ def cutoff_measure(mu: RadonMeasure, k: int, params: ProblemParams,
     atom_free, atoms = _split(mu)
     if any(np.any(a.location) for a in atoms):
         raise NonRadialMeasure("cutoffs need a radial measure")
+    if any(not isinstance(c, (SphericalShell, RadialDensity)) for c in atom_free):
+        raise NonRadialMeasure("cutoffs need tabulated radial densities")
 
     ball_cap = 2.0 ** k
     kept = []

@@ -115,6 +115,27 @@ def test_solve_gamma_inf_atom_exit_2(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("section, field, literal", [
+    ("params", "gamma", "NaN"), ("quad", "max_iter", "200.5"),
+    ("quad", "points_per_decade", "1e400"), ("quad", "r_max", "1e400"),
+])
+def test_solve_malformed_number_exit_2(tmp_path, capsys, section, field, literal):
+    doc = {"params": dict(BASE_PARAMS), "quad": {"points_per_decade": 32},
+           "measures": {"sigma": {"type": "radial_density",
+                                  "profile": {"kind": "family", "a": 3.0,
+                                              "b": 1.0, "c": 2.25}}},
+           "command": {"sigma": ["sigma"], "mu": None, "output": "sol"}}
+    doc[section][field] = "@"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc).replace('"@"', literal))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path),
+                 "--json-errors"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert field in err["message"]
+    assert not (tmp_path / "sol.json").exists()
+
+
 def test_solve_not_converged_exit_4_writes_files(tmp_path):
     cfg = write_config(tmp_path, {
         "params": BASE_PARAMS,

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import beta, betainc
 
-from wolfflab import (Atom, NegativeRadius, NegativeScale, QuadratureConfig,
-                      RadialDensity, SignError, SphericalShell, Sum, add,
-                      ball_mass, dirac, integrate_against, scale,
+from wolfflab import (Atom, NegativeRadius, NegativeScale, NonRadialMeasure,
+                      QuadratureConfig, RadialDensity, SignError,
+                      SphericalShell, Sum, add, ball_mass, cutoff_measure,
+                      dirac, integrate_against, multiply_radial, params,
+                      riesz_measure_of, scale, solve_radial_p_laplace,
                       support_radius, total_mass, zero_measure)
 from wolfflab.families import family_density, family_density_fn
 from wolfflab.measure import (MassTable, TablePoints, _cap_area, cap_fraction,
@@ -19,6 +21,7 @@ from wolfflab.params import unit_ball_volume
 from wolfflab.radial_pde import RadialFunction
 
 from oracles import MC_LENS_VOLUME, mc_lens_volume, sphere_intersection_volume
+from reference import reference_product
 
 W3 = 4.0 * math.pi / 3.0
 
@@ -455,3 +458,88 @@ def test_weighting_locates_a_weight_on_another_grid_afresh(quad):
     assert np.array_equal(masses, fresh)
     assert np.array_equal(table.centered_mass(pts), fresh)
     assert table.total_mass() == fresh_table.total_mass()
+
+
+# -- products of a density and a weight ---------------------------------------
+
+def _product_density_case(case, quad):
+    fn = family_density_fn(2.0, 0.8, 2.5)
+    if case == "tailed":
+        return family_density(3, 2.0, 0.8, 2.5, quad)
+    if case == "cut":
+        return family_density(3, 2.0, 0.8, 2.5, quad, cut=1.7)
+    if case == "lo_cut":
+        return RadialDensity.from_function(3, fn, quad, tail=(2.0 * 0.8 ** 5, 5.0),
+                                           lo_cut=0.3)
+    if case == "infinite":
+        return RadialDensity.from_function(3, lambda s: np.asarray(s, float) ** -2.5,
+                                           quad, tail=(1.0, 2.5), allow_infinite_mass=True)
+    pp = params(3, 2.0, 0.5, 1.0)  # a reconstructed Riesz measure
+    return riesz_measure_of(solve_radial_p_laplace(family_density(3, 1.0, 1.0, 2.5, quad),
+                                                   pp, quad), pp)
+
+
+def _product_weights(quad):
+    grid = quad.radial_grid()
+    other = np.geomspace(3e-4, 3e3, 90)
+    u = 1.0 / np.sqrt(1.0 + grid ** 2)
+    yield RadialFunction(grid, u, 1.0, 1.0, 1.0, -grid * u ** 3)  # Hermite, tailed
+    yield RadialFunction(other, np.exp(-other), 0.0, 1.0, 1.0)   # zero tail, other grid
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", ["tailed", "cut", "lo_cut", "infinite", "segment"])
+def test_product_table_is_the_product_density(case):
+    # multiply_radial builds, bit for bit, the table of the RadialDensity
+    # whose density_fn is the product: the same layout, piece masses, edge
+    # values and every mass read from them
+    quad = QuadratureConfig(points_per_decade=16)
+    comp = _product_density_case(case, quad)
+    for g in _product_weights(quad):
+        got, ref = multiply_radial(comp, g), reference_product(comp, g)
+        for name in ("_edges", "_piece_mass", "_edge_vals"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name), equal_nan=True)
+        edges = ref._edges[ref._edges > 0]
+        r = np.concatenate([[0.0, edges[0] * 1e-3], edges, np.sqrt(edges[1:] * edges[:-1]),
+                            edges[-1] * np.array([1.5, 1e3])])
+        assert np.array_equal(got.centered_mass(r), ref.centered_mass(r))
+        d = np.repeat([0.05, 0.9, 4.0], 7)
+        rr = d * np.tile([1e-3, 0.04, 0.3, 0.99, 1.0, 1.7, 30.0], 3)
+        assert np.array_equal(got._radial_mass(d, rr), ref._radial_mass(d, rr))
+        for name in ("total_mass", "support_radius", "effective_extent"):
+            assert getattr(got, name)() == getattr(ref, name)()
+        weight = lambda s: 1.0 / (1.0 + np.asarray(s, float))
+        assert integrate_against(got, weight, quad) == integrate_against(ref, weight, quad)
+
+
+def test_product_of_atoms_shells_and_a_density(quad):
+    comp = family_density(3, 1.0, 1.0, 2.5, quad)
+    mu = Sum([dirac(3, 0.2), SphericalShell(3, 0.7, 0.3), comp])
+    g = next(_product_weights(quad))
+    got = multiply_radial(mu, g).components()
+    assert got[0].weight == 0.2 * g.center_value
+    assert got[1].total == 0.3 * g.eval(0.7)
+    ref = reference_product(comp, g)
+    r = np.geomspace(1e-3, 1e3, 50)
+    assert np.array_equal(got[2].centered_mass(r), ref.centered_mass(r))
+
+
+def test_product_scales_multiplies_and_has_no_cutoff(quad):
+    comp = family_density(3, 1.0, 1.0, 2.5, quad)
+    weights = list(_product_weights(quad))
+    prod = multiply_radial(comp, weights[0])
+    r = np.geomspace(1e-3, 1e3, 50)
+    double = scale(prod, 2.0)
+    assert np.array_equal(double.centered_mass(r), 2.0 * prod.centered_mass(r))
+    assert np.array_equal(double.ball_mass([0.0, 0.0, 1.0], r),
+                          2.0 * prod.ball_mass([0.0, 0.0, 1.0], r))
+    assert np.array_equal(double.density_at(r), 2.0 * prod.density_at(r))
+    assert scale(prod, 0.0).total_mass() == 0.0
+    # a product of a product: its density is the product of both weights
+    twice = multiply_radial(prod, weights[1])
+    assert np.array_equal(twice.density_at(r),
+                          prod.density_at(r) * np.maximum(weights[1].eval(r), 0.0))
+    want = integrate_against(prod, lambda s: weights[1].eval(s), quad)
+    assert twice.total_mass() == pytest.approx(want, rel=1e-6)
+    with pytest.raises(NonRadialMeasure):
+        cutoff_measure(prod, 2, params(3, 2.0, 0.5, 1.0), quad)

@@ -118,6 +118,20 @@ def test_quadrature_config_invariants():
     assert g[0] == pytest.approx(1e-6) and g[-1] == pytest.approx(1e6)
 
 
+def test_validate_rejects_nan_gamma():
+    with pytest.raises(ModeMismatch):
+        validate(ProblemParams(n=3, p=2.0, q_list=(0.5,), gamma=math.nan))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iter", 200.5), ("max_iter", True), ("points_per_decade", 32.0),
+    ("points_per_decade", math.inf), ("r_max", math.inf),
+])
+def test_quadrature_config_rejects_malformed_numbers(field, value):
+    with pytest.raises(ValueError, match=field):
+        QuadratureConfig(**{field: value})
+
+
 def test_refine_doubles_density():
     q = QuadratureConfig()
     assert q.refine().points_per_decade == 2 * q.points_per_decade

@@ -8,13 +8,16 @@ from wolfflab import (DivergentTail, ModeMismatch, NotConverged,
                       QuadratureConfig, RadialDensity, SphericalShell,
                       UnboundedCondition,
                       ZeroMeasure, add, dirac, initial_subsolution,
-                      intrinsic_fixed_point, iterate_once, params,
+                      intrinsic_fixed_point, iterate_once, multiply_radial, params,
                       riesz_ball_mass, scale, solve_bounded_endpoint,
                       solve_minimal, solve_radial_p_laplace,
                       solve_with_exhaustion, verify_solution, zero_measure)
 from wolfflab.families import family_density
-from wolfflab.solver import _fixed_composer, compose_measure
+from wolfflab.measure import Sum
+from wolfflab.solver import _fixed_composer
 from wolfflab.radial_pde import marked_grid, zero_profile
+
+from reference import reference_product
 
 
 def manufactured_sigma(quad):
@@ -62,7 +65,7 @@ def test_initial_subsolution_is_subsolution(pp3, quad):
     sigma = RadialDensity.uniform_ball(3, 1.0, 1.0, quad)
     u0 = initial_subsolution(sigma, 0.5, pp3, quad)
     lhs = riesz_ball_mass(u0, pp3)
-    rhs = compose_measure([sigma], [0.5], None, u0).centered_mass(u0.grid)
+    rhs = multiply_radial(sigma, u0 ** 0.5).centered_mass(u0.grid)
     live = lhs > 0
     assert np.all(lhs[live] <= rhs[live] * (1.0 + 1e-9))
 
@@ -136,7 +139,7 @@ def test_minimality_probe(pp3, quad):
     for lam in (1.5, 3.0, 10.0):
         w = u.scaled(lam ** (1.0 / (pp3.p - 1.0)))
         m_w = riesz_ball_mass(w, pp3)
-        need = compose_measure([sigma], [0.5], mu, w).centered_mass(w.grid)
+        need = add(multiply_radial(sigma, w ** 0.5), mu).centered_mass(w.grid)
         live = need > 0
         assert np.all(m_w[live] >= need[live] * (1 - 1e-9))  # supersolution
         assert np.all(u.values <= w.values * (1.0 + 1e-6))  # minimality
@@ -325,9 +328,10 @@ def _step_case(case, n, quad):
                                  (5, 1.5), (5, 2.0), (5, 2.95)])
 @pytest.mark.parametrize("case", ["tailed", "cut", "shell_atom_mu", "infinite"])
 def test_fixed_step_matches_composed_solve(case, n, p):
-    # one step on the fixed node sets against the solve of the measure
-    # compose_measure builds, to 1e-12 in every node value, the center
-    # value, the tail coefficient and every node ball mass
+    # one step on the fixed node sets against the solve of the composed
+    # measure built from reference products: the same node values, slopes,
+    # center value and tail, and the same node ball masses (to 1e-15 when
+    # mu has several parts: the composer adds mu's masses first)
     quad = QuadratureConfig(points_per_decade=16)
     pp = params(n, p, 0.5 * (p - 1.0), 1.0)
     qs = [pp.q]
@@ -338,7 +342,7 @@ def test_fixed_step_matches_composed_solve(case, n, p):
         u = solve_radial_p_laplace(family_density(n, 1.0, 1.0, n / 2.0 + 1.0, quad),
                                    pp, quad, grid=grid)
         assert np.array_equal(u.grid, grid)
-        nu = compose_measure([sigma], qs, mu, u)
+        nu = Sum([reference_product(sigma, u ** qs[0])] + ([mu] if mu else []))
         try:
             ref = solve_radial_p_laplace(nu, pp, quad, grid=grid)
         except DivergentTail:
@@ -347,14 +351,12 @@ def test_fixed_step_matches_composed_solve(case, n, p):
             return
         got = iterate_once(u, [sigma], qs, mu, pp, quad, grid=grid)
         masses = _fixed_composer([sigma], qs, mu, grid, grid)(u)[1]
-    rel = dict(rtol=1e-12, atol=0.0)
-    assert np.array_equal(got.grid, ref.grid)
-    assert np.allclose(got.values, ref.values, **rel)
-    assert np.allclose(got.deriv, ref.deriv, **rel)
-    assert np.allclose(got.center_value, ref.center_value, **rel)
-    assert np.allclose(got.tail_coeff, ref.tail_coeff, **rel)
-    assert got.tail_exp == pytest.approx(ref.tail_exp, rel=1e-12)
-    assert np.allclose(masses[:len(grid)], nu.centered_mass(grid), **rel)
+    for name in ("grid", "values", "deriv", "center_value", "tail_coeff", "tail_exp"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name))
+    if mu is None:
+        assert np.array_equal(masses[:len(grid)], nu.centered_mass(grid))
+    else:
+        assert np.allclose(masses[:len(grid)], nu.centered_mass(grid), rtol=1e-15, atol=0.0)
 
 
 def _count_calls(monkeypatch):
@@ -386,7 +388,9 @@ def _count_calls(monkeypatch):
 def test_picard_steps_build_no_measures(pp3, monkeypatch):
     # without track_energies a step builds no RadialDensity and calls
     # neither multiply_radial nor integrate_against: 10 and 30 allowed
-    # steps cost the same number of such calls
+    # steps cost the same number of such calls.  Nor does the solve build
+    # a product after the loop: its one RadialDensity is the subsolution's
+    # scaled sigma, and it never calls multiply_radial
     counts = _count_calls(monkeypatch)
     seen = []
     for max_iter in (10, 30):
@@ -401,6 +405,7 @@ def test_picard_steps_build_no_measures(pp3, monkeypatch):
         seen.append({k: counts[k] - before[k] for k in counts})
         assert all(st.energies == {} for st in sol.trace)
     assert seen[0] == seen[1]
+    assert seen[0]["init"] == 1 and seen[0]["multiply_radial"] == 0
     assert sol.iterations_used > 10
 
 
