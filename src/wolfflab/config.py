@@ -60,18 +60,23 @@ def parse_config(doc: dict) -> RunConfig:
     command = doc.get("command", {})
     if not isinstance(command, dict):
         raise ConfigError("command: must be an object")
-    seed = doc.get("seed", 0)
-    cfg = RunConfig(params=params, quad=quad, measures=measures,
-                    command=command, seed=int(seed), raw=doc)
+    cfg = RunConfig(params=params, quad=quad, measures=measures, command=command,
+                    seed=_integer(doc.get("seed", 0), "seed"), raw=doc)
     _check_references(cfg)
     return cfg
+
+
+def _integer(value, where: str) -> int:
+    if type(value) is not int:
+        raise ConfigError(f"{where}: need an integer, got {value!r}")
+    return value
 
 
 def _parse_params(section) -> ProblemParams:
     if not isinstance(section, dict):
         raise ConfigError("params: section is required")
     try:
-        n = int(section["n"])
+        n = _integer(section["n"], "params.n")
         p = float(section["p"])
         q = section["q"]
         gamma = section["gamma"]
@@ -142,6 +147,8 @@ def _parse_density(desc, dim, quad, where) -> RadialDensity:
         raise ConfigError(f"{where}.profile: needs a 'kind'")
     cut = desc.get("cut")
     lo_cut = float(desc.get("lo_cut", 0.0))
+    if not lo_cut >= 0.0 or (cut is not None and math.isnan(float(cut))):
+        raise ConfigError(f"{where}: need lo_cut >= 0 and cut not NaN, got {lo_cut}, {cut}")
     allow = bool(desc.get("allow_infinite_mass", False))
     tail = desc.get("tail")
     kind = profile["kind"]

@@ -28,7 +28,7 @@ from .errors import (
     SignError,
 )
 from .params import DEFAULT_QUAD, QuadratureConfig, unit_ball_volume
-from .quadrature import decade_tail, panel_nodes, panel_sum, power_law_head
+from .quadrature import _HEAD_FIT, decade_tail, panel_nodes, panel_sum, power_law_head
 
 _TINY = 1e-300
 # nodes per fused window pass, updated in place: bounds its temporaries
@@ -493,15 +493,17 @@ def _table_layout(grid, lo_cut, hi):
 
 def _piece_masses(density, dim, layout, vals=None):
     """Piece masses of a density on a _table_layout; vals, when known, are
-    its shell mass n omega_n s^{n-1} density(s) at the layout's points."""
+    its shell mass n omega_n s^{n-1} density(s) at the layout's points and
+    then at its head's fit points."""
     edges, points, weights, piece, head = layout
     nwn = dim * unit_ball_volume(dim)
     shell = lambda s, _=None: density(s) * nwn * s ** (dim - 1)
     vals = shell(points) if vals is None else vals
-    masses = np.bincount(piece, (vals.reshape(weights.shape) * weights).sum(axis=1),
-                         minlength=len(edges) - 1)
+    sums = (vals[:len(points)].reshape(weights.shape) * weights).sum(axis=1)
+    masses = np.bincount(piece, sums, minlength=len(edges) - 1)
     if head is not None:
-        masses[0] += power_law_head(shell, head)
+        fit = vals[len(points):]
+        masses[0] += power_law_head(shell, head, fit if len(fit) else None)
     return masses
 
 
@@ -547,7 +549,7 @@ class RadialDensity(MassTable):
             raise ValueError("tail coefficient must be >= 0")
         self.cut = None if cut is None else float(cut)
         self.lo_cut = float(lo_cut)
-        if self.lo_cut < 0:
+        if not self.lo_cut >= 0:
             raise ValueError("lo_cut must be >= 0")
         self.allow_infinite_mass = bool(allow_infinite_mass)
         self.interp = interp
@@ -835,10 +837,11 @@ def weighting(comp: RadonMeasure, wgrid, pts):
             return m, m.centered_mass(pts)
         return point
     layout = _table_layout(np.union1d(comp._edges, wgrid), comp.lo_cut, comp._hi)
-    edges, points = layout[:2]
-    k = len(points)
-    at = np.append(points, np.maximum(edges, _TINY))
-    f, pw = comp.density_at(at), points ** (comp.dim - 1)
+    edges, points, head = layout[0], layout[1], layout[4]
+    shells = np.append(points, [] if head is None else head * _HEAD_FIT)
+    k = len(shells)
+    at = np.append(shells, np.maximum(edges, _TINY))
+    f, pw = comp.density_at(at), shells ** (comp.dim - 1)
     at_pts, on_g = TablePoints(edges, pts), [None]
 
     def table(g):

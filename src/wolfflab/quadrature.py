@@ -106,9 +106,10 @@ def panel_sum(f, edges, k: int, rows: int = None):
     return float(np.sum(vals)) if rows is None else vals.reshape(rows, -1).sum(axis=1)
 
 
-def power_law_head(f, r0):
+def power_law_head(f, r0, fit=None):
     """Integral of f over (0, r0) for f ~ C r^kappa below r0, elementwise
-    over an array of r0.
+    over an array of r0.  fit, when known, is f at r0 * (1/4, 1/2, 1), of
+    shape (3,) + shape(r0), and f is then called only for a stub.
 
     kappa is fitted from f(r0/4) and f(r0/2) and the power law is anchored
     at f(r0).  The head is 0 where f(r0/2) = 0, inf where kappa <= -1 or a
@@ -121,7 +122,8 @@ def power_law_head(f, r0):
     columns, which alone are evaluated there.
     """
     r0 = np.asarray(r0, dtype=float)
-    y = np.asarray(f(np.multiply.outer(_HEAD_FIT, r0), ...), dtype=float)
+    y = np.asarray(f(np.multiply.outer(_HEAD_FIT, r0), ...) if fit is None else fit,
+                   dtype=float)
     y_q, y_h, y_0 = y
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kappa = np.log2(y_h / y_q)

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import DivergentTail, NonMonotoneProfile, NonRadialMeasure
 from .measure import RadialDensity, RadonMeasure
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
-from .quadrature import decade_tail, panel_nodes, panel_sum, power_law_head
+from .quadrature import (_HEAD_FIT, decade_tail, gauss_rule, panel_nodes, panel_sum,
+                         power_law_head)
 
 _TINY = 1e-300
 
@@ -264,9 +265,10 @@ def marked_grid(grid, measures):
 
 def solve_points(grid, quad: QuadratureConfig = DEFAULT_QUAD):
     """Radii where the radial solve on grid reads ball masses: the grid,
-    then the Gauss nodes panel by panel."""
+    the Gauss nodes panel by panel, then grid[0] / 4 and grid[0] / 2 (the
+    head's fit points)."""
     nodes, _ = panel_nodes(grid, quad.gauss_order)
-    return np.concatenate([grid, nodes.ravel()])
+    return np.concatenate([grid, nodes.ravel(), grid[0] * _HEAD_FIT[:2]])
 
 
 def solve_radial_p_laplace(nu: RadonMeasure, params: ProblemParams,
@@ -274,14 +276,14 @@ def solve_radial_p_laplace(nu: RadonMeasure, params: ProblemParams,
                            grid=None) -> RadialFunction:
     """Radial p-superharmonic potential of a radial measure."""
     grid = marked_grid(quad.radial_grid() if grid is None else grid, [nu])
-    return _solve_on_grid(nu, nu.centered_mass(solve_points(grid, quad)),
-                          params, quad, grid)
+    pts = solve_points(grid, quad)
+    return _solve_on_grid(nu, pts, nu.centered_mass(pts), params, quad, grid)
 
 
-def _solve_on_grid(nu: RadonMeasure, masses, params: ProblemParams,
+def _solve_on_grid(nu: RadonMeasure, pts, masses, params: ProblemParams,
                    quad: QuadratureConfig, grid) -> RadialFunction:
     """solve_radial_p_laplace on a grid holding nu's marks, with nu's ball
-    masses at solve_points(grid, quad) given."""
+    masses at pts = solve_points(grid, quad) given."""
     validate(params)
     if not nu.is_radial:
         raise NonRadialMeasure("the radial solver needs a radial measure")
@@ -296,9 +298,10 @@ def _solve_on_grid(nu: RadonMeasure, masses, params: ProblemParams,
         m = nu.centered_mass(s) if m is None else m
         return (np.maximum(m, 0.0) / (nwn * s ** (n - 1))) ** ipm1
 
-    hv = h(solve_points(grid, quad), masses)
-    # per-segment Gauss integrals of h
-    seg = panel_sum(hv[len(grid):], grid, quad.gauss_order, rows=len(grid) - 1)
+    hv = h(pts, masses)
+    # per-segment Gauss integrals of h (panel_nodes' weights)
+    weights = (0.5 * np.diff(grid))[:, None] * gauss_rule(quad.gauss_order)[1]
+    seg = (hv[len(grid):-2].reshape(weights.shape) * weights).sum(axis=1)  # Gauss nodes
 
     # tail beyond the last node
     m_end = masses[len(grid) - 1]
@@ -315,7 +318,7 @@ def _solve_on_grid(nu: RadonMeasure, masses, params: ProblemParams,
     u = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + tail_val
     deriv = -hv[:len(grid)]
 
-    center = u[0] + power_law_head(lambda r, _: h(r), grid[0])
+    center = u[0] + power_law_head(lambda r, _: h(r), grid[0], hv[[-2, -1, 0]])
     return RadialFunction(grid, u, tail_coeff, tail_exp, center, deriv,
                           mass_fn=nu.centered_mass, mass_pow=(n, p, nwn))
 

@@ -4,12 +4,13 @@
 The scheme starts from an explicit subsolution (or from zero when the
 pure measure term is present), solves the linear-in-measure problem
 -Delta_p u_{j+1} = sum_m sigma^(m) u_j^{q_m} + mu exactly at each step,
-and increases pointwise to the minimal solution.  Convergence requires
-both a small sup-relative change between iterates and agreement of the
-composed right-hand measure with the Riesz measure of the iterate.  Every
-iterate lives on one grid, so a step is array work on nodes fixed once
-per solve; the Riesz measure is the last step's composed measure, and
-per-step energies are computed only with track_energies.
+and increases pointwise to the minimal solution (with mu = 0 and one q it
+first finds the fixed point's shape, then its scale).  Convergence needs a
+small sup-relative change between iterates and agreement of the composed
+right-hand measure with the Riesz measure of the iterate.  Every iterate
+lives on one grid, so a step is array work on nodes fixed once per solve;
+the Riesz measure is the last step's composed measure, and per-step
+energies are computed only with track_energies.
 
 Endpoints: the bounded variant tracks sup norms under sup-norm finiteness
 hypotheses; the intrinsic (gamma = 0) variant runs the same Picard map
@@ -42,6 +43,8 @@ from .wolff import (cutoff_measure, truncated_wolff, wolff_profile,
 
 _EPS = 1e-300
 _TRUNCATION_BOUND = 10.0
+# the split's estimate is certified from this many rel_tol below it
+_SPLIT_GAP = 10.0
 
 
 @dataclass
@@ -135,7 +138,8 @@ def iterate_once(u_prev: RadialFunction, sigma_list, q_list, mu,
     sigma_list = _as_list(sigma_list)
     nu = _fixed_composer(sigma_list, q_list, mu, u_prev.grid, np.empty(0))(u_prev)[0]
     grid = marked_grid(quad.radial_grid() if grid is None else grid, [nu])
-    return _solve_on_grid(nu, nu.centered_mass(solve_points(grid, quad)), params, quad, grid)
+    pts = solve_points(grid, quad)
+    return _solve_on_grid(nu, pts, nu.centered_mass(pts), params, quad, grid)
 
 
 def _inputs(sigma_list, q_list, mu, params, quad, mode, mismatch):
@@ -156,55 +160,86 @@ def _inputs(sigma_list, q_list, mu, params, quad, mode, mismatch):
 
 def _picard(sigma_list, q_list, mu, params, quad, u0, grid,
             track_energies=False) -> Solution:
-    """Picard iteration u_{j+1} = potential of sum_m sigma^(m) u_j^{q_m} + mu
-    from u0 on the grid; one exact solve when every sigma vanishes.
+    """Picard iteration u_{j+1} = T(u_j), the potential of
+    sum_m sigma^(m) u_j^{q_m} + mu, from u0 on the grid; one exact solve
+    when every sigma vanishes.
 
-    Iterates must increase except at gamma = 0, whose seed may start above
-    the solution; at gamma = inf each step records the sup-recursion
-    constant."""
+    With mu = 0 and one live q, T(cu) = c^r T(u), r = q/(p-1): the shape
+    w <- T(w)/lam, lam = sup T(w), runs from u0/sup u0 to residual
+    rel_tol (1-r), and plain steps certify lam^{1/(1-r)} w, taken _SPLIT_GAP
+    rel_tol below (it lies above u0; they increase and converge).  A scale
+    that is no positive double, or a failed certificate, restarts plain
+    Picard from u0 with the steps left.  Iterates must increase except at
+    gamma = 0, whose seed may start above the solution; at gamma = inf each
+    step records the sup-recursion constant of its estimate."""
     if not any(s.total_mass() > 0 for s in sigma_list):
         u = solve_radial_p_laplace(mu, params, quad, grid=grid)
         return Solution(u=u, riesz=mu, residual_final=0.0, converged=True,
                         iterations_used=1, mode=params.mode, sup_norm=u.sup_norm)
     monotone = params.mode is not Mode.GAMMA_ZERO
     sup_recursion = params.mode is Mode.GAMMA_INFINITY
-    compose = _fixed_composer(sigma_list, q_list, mu, grid, solve_points(grid, quad))
-    trace = []
-    u_prev = u0
-    current, cur_m = compose(u_prev)
-    q_bar = max(q_list) if q_list else 0.0
-    residual = math.inf
-    converged = False
-    u = u_prev
+    pts = solve_points(grid, quad)
+    compose = _fixed_composer(sigma_list, q_list, mu, grid, pts)
+    qs = {q for s, q in zip(sigma_list, q_list) if s.total_mass() > 0}
+    r = max(qs) / (params.p - 1.0)
+    phase = "shape" if len(qs) == 1 and mu.total_mass() == 0.0 \
+        and 0 < u0.sup_norm < math.inf else "plain"
+    u_prev = u0.scaled(1.0 / u0.sup_norm) if phase == "shape" else u0
+    (current, cur_m), est_prev = compose(u_prev), u0
+    trace, residual, converged, log_scale, u = [], math.inf, False, None, u0
     for j in range(1, quad.max_iter + 1):
-        u = _solve_on_grid(current, cur_m, params, quad, grid)
+        u = _solve_on_grid(current, pts, cur_m, params, quad, grid)
+        if phase == "shape":
+            lam = u.sup_norm
+            log_scale = math.log(lam) / (1.0 - r) if 0 < lam < math.inf else math.nan
+            scale = math.exp(log_scale) if log_scale < 709.0 else math.inf
+            if not 0 < scale < math.inf:
+                trace.append(IterationState(j, math.nan, math.nan, scale))
+                u_prev, est_prev, (current, cur_m), phase = u0, u0, compose(u0), "plain"
+                continue
+            u = u.scaled(1.0 / lam)
         # at the nodes eval returns the stored values
         prev_vals = u_prev.values if np.array_equal(u_prev.grid, u.grid) else u_prev.eval(u.grid)
-        if monotone and np.any(u.values < prev_vals - 1e-12):
-            worst = float(np.max(prev_vals - u.values))
-            raise MonotonicityViolated(
-                f"iterate decreased by {worst:.3e} at step {j}")
         residual = float(np.max(np.abs(u.values - prev_vals)
                                 / np.maximum(u.values, _EPS))) if len(u.grid) else 0.0
         nxt, nxt_m = compose(u)
         m1, m0 = nxt_m[:len(grid)], cur_m[:len(grid)]  # at the grid nodes
         mass_residual = float(np.max(np.abs(m1 - m0) / np.maximum(m1, _EPS)))
+        est = u.scaled(scale) if phase == "shape" else u
         state = IterationState(j=j, residual=residual, mass_residual=mass_residual,
-                               sup_norm=u.sup_norm)
+                               sup_norm=est.sup_norm)
         if track_energies:
-            state.energies = _cheap_energies(u, sigma_list, q_list, params, quad)
-        if sup_recursion and u_prev.sup_norm > 0:
+            state.energies = _cheap_energies(est, sigma_list, q_list, params, quad)
+        if sup_recursion and est_prev.sup_norm > 0:
             state.energies["sup_recursion_constant"] = \
-                u.sup_norm / (u_prev.sup_norm ** (q_bar / (params.p - 1.0)) + 1.0)
+                est.sup_norm / (est_prev.sup_norm ** r + 1.0)
         trace.append(state)
-        current, cur_m = nxt, nxt_m
-        if residual <= quad.conv_tol and mass_residual <= 10.0 * quad.rel_tol:
+        current, cur_m, u_prev, est_prev = nxt, nxt_m, u, est
+        if phase == "shape":
+            if residual <= quad.rel_tol * (1.0 - r):
+                u = est.scaled(1.0 - _SPLIT_GAP * quad.rel_tol)
+                u0_vals = u0.values if np.array_equal(u0.grid, grid) else u0.eval(grid)
+                phase = "plain" if monotone and np.any(u.values < u0_vals) else "certify"
+                u_prev, est_prev, (current, cur_m) = \
+                    (u, u, compose(u)) if phase == "certify" else (u0, u0, compose(u0))
+            continue
+        # relative when certifying: the split's estimate may be tiny
+        floor = prev_vals - 1e-12 if phase == "plain" else prev_vals * (1.0 - 1e-12)
+        if monotone and np.any(u.values < floor):
+            if phase == "plain":
+                worst = float(np.max(prev_vals - u.values))
+                raise MonotonicityViolated(
+                    f"iterate decreased by {worst:.3e} at step {j}")
+            u_prev, est_prev, (current, cur_m), phase = u0, u0, compose(u0), "plain"
+        elif residual <= quad.conv_tol and mass_residual <= 10.0 * quad.rel_tol:
             converged = True
             break
-        u_prev = u
+    u = est if phase == "shape" else u  # unconverged: riesz is u's measure
+    current = current if converged else compose(u)[0]
     return Solution(u=u, riesz=current, residual_final=residual,
                     converged=converged, iterations_used=len(trace),
-                    mode=params.mode, sup_norm=u.sup_norm, trace=trace)
+                    mode=params.mode, sup_norm=u.sup_norm, trace=trace,
+                    extras={} if log_scale is None else {"log_scale": log_scale})
 
 
 def _cheap_energies(u, sigma_list, q_list, params, quad):

@@ -19,3 +19,18 @@ def reference_product(comp: RadialDensity, g) -> RadialDensity:
     return RadialDensity(comp.dim, grid, np.maximum(fn(grid), 0.0), density_fn=fn,
                          tail=tail, cut=comp.cut, lo_cut=comp.lo_cut,
                          allow_infinite_mass=True, window_order=comp._window_k)
+
+
+def plain_picard(u0, sigma_list, q_list, mu, pp, quad, grid, tol, max_steps=400):
+    """Plain Picard iteration u <- iterate_once(u) from u0 on grid until the
+    sup-relative change of a step is at most tol; None when it does not get
+    there within max_steps."""
+    from wolfflab import iterate_once
+    u = u0
+    for _ in range(max_steps):
+        nxt = iterate_once(u, sigma_list, q_list, mu, pp, quad, grid=grid)
+        change = np.max(np.abs(nxt.values - u.values) / np.maximum(nxt.values, 1e-300))
+        u = nxt
+        if change <= tol:
+            return u
+    return None

@@ -136,6 +136,31 @@ def test_solve_malformed_number_exit_2(tmp_path, capsys, section, field, literal
     assert not (tmp_path / "sol.json").exists()
 
 
+@pytest.mark.parametrize("where, literal", [
+    ("params.n", "3.7"), ("params.n", "true"), ("seed", "2.5"), ("seed", "true"),
+    ("sigma.lo_cut", "NaN"), ("sigma.lo_cut", "-0.5"), ("sigma.cut", "NaN"),
+])
+def test_solve_bad_integer_or_cut_exit_2(tmp_path, capsys, where, literal):
+    # integer fields take integers only, and cuts are numbers (lo_cut >= 0)
+    doc = {"params": dict(BASE_PARAMS), "quad": {"points_per_decade": 16}, "seed": 0,
+           "measures": {"sigma": {"type": "radial_density",
+                                  "profile": {"kind": "family", "a": 3.0,
+                                              "b": 1.0, "c": 2.25}}},
+           "command": {"sigma": ["sigma"], "mu": None, "output": "sol"}}
+    section, field = where.split(".") if "." in where else (None, where)
+    target = doc if section is None else \
+        doc["params"] if section == "params" else doc["measures"][section]
+    target[field] = "@"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc).replace('"@"', literal))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path),
+                 "--json-errors"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert field.split("_")[-1] in err["message"]
+    assert not (tmp_path / "sol.json").exists()
+
+
 def test_solve_not_converged_exit_4_writes_files(tmp_path):
     cfg = write_config(tmp_path, {
         "params": BASE_PARAMS,

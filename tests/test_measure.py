@@ -182,6 +182,13 @@ def test_negative_guards(quad):
         scale(ball, -1.0)
 
 
+@pytest.mark.parametrize("lo_cut", [math.nan, -0.5])
+def test_lo_cut_must_be_nonnegative(quad, lo_cut):
+    grid = quad.radial_grid()
+    with pytest.raises(ValueError, match="lo_cut"):
+        RadialDensity(3, grid, np.ones_like(grid), lo_cut=lo_cut)
+
+
 def test_infinite_mass_needs_flag(quad):
     fn = lambda s: (1.0 + np.asarray(s, float)) ** (-1.0)
     with pytest.raises(ValueError):
