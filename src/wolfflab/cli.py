@@ -296,9 +296,9 @@ def cmd_checks(args) -> int:
     if workers > 1:
         # The instances spend most of their time in Python and hold the
         # GIL, so threads do not overlap them.  Forked workers inherit the
-        # imported numpy/scipy and the parsed config; spawn or forkserver
-        # would import them again in every worker, which costs more than a
-        # small check.
+        # imported numpy and wolfflab and the parsed config; spawn or
+        # forkserver would import them again in every worker, which costs
+        # more than a small check.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(

@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import (
     InfiniteEnergy,
@@ -45,7 +44,7 @@ def _cap_area(n: int, x):
     if n == 5:
         return x * x * (3.0 - 2.0 * x)
     if n not in (2, 4):
-        return betainc(0.5 * (n - 1), 0.5 * (n - 1), x)
+        return _cap_series(0.5 * (n - 1), x)
     phi = 4.0 * np.arcsin(np.sqrt(x))     # the cap's full angle
     if n == 2:
         return phi / (2.0 * math.pi)
@@ -53,6 +52,20 @@ def _cap_area(n: int, x):
     small = phi < 0.7
     out[small] = phi[small] ** 3 * np.polyval(_PHI_SERIES, phi[small] ** 2)
     return out / (2.0 * math.pi)
+
+
+def _cap_series(a: float, x):
+    """I_x(a, a) = x^a (1-x)^a / (a B(a, a)) * 2F1(2a, 1; a+1; x) (DLMF
+    8.17.8), positive terms of ratio below 2x, at min(x, 1-x) <= 1/2 and
+    reflected by I_x(a, a) = 1 - I_{1-x}(a, a)."""
+    y = np.minimum(x, 1.0 - x)
+    term, total, k = np.ones_like(y), np.ones_like(y), 0
+    while np.any(term > 1e-17 * total):
+        term = term * y * (2.0 * a + k) / (a + 1.0 + k)
+        total, k = total + term, k + 1
+    beta = math.exp(2.0 * math.lgamma(a) - math.lgamma(2.0 * a))
+    half = (y * (1.0 - y)) ** a * total / (a * beta)
+    return np.where(x > 0.5, 1.0 - half, half)
 
 
 @lru_cache(maxsize=16)
@@ -81,7 +94,8 @@ def cap_fraction(n: int, s, d, r):
     normalized area I_x(a, a), a = (n-1)/2, at the cancellation-free
     x = (1-c)/2 = (r^2 - (s-d)^2) / (4 s d).  Closed forms: x (n = 3),
     x^2 (3 - 2x) (n = 5), phi/(2 pi) (n = 2) and (phi - sin phi)/(2 pi)
-    (n = 4, a series at small phi), phi = 4 arcsin(sqrt(x)); else betainc.
+    (n = 4, a series at small phi), phi = 4 arcsin(sqrt(x)); else a
+    hypergeometric series (_cap_series).
     """
     s = np.asarray(s, float)
     d = np.asarray(d, float)
@@ -307,9 +321,7 @@ class MassTable(RadonMeasure):
         s_in = np.asarray(s, dtype=float)
         s1 = np.atleast_1d(s_in).ravel().astype(float)
         out = np.where((s1 >= self.lo_cut) & (s1 <= self._hi), self._density(s1), 0.0)
-        if s_in.ndim == 0:
-            return float(out[0])
-        return out.reshape(s_in.shape)
+        return float(out[0]) if s_in.ndim == 0 else out.reshape(s_in.shape)
 
     def support_radius(self):
         if self._total == 0.0:
@@ -553,6 +565,9 @@ class RadialDensity(MassTable):
             raise ValueError("lo_cut must be >= 0")
         self.allow_infinite_mass = bool(allow_infinite_mass)
         self.interp = interp
+        if interp == "loglog":  # the node interpolant, with the tail past the grid
+            from .radial_pde import RadialFunction
+            self._interpolant = RadialFunction(self.grid, self.values, *(self.tail or ()))
         self._build_tables(window_order)
         if not allow_infinite_mass and math.isinf(self._total):
             raise ValueError(
@@ -588,37 +603,14 @@ class RadialDensity(MassTable):
     def _base_density(self, s):
         if self.density_fn is not None:
             return np.maximum(np.asarray(self.density_fn(s), dtype=float), 0.0)
+        if self.interp == "loglog":
+            return self._interpolant.eval(s)
         g, v = self.grid, self.values
-        if self.interp == "segment":
-            idx = np.clip(np.searchsorted(g, s, side="right") - 1, 0, len(v) - 1)
-            out = v[idx].astype(float)
-        else:
-            out = np.empty_like(s)
-            below = s < g[0]
-            mid = ~below & (s <= g[-1])
-            out[below] = v[0]
-            if np.any(mid):
-                out[mid] = self._interp_nodes(s[mid])
+        out = v[np.clip(np.searchsorted(g, s, side="right") - 1, 0, len(v) - 1)]
         above = s > g[-1]
         if np.any(above):
             A, tau = (0.0, 0.0) if self.tail is None else self.tail
             out[above] = A * s[above] ** (-tau)
-        return out
-
-    def _interp_nodes(self, s):
-        g, v = self.grid, self.values
-        idx = np.clip(np.searchsorted(g, s) - 1, 0, len(g) - 2)
-        s0, s1 = g[idx], g[idx + 1]
-        v0, v1 = v[idx], v[idx + 1]
-        out = np.empty_like(s)
-        pos = (v0 > 0) & (v1 > 0)
-        if np.any(pos):
-            alpha = np.log(v1[pos] / v0[pos]) / np.log(s1[pos] / s0[pos])
-            out[pos] = v0[pos] * (s[pos] / s0[pos]) ** alpha
-        lin = ~pos
-        if np.any(lin):
-            t = (s[lin] - s0[lin]) / (s1[lin] - s0[lin])
-            out[lin] = v0[lin] + t * (v1[lin] - v0[lin])
         return out
 
     # -- cumulative mass tables ----------------------------------------

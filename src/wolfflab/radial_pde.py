@@ -30,12 +30,13 @@ class RadialFunction:
 
     values hold u(r_i); beyond the last node u(r) = tail_coeff * r**(-tail_exp);
     center_value is u(0+) (math.inf allowed).  deriv, when present, holds
-    du/dr at the nodes (exact for solver output).
+    du/dr at the nodes (exact for solver output, monotone_deriv's monotone
+    estimate for potential profiles), the slopes of the log-log cubic
+    Hermite interpolant between nodes; without it u is a power law there.
     """
 
     def __init__(self, grid, values, tail_coeff=0.0, tail_exp=0.0,
-                 center_value=None, deriv=None, mass_fn=None, mass_pow=None,
-                 smooth=False):
+                 center_value=None, deriv=None, mass_fn=None, mass_pow=None):
         self.grid = np.asarray(grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if self.grid.shape != self.values.shape or self.grid.ndim != 1:
@@ -52,14 +53,9 @@ class RadialFunction:
         with np.errstate(divide="ignore"):
             self._lng = np.log(self.grid)
             self._lnv = np.where(self.values > 0, np.log(np.maximum(self.values, _TINY)), -np.inf)
-        # monotone cubic interpolant in log-log space for profiles without
-        # stored derivatives (tabulated potentials)
-        self._pchip = None
-        if smooth and self.deriv is None and len(self.grid) > 2 \
-                and np.all(self.values > 0):
-            from scipy.interpolate import PchipInterpolator
-            self._pchip = PchipInterpolator(self._lng, self._lnv,
-                                            extrapolate=False)
+        # node slopes d log u / d log r of the cubic Hermite interpolant
+        self._slope = None if deriv is None else \
+            self.grid * self.deriv / np.maximum(self.values, _TINY)
 
     def __repr__(self):
         return (f"RadialFunction(nodes={len(self.grid)}, u(0)={self.center_value:.6g}, "
@@ -86,12 +82,7 @@ class RadialFunction:
         return float(out[0]) if loc.shape == () else out.reshape(loc.shape)
 
     def _eval_grid(self, loc):
-        g, v = self.grid, self.values
-        idx, on_node = loc.idx, loc.on_node
-        if self._pchip is not None:
-            vals = np.exp(self._pchip(loc.log_r))
-            vals[on_node] = v[loc.hit]
-            return vals
+        v, idx = self.values, loc.idx
         v0, v1 = v[idx], v[idx + 1]
         out = np.empty_like(v0)
         pos = (v0 > 0) & (v1 > 0)
@@ -99,10 +90,9 @@ class RadialFunction:
         if np.any(pos):
             i = idx[sel]
             y0, y1 = self._lnv[i], self._lnv[i + 1]
-            if self.deriv is not None:
-                # cubic Hermite in log-log with exact node slopes
-                slope = g * self.deriv / np.maximum(v, _TINY)
-                s0, s1 = slope[i] * loc.h[sel], slope[i + 1] * loc.h[sel]
+            if self._slope is not None:
+                # cubic Hermite in log-log with the node slopes
+                s0, s1 = self._slope[i] * loc.h[sel], self._slope[i + 1] * loc.h[sel]
                 b00, b10, b01, b11 = (b[sel] for b in loc.hermite)
                 val = b00 * y0 + b10 * s0 + b01 * y1 + b11 * s1
                 # keep the interpolant between the node values
@@ -116,7 +106,7 @@ class RadialFunction:
             t = loc.t_lin[lin]
             out[lin] = v0[lin] * (1 - t) + v1[lin] * t
         # stored node values verbatim
-        out[on_node] = v[loc.hit]
+        out[loc.on_node] = v[loc.hit]
         return out
 
     def _eval_below(self, r):
@@ -146,9 +136,7 @@ class RadialFunction:
             if np.any(high):
                 out[high] = -self.tail_coeff * self.tail_exp * r1[high] ** (-self.tail_exp - 1.0) \
                     if self.tail_coeff else 0.0
-        if r_in.ndim == 0:
-            return float(out[0])
-        return out.reshape(r_in.shape)
+        return float(out[0]) if r_in.ndim == 0 else out.reshape(r_in.shape)
 
     # -- algebra ---------------------------------------------------------
     def __pow__(self, e: float):
@@ -197,9 +185,8 @@ class GridPoints:
         self.on_node = g[hit] == r
         self.hit = hit[self.on_node]
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.log_r = np.log(r)
             self.h = f._lng[i + 1] - f._lng[i]
-            t = self.t = (self.log_r - f._lng[i]) / self.h
+            t = self.t = (np.log(r) - f._lng[i]) / self.h
             self.t_lin = (r - g[i]) / (g[i + 1] - g[i])
             t2, t3 = t * t, t * t * t
             self.hermite = (2 * t3 - 3 * t2 + 1, t3 - 2 * t2 + t, -2 * t3 + 3 * t2, t3 - t2)
@@ -222,10 +209,8 @@ def nodewise_max(funcs) -> RadialFunction:
     best = int(np.argmax(tail_vals))
     center = max(f.center_value for f in funcs)
     winner = np.argmax([f.values for f in funcs], axis=0)
-    deriv = None
-    if all(f.deriv is not None for f in funcs):
-        stack = np.stack([f.deriv for f in funcs])
-        deriv = stack[winner, np.arange(len(g))]
+    deriv = None if any(f.deriv is None for f in funcs) else \
+        np.stack([f.deriv for f in funcs])[winner, np.arange(len(g))]
     return RadialFunction(g, vals, funcs[best].tail_coeff, funcs[best].tail_exp,
                           center, deriv)
 
@@ -252,6 +237,29 @@ def _loglog_interp(xs, ys, x):
             out[hi] = np.exp(ly[-1] + slope * (lq[hi] - lx[-1]))
         return out
     return np.interp(x, xs, ys)
+
+
+def monotone_deriv(grid, values):
+    """du/dr at the nodes from pchip's monotone slopes of log u in log r
+    (Fritsch-Carlson: weighted harmonic means of the secants inside, a
+    shape-preserving three-point rule at the ends); None unless there are
+    at least 3 nodes and every value is finite and positive."""
+    g, v = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
+    if len(v) < 3 or not np.all(np.isfinite(v) & (v > 0)):
+        return None
+    h = np.diff(np.log(g))
+    m = np.diff(np.log(v)) / h
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    same = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+    s = np.zeros_like(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s[1:-1] = np.where(same, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+    for end, (h0, h1, m0, m1) in ((0, (h[0], h[1], m[0], m[1])),
+                                  (-1, (h[-1], h[-2], m[-1], m[-2]))):
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        flip = np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0)
+        s[end] = 0.0 if np.sign(d) != np.sign(m0) else 3.0 * m0 if flip else d
+    return s * v / g
 
 
 def marked_grid(grid, measures):

@@ -538,8 +538,6 @@ def km_sandwich_ratio(nu: RadonMeasure, u: RadialFunction, samples,
 
 def _truncated_profile(u: RadialFunction, level: float) -> RadialFunction:
     vals = np.minimum(u.values, level)
-    deriv = None
-    if u.deriv is not None:
-        deriv = np.where(u.values >= level, 0.0, u.deriv)
+    deriv = None if u.deriv is None else np.where(u.values >= level, 0.0, u.deriv)
     return RadialFunction(u.grid, vals, u.tail_coeff if level > 0 else 0.0,
                           u.tail_exp, min(u.center_value, level), deriv)

@@ -23,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveR, NonRadialMeasure, ZeroMeasure
-from .measure import Atom, MassTable, RadialDensity, RadonMeasure, SphericalShell, Sum
+from .measure import (Atom, MassTable, RadialDensity, RadonMeasure, SphericalShell, Sum,
+                      integrate_against, zero_measure)
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
 from .quadrature import (decade_tail, log_bisect, panel_sum, panelize,
                          power_law_head)
-from .radial_pde import RadialFunction
+from .radial_pde import RadialFunction, monotone_deriv
 
 _TINY = 1e-300
 
@@ -107,7 +108,9 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
         i, r1 = i.ravel(), r.ravel()
         m = sum(c._radial_mass(d[i], r1) for c in radial) \
             + np.sum(weights * (dist[i] < r1[:, None]), axis=1)
-        return (np.maximum(m, 0.0) ** ipm1).reshape(r.shape) * r ** (-e - 1.0)
+        # (m r^{p-n})^{1/(p-1)} / r: as p -> 1+, m^{1/(p-1)} alone underflows
+        # where r^{-e-1} overflows
+        return (np.maximum(m, 0.0).reshape(r.shape) * r ** (params.p - params.n)) ** ipm1 / r
 
     # ball-mass breakpoints of every row: the support marks seen from d,
     # d itself (where centered atoms enter the ball) and the atom distances
@@ -198,7 +201,8 @@ def wolff_profile(mu: RadonMeasure, params: ProblemParams,
     Evaluates W at a log grid of center distances, batched (the potential
     of a radial measure is radial), and at the center.  The tail
     coefficient is the exact constant-mass asymptote, or for infinite mass
-    the power law through the last two values.
+    the power law through the last two values.  Between the distances the
+    profile interpolates with monotone log-log slopes (monotone_deriv).
     """
     validate(params)
     if not mu.is_radial:
@@ -236,7 +240,7 @@ def wolff_profile(mu: RadonMeasure, params: ProblemParams,
             coeff = vals[-1] * d_grid[-1] ** tau
         else:
             tau, coeff = params.tail_exp, 0.0
-    return RadialFunction(d_grid, vals, coeff, tau, center, None, smooth=True)
+    return RadialFunction(d_grid, vals, coeff, tau, center, monotone_deriv(d_grid, vals))
 
 
 def wolff_sup_on_support(mu: RadonMeasure, params: ProblemParams,
@@ -347,7 +351,6 @@ def cutoff_measure(mu: RadonMeasure, k: int, params: ProblemParams,
     if not nontrivial:
         return mu
     if not kept:
-        from .measure import zero_measure
         return zero_measure(mu.dim)
     out = Sum(kept) if len(kept) > 1 else kept[0]
     _check_cutoff_energy(out, k, params, quad)
@@ -362,7 +365,6 @@ def _crossing(s, w_at, k, i0, i1):
 
 
 def _check_cutoff_energy(mu_k, k, params, quad):
-    from .measure import integrate_against
     total = mu_k.total_mass()
     if total == 0:
         return

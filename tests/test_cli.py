@@ -435,3 +435,44 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0
     rows = read_csv(tmp_path / "w.csv")
     assert float(rows[1][1]) == pytest.approx(1.0, rel=1e-9)
+
+
+_SCIPY_FREE = """
+import sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import numpy as np
+from wolfflab import QuadratureConfig, RadialDensity, params, solve_minimal, wolff_profile
+from wolfflab.cli import main
+from wolfflab.measure import cap_fraction
+
+quad, pp = QuadratureConfig(), params(3, 2.0, 0.5, 1.0)
+sigma = RadialDensity.from_function(
+    3, lambda s: 3.0 * (1.0 + np.asarray(s, float) ** 2) ** -2.25, quad, tail=(3.0, 4.5))
+prof = wolff_profile(sigma, pp, quad)
+assert prof.deriv is not None and np.isfinite(prof.eval(0.37))
+r = np.geomspace(0.1, 10.0, 5)
+u = solve_minimal([sigma], [0.5], None, pp, quad).u.eval(r)
+assert np.allclose(u, (1.0 + r * r) ** -0.5, rtol=1e-4)
+assert 0.0 < cap_fraction(7, 1.0, 1.0, 0.8) < 1.0
+assert main(["suite", "--config", sys.argv[1], "--out", sys.argv[2], "--threads", "1"]) == 0
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # scipy is a test dependency only: profiles, the solver, n >= 6 caps
+    # and the suite run with every scipy import blocked
+    import os
+    import subprocess
+    import sys
+
+    import wolfflab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wolfflab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    doc = dict(VERIFY_DOC)
+    doc["command"] = {"checks": ["quasi_triangle"], "instances": 1}
+    cfg = write_config(tmp_path, doc)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE, cfg, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "reports.jsonl").read_text().strip()

@@ -115,15 +115,17 @@ def test_cap_fraction_small_radius_stability():
         assert frac == pytest.approx(x ** a / (a * beta(a, a)), rel=1e-9)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 11])
 def test_closed_form_caps_match_betainc(n):
     # the whole range of x: the n = 4 series (phi < 0.7, x < 0.0302), the
-    # switch to phi - sin(phi) and x -> 1
+    # switch to phi - sin(phi), x -> 1 and, for n >= 6, the hypergeometric
+    # series on both sides of its reflection at x = 1/2
     a = 0.5 * (n - 1)
     switch = math.sin(0.7 / 4.0) ** 2
     x = np.concatenate([np.geomspace(1e-300, 1.0, 601),
                         switch * (1.0 + np.linspace(-1e-6, 1e-6, 21)),
-                        1.0 - np.geomspace(1e-16, 1e-1, 31)])
+                        1.0 - np.geomspace(1e-16, 1e-1, 31),
+                        0.5 + np.linspace(-1e-3, 1e-3, 21)])
     np.testing.assert_allclose(_cap_area(n, x), betainc(a, a, x),
                                rtol=1e-14, atol=1e-300)
 

@@ -229,10 +229,8 @@ def _reference_eval(f, r):
     on_node = g[hit] == rm
     v0, v1 = v[idx], v[idx + 1]
     val = np.empty_like(rm)
-    if f._pchip is not None:
-        val = np.exp(f._pchip(np.log(rm)))
     pos = (v0 > 0) & (v1 > 0)
-    if f._pchip is None and np.any(pos):
+    if np.any(pos):
         i = idx[pos]
         h = f._lng[i + 1] - f._lng[i]
         t = (np.log(rm[pos]) - f._lng[i]) / h
@@ -248,7 +246,7 @@ def _reference_eval(f, r):
         else:
             val[pos] = np.exp(y0 * (1 - t) + y1 * t)
     lin = ~pos
-    if f._pchip is None and np.any(lin):
+    if np.any(lin):
         i = idx[lin]
         t = (rm[lin] - g[i]) / (g[i + 1] - g[i])
         val[lin] = v0[lin] * (1 - t) + v1[lin] * t
@@ -266,19 +264,22 @@ _node_values = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
        vals=st.tuples(_node_values, _node_values),
        slopes=st.one_of(st.none(), st.lists(st.floats(0.0, 1e3), min_size=12,
                                             max_size=12)),
-       smooth=st.booleans(), center=st.sampled_from([None, 2e3, math.inf]),
+       monotone=st.booleans(), center=st.sampled_from([None, 2e3, math.inf]),
        tail=st.sampled_from([0.0, 0.7]),
        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
-def test_located_eval_matches_eval(log_lo, width, vals, slopes, smooth, center,
+def test_located_eval_matches_eval(log_lo, width, vals, slopes, monotone, center,
                                    tail, fracs):
     # r = 0, radii below the grid, on and between nodes and past the last
     # node, for profiles with zero values, with and without node slopes,
-    # log-log pchip and an infinite center value
-    from wolfflab.radial_pde import GridPoints
+    # with the monotone slopes of potential profiles (positive values) and
+    # an infinite center value
+    from wolfflab.radial_pde import GridPoints, monotone_deriv
     grid = np.geomspace(10.0 ** log_lo, 10.0 ** (log_lo + width), 12)
     deriv = None if slopes is None else -np.array(slopes)
-    f, f2 = (RadialFunction(grid, np.array(v), tail, 1.5, center, deriv,
-                            smooth=smooth) for v in vals)
+    vals = [np.array(v) + 1.0 if monotone else np.array(v) for v in vals]
+    f, f2 = (RadialFunction(grid, v, tail, 1.5, center,
+                            monotone_deriv(grid, v) if monotone else deriv)
+             for v in vals)
     between = grid[0] * (grid[-1] / grid[0]) ** np.array(fracs)
     r = np.concatenate([[0.0], grid[0] * np.array([1e-3, 0.5]), grid, between,
                         np.sqrt(grid[1:] * grid[:-1]), grid[-1] * np.array([1.5, 1e3])])

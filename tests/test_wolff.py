@@ -139,6 +139,35 @@ def test_profile_matches_pointwise(pp3, quad):
         assert prof.eval(d) == pytest.approx(pv, rel=5e-4)
 
 
+@pytest.mark.parametrize("n,a,b,c", [(3, 3.1706122577693834, 0.32663945235595077, 2.5),
+                                     (5, 1.3158019520898276, 0.7849195647514375, 3.5)])
+def test_profile_and_pointwise_finite_near_p_one(n, a, b, c, suite_quad):
+    # p = 1.05: m^{1/(p-1)} = m^20 underflows at small balls while
+    # r^{-(n-p)/(p-1)-1} overflows; their product must not become NaN
+    # (the sigma of the p = 1.05 solve rows of the benchmark, seed 1)
+    pp = params(n, 1.05, 0.025, 1.0)
+    sigma = family_density(n, a, b, c, suite_quad)
+    prof = wolff_profile(sigma, pp, suite_quad)
+    assert np.all(np.isfinite(prof.values)) and math.isfinite(prof.center_value)
+    for d in np.geomspace(suite_quad.r_min, suite_quad.r_max, 9):
+        x = np.zeros(n)
+        x[0] = d
+        assert math.isfinite(wolff(sigma, x, pp, suite_quad).value)
+
+
+@pytest.mark.parametrize("case", ["compact", "tailed", "n5"])
+def test_profile_matches_loglog_pchip(case, pp3, suite_quad):
+    # the monotone node slopes reproduce SciPy's log-log pchip interpolant
+    from scipy.interpolate import PchipInterpolator
+    n, pp = (5, params(5, 2.5, 0.75, 1.0)) if case == "n5" else (3, pp3)
+    mu = family_density(n, 2.0, 1.5, 2.3 if n == 3 else 3.2, suite_quad,
+                        cut=4.0 if case == "compact" else None)
+    prof = wolff_profile(mu, pp, suite_quad)
+    ref = PchipInterpolator(np.log(prof.grid), np.log(prof.values))
+    r = np.geomspace(prof.grid[0], prof.grid[-1], 2001)
+    np.testing.assert_allclose(prof.eval(r), np.exp(ref(np.log(r))), rtol=1e-13)
+
+
 def test_infinite_mass_profile(pp3, quad):
     # density s^-tau, tau = 2.5 in n = 3: mu(B(0, r)) ~ r^{n - tau} is
     # unbounded and W mu(x) = C |x|^{-(tau - p)/(p - 1)} exactly
