@@ -2,7 +2,7 @@
 problems with measure data, and sub-natural growth equations
 -Delta_p u = sum_m sigma^(m) u^{q_m} + mu on R^n."""
 
-from .errors import (ConfigError, DimensionError, DivergentTail,
+from .errors import (BadPoint, ConfigError, DimensionError, DivergentTail,
                      ExponentError, InfiniteEnergy, ModeMismatch,
                      MonotonicityViolated, NegativeRadius, NegativeScale,
                      NonMonotoneProfile, NonpositiveR, NonRadialMeasure,

@@ -38,6 +38,10 @@ class NonpositiveR(WolffLabError):
     pass
 
 
+class BadPoint(WolffLabError):
+    """A query point has the wrong dimension or a non-finite coordinate."""
+
+
 class NonRadialMeasure(WolffLabError):
     """A radial-only operation received a measure whose potential is not
     a function of |x| alone."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveR, NonRadialMeasure, ZeroMeasure
+from .errors import BadPoint, NonpositiveR, NonRadialMeasure, ZeroMeasure
 from .measure import (Atom, MassTable, RadialDensity, RadonMeasure, SphericalShell, Sum,
                       integrate_against, zero_measure)
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
@@ -37,6 +37,7 @@ _TINY = 1e-300
 class PotentialValue:
     value: float
     quad_error_estimate: float = 0.0
+    converged: bool = True
 
     def __float__(self):
         return float(self.value)
@@ -47,30 +48,34 @@ def wolff(mu: RadonMeasure, x, params: ProblemParams,
     """Wolff potential of mu at the point x (truncated at R if given).
 
     Divergence is a value, not an error: returns inf when x carries an
-    atom or when the integral diverges at either end.
+    atom or when the integral diverges at either end.  A point of the
+    wrong dimension or with a non-finite coordinate raises BadPoint, and
+    an R that is not > 0 (NaN included) NonpositiveR.
     """
     validate(params)
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (mu.dim,):
-        raise ValueError(f"point has dimension {x.shape[0]}, measure lives on R^{mu.dim}")
-    if R is not None and R <= 0:
-        raise NonpositiveR("truncation radius must be > 0")
+        raise BadPoint(f"point has dimension {x.shape[0]}, measure lives on R^{mu.dim}")
+    if not np.all(np.isfinite(x)):
+        raise BadPoint(f"point has a non-finite coordinate: {x}")
+    if R is not None and not R > 0:
+        raise NonpositiveR(f"truncation radius must be > 0, got {R}")
     radial, atoms = _split(mu)
     dist = np.array([[a.distance_from(x) for a in atoms]])
-    val, err = _wolff_rows(radial, atoms, np.array([np.linalg.norm(x)]), dist, params,
-                           quad, R, _point_resolution(quad))
-    return PotentialValue(float(val[0]), float(err[0]))
+    val, err, converged = _wolff_rows(radial, atoms, np.array([np.linalg.norm(x)]), dist,
+                                      params, quad, R, _point_resolution(quad))
+    return PotentialValue(float(val[0]), float(err[0]), bool(converged[0]))
 
 
 def truncated_wolff(mu: RadonMeasure, x, R: float, params: ProblemParams,
                     quad: QuadratureConfig = DEFAULT_QUAD) -> PotentialValue:
-    if R is None or R <= 0:
-        raise NonpositiveR("truncation radius must be > 0")
+    if R is None or not R > 0:
+        raise NonpositiveR(f"truncation radius must be > 0, got {R}")
     return wolff(mu, x, params, quad, R=R)
 
 
 def _point_resolution(quad):
-    """(Gauss order, panels per decade, bisection rounds, extent tolerance)
+    """(Gauss order, panels per decade, bisection depth, extent tolerance)
     of a pointwise value."""
     return quad.gauss_order, quad.panels_per_decade, 3, quad.rel_tol * 1e-2
 
@@ -83,17 +88,22 @@ def _split(mu):
 
 
 def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
-    """W at points with center distances d (one row each) and the error
-    estimate of each row.
+    """W at points with center distances d (one row each), the error
+    estimate of each row and whether its refinement converged.
 
     radial components enter through their ball masses _radial_mass(d, r);
     atom j is a step mass at distance dist[i, j] from the point of row i.
     resolution = (k, ppd, refine, ext_tol): the core runs on k-point Gauss
-    panels, ppd a decade, split at the ball-mass breakpoints and bisected
-    up to `refine` times until two successive sums of a row agree to
-    rel_tol (the estimate is their last difference: inf without
-    refinement, 0 for rows without a core).  It ends where at most ext_tol
-    of the mass lies beyond.
+    panels, ppd a decade, split at the ball-mass breakpoints and refined
+    panel by panel (globally adaptive, as in QUADPACK): the first round
+    bisects every panel, and each later one only the panels whose estimate
+    exceeds their share rel_tol * |row sum| / (panels in the row), so no
+    panel is bisected more than `refine` times.  A bisected panel's
+    estimate is |its halves' sum - its sum|, split evenly between the
+    halves; a row's estimate is the sum over its panels (inf without
+    refinement, 0 for rows without a core or with an infinite value), and
+    it converged when no panel is above its share after the last round.
+    The core ends where at most ext_tol of the mass lies beyond.
     """
     k, ppd, refine, ext_tol = resolution
     ipm1 = 1.0 / (params.p - 1.0)
@@ -136,31 +146,39 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
         horizon = np.maximum(horizon, np.maximum(quad.r_max, 10.0 * np.maximum(d, 1.0)))
     r_hi = horizon if R is None else np.minimum(horizon, R)
 
-    def row_sums(left, right, row):
+    def sums(left, right, row):  # one Gauss sum per panel
         nodes_row = np.repeat(row, k)
-        sums = panel_sum(lambda r: integrand(nodes_row, r), (left, right), k, rows=len(row))
-        return np.bincount(row, weights=sums, minlength=rows)
+        return panel_sum(lambda r: integrand(nodes_row, r), (left, right), k, rows=len(row))
+
+    def above_share(est, row, core):  # panels whose estimate exceeds their share
+        count = np.maximum(np.bincount(row, minlength=rows), 1)
+        return est > (quad.rel_tol * np.maximum(np.abs(core), _TINY) / count)[row]
 
     live = r_hi > r_lo
-    core = np.zeros(rows)
-    err = np.where(live, math.inf, 0.0)
+    core, err, converged = np.zeros(rows), np.zeros(rows), np.ones(rows, dtype=bool)
     if np.any(live):
         left, right, row = panelize(r_lo[live], r_hi[live], breaks[live], ppd)
         row = np.flatnonzero(live)[row]
-        core = row_sums(left, right, row)
-        active = live
+        s = sums(left, right, row)
+        core = np.bincount(row, weights=s, minlength=rows)
+        est = np.full(len(s), math.inf)
         for _ in range(refine):
-            keep = active[row]
-            mid = np.sqrt(left[keep] * right[keep])
-            left = np.stack([left[keep], mid], axis=1).ravel()
-            right = np.stack([mid, right[keep]], axis=1).ravel()
-            row = np.repeat(row[keep], 2)
-            cur = row_sums(left, right, row)
-            err = np.where(active, np.abs(cur - core), err)
-            core = np.where(active, cur, core)
-            active = active & (err > quad.rel_tol * np.maximum(np.abs(core), _TINY))
-            if not np.any(active):
+            split = above_share(est, row, core)
+            if not np.any(split):
                 break
+            keep = ~split
+            mid = np.sqrt(left[split] * right[split])
+            left2 = np.stack([left[split], mid], axis=1).ravel()
+            right2 = np.stack([mid, right[split]], axis=1).ravel()
+            row2 = np.repeat(row[split], 2)
+            halves = sums(left2, right2, row2)
+            change = halves.reshape(-1, 2).sum(axis=1) - s[split]
+            core += np.bincount(row[split], weights=change, minlength=rows)
+            left, right = np.append(left[keep], left2), np.append(right[keep], right2)
+            s, row = np.append(s[keep], halves), np.append(row[keep], row2)
+            est = np.append(est[keep], np.repeat(0.5 * np.abs(change), 2))
+        err = np.bincount(row, weights=est, minlength=rows)
+        converged = np.bincount(row, weights=above_share(est, row, core), minlength=rows) == 0
 
     head = np.zeros(rows)
     if np.any(inside):
@@ -182,7 +200,8 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
                         * (horizon ** (-e) - upper ** (-e)), 0.0)
     val = head + core + tail
     val[np.any(dist == 0.0, axis=1)] = math.inf
-    return val, np.where(np.isinf(val), 0.0, err)
+    exact = np.isinf(val)
+    return val, np.where(exact, 0.0, err), converged | exact
 
 
 def _support_distance(c, d):

@@ -45,6 +45,24 @@ def test_wolff_empty_points(tmp_path):
     assert len(rows) == 1  # header only
 
 
+@pytest.mark.parametrize("field, literal, error", [
+    ("truncations", "[NaN]", "NonpositiveR"), ("points", "[[0.5, NaN, 0.0]]", "BadPoint"),
+])
+def test_wolff_nonfinite_input_typed_error(tmp_path, capsys, field, literal, error):
+    # a NaN truncation radius gave 0.0 and a NaN coordinate a silent value
+    doc = {"params": BASE_PARAMS,
+           "measures": {"d0": {"type": "atom", "location": [0, 0, 0], "weight": 1.0}},
+           "command": {"measure": "d0", "points": [0.5], "truncations": [1.0],
+                       "output": "wolff.csv"}}
+    doc["command"][field] = "@"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc).replace('"@"', literal))
+    assert main(["wolff", "--config", str(cfg), "--out", str(tmp_path),
+                 "--json-errors"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == error
+    assert not (tmp_path / "wolff.csv").exists()
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"params": {"n": 3,,}')

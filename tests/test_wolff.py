@@ -1,11 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from wolfflab import (Atom, NonpositiveR, RadialDensity, SphericalShell, Sum,
-                      ZeroMeasure, add, cutoff_measure, dirac, params, scale,
-                      truncated_wolff, wolff, wolff_profile,
+from wolfflab import (Atom, BadPoint, NonpositiveR, QuadratureConfig, RadialDensity,
+                      SphericalShell, Sum, ZeroMeasure, add, cutoff_measure, dirac,
+                      params, scale, truncated_wolff, wolff, wolff_profile,
                       wolff_sup_on_support, integrate_against)
 from wolfflab.families import family_density
 
@@ -55,6 +56,123 @@ def test_truncated_dirac_examples(pp3, quad):
     assert truncated_wolff(mu, x, 1.0, pp3, quad).value == pytest.approx(1.0, rel=1e-10)
     with pytest.raises(NonpositiveR):
         truncated_wolff(mu, x, 0.0, pp3, quad)
+
+
+@pytest.mark.parametrize("x, R, error", [
+    ([0.5, 0.0, 0.0], math.nan, NonpositiveR), ([0.5, 0.0, 0.0], -math.inf, NonpositiveR),
+    ([math.nan, 0.0, 0.0], None, BadPoint), ([math.inf, 0.0, 0.0], None, BadPoint),
+    ([0.5, 0.0, -math.inf], 2.0, BadPoint), ([0.5, 0.0], None, BadPoint),
+    ([0.5, 0.0, 0.0, 0.0], None, BadPoint),
+])
+def test_nonfinite_or_misshaped_inputs_raise(x, R, error, pp3, quad):
+    # these returned 0.0 or inf (a NaN R, a non-finite point) or raised a
+    # raw ValueError (the wrong shape)
+    for mu in (dirac(3), RadialDensity.uniform_ball(3, 1.0, 1.0, quad)):
+        with pytest.raises(error):
+            wolff(mu, x, pp3, quad, R=R)
+        if R is not None:
+            with pytest.raises(error):
+                truncated_wolff(mu, x, R, pp3, quad)
+
+
+def _ball_and_shell(n, quad):
+    """A uniform ball (radius 1.6, density 1.9) plus a shell (radius 0.7,
+    mass 0.45) and, at p = 2, its potential at distance d truncated at R:
+    the Newton potential / (n - 2), minus mass * R^{2-n} / (n - 2) for an R
+    beyond the support."""
+    a, rho, rs, ms = 1.6, 1.9, 0.7, 0.45
+    ball_volume = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+
+    def exact(d, R=None):
+        inner = a ** n * d ** (2 - n) if d >= a else d * d + n * (a * a - d * d) / 2
+        newton = rho * ball_volume * inner + ms * max(d, rs) ** (2 - n)
+        mass = rho * ball_volume * a ** n + ms
+        return (newton - (0.0 if R is None else mass * R ** (2 - n))) / (n - 2)
+
+    mu = Sum([RadialDensity.uniform_ball(n, a, rho, quad), SphericalShell(n, rs, ms)])
+    return mu, exact
+
+
+BALL_SHELL_D = (0.05, 0.4, 0.68, 0.72, 1.0, 1.55, 1.65, 2.5, 8.0)
+DIRAC_NP = ((3, 1.5), (3, 2.5), (4, 3.0), (5, 2.5), (5, 4.0))
+
+
+def _dirac_cases(n, p):
+    """(x, R, exact) for the unit Dirac at the origin: the potential
+    (p-1)/(n-p) * (r^-e - R^-e) for R > r = |x|, 0 below."""
+    e = (n - p) / (p - 1.0)
+    u = np.arange(1.0, n + 1.0) / np.linalg.norm(np.arange(1.0, n + 1.0))
+    for r in (0.01, 0.5, 3.0, 200.0):
+        for R in (None, 0.5 * r, 1.7 * r):
+            tail = 0.0 if R is None else R ** -e
+            yield r * u, R, max((p - 1.0) / (n - p) * (r ** -e - tail), 0.0)
+
+
+@pytest.mark.parametrize("ppd", [32, 64])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_error_estimate_is_honest(n, ppd):
+    # the estimate is at least a tenth of the true error; a row-level
+    # estimate (the last change of the row sum) is about 60x below it at
+    # n = 4, d = 1, 32 ppd
+    quad = QuadratureConfig(points_per_decade=ppd)
+    mu, exact = _ball_and_shell(n, quad)
+    pp = params(n, 2.0, 0.5, 1.0)
+    cases = [(mu, pp, d * np.eye(n)[0], R, exact(d, R))
+             for d in BALL_SHELL_D for R in (None, 1.5 * (d + 1.6))]
+    cases += [(dirac(n), params(n, p, (p - 1) / 2, 1.0), x, R, ex)
+              for nn, p in DIRAC_NP if nn == n for x, R, ex in _dirac_cases(n, p)]
+    for mu_i, pp_i, x, R, ex in cases:
+        got = wolff(mu_i, x, pp_i, quad, R=R)
+        assert abs(got.value - ex) <= max(10.0 * got.quad_error_estimate, 1e-12 * ex), \
+            (x, R, got, ex)
+
+
+def test_converged_flag(quad):
+    tight = QuadratureConfig(rel_tol=1e-15)
+    for n, p in DIRAC_NP:
+        pp = params(n, p, (p - 1) / 2, 1.0)
+        assert all(wolff(dirac(n), x, pp, quad, R=R).converged
+                   for x, R, _ in _dirac_cases(n, p))
+    for n in (3, 4, 5):
+        pp = params(n, 2.0, 0.5, 1.0)
+        mu, _ = _ball_and_shell(n, quad)
+        # at n = 4 the cap area of a lens grows like a half-integer power
+        # from its edges, which depth-3 Gauss panels resolve only to about
+        # rel_tol near the support: those points are flagged, far ones not
+        for d in BALL_SHELL_D[-2:] if n == 4 else BALL_SHELL_D:
+            for R in (None, 1.5 * (d + 1.6)):
+                assert wolff(mu, d * np.eye(n)[0], pp, quad, R=R).converged
+    mu, _ = _ball_and_shell(4, tight)
+    for d in BALL_SHELL_D[-2:]:
+        assert not wolff(mu, d * np.eye(4)[0], params(4, 2.0, 0.5, 1.0), tight).converged
+
+
+def test_refinement_only_splits_unconverged_panels(quad, monkeypatch):
+    # n = 4, cut family at 64 ppd: uniform refinement runs all three rounds
+    # here, so it evaluates 1 + 2 + 4 + 8 = 15 times the first rule's nodes
+    wolff_module = sys.modules["wolfflab.wolff"]
+    panel_sum = wolff_module.panel_sum
+    calls = []
+
+    def counting(f, edges, k, rows=None):
+        calls.append((np.log(edges[1] / edges[0]), k))
+        return panel_sum(f, edges, k, rows)
+
+    monkeypatch.setattr(wolff_module, "panel_sum", counting)
+    mu = family_density(4, 1.3, 0.7, 2.8, quad, cut=1.5)
+    pp = params(4, 2.0, 0.5, 1.0)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        got = wolff(mu, [0.4, 0.3, 0.0, 0.2], pp, quad)
+        counts.append([widths.size * k for widths, k in calls])
+    assert counts[0] == counts[1]
+    assert len(counts[0]) == 4  # the first rule and three rounds
+    assert sum(counts[0]) < 0.5 * 15 * counts[0][0]
+    # no panel is bisected more than three times
+    first = np.min(calls[0][0])
+    assert min(np.min(widths) for widths, _ in calls) >= first / 8 * (1 - 1e-12)
+    assert got.value == pytest.approx(1.0667746347192228, rel=1e-11)  # the uniform value
 
 
 def test_truncation_below_full_and_converging(pp3, quad, rng):
