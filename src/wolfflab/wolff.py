@@ -35,6 +35,10 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class PotentialValue:
+    """A potential, its quadrature error estimate and whether refinement
+    stopped before its depth limit (every panel met its share of
+    rel_tol).  The flag is stricter than estimate <= rel_tol * |value|:
+    a row can pass that test with some panels still above their share."""
     value: float
     quad_error_estimate: float = 0.0
     converged: bool = True
@@ -111,7 +115,7 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
     weights = np.array([a.weight for a in atoms])
     rows = len(d)
     if not radial and not atoms:
-        return np.zeros(rows), np.zeros(rows)
+        return np.zeros(rows), np.zeros(rows), np.ones(rows, dtype=bool)
 
     def integrand(i, r):
         i, r = np.broadcast_arrays(i, r)

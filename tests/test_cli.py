@@ -45,6 +45,17 @@ def test_wolff_empty_points(tmp_path):
     assert len(rows) == 1  # header only
 
 
+def test_wolff_without_measure_writes_zeros(tmp_path):
+    cfg = write_config(tmp_path, {
+        "params": BASE_PARAMS, "measures": {},
+        "command": {"points": [0.5, [0.0, 1.0, 0.0]], "truncations": [1.0],
+                    "output": "wolff.csv"},
+    })
+    assert main(["wolff", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "wolff.csv")
+    assert [[float(v) for v in r[1:]] for r in rows[1:]] == [[0.0, 0.0, 0.0]] * 2
+
+
 @pytest.mark.parametrize("field, literal, error", [
     ("truncations", "[NaN]", "NonpositiveR"), ("points", "[[0.5, NaN, 0.0]]", "BadPoint"),
 ])

@@ -7,8 +7,9 @@ import pytest
 from wolfflab import (Atom, BadPoint, NonpositiveR, QuadratureConfig, RadialDensity,
                       SphericalShell, Sum, ZeroMeasure, add, cutoff_measure, dirac,
                       params, scale, truncated_wolff, wolff, wolff_profile,
-                      wolff_sup_on_support, integrate_against)
+                      wolff_sup_on_support, integrate_against, zero_measure)
 from wolfflab.families import family_density
+from wolfflab.wolff import PotentialValue
 
 from oracles import ball_potential
 
@@ -73,6 +74,15 @@ def test_nonfinite_or_misshaped_inputs_raise(x, R, error, pp3, quad):
         if R is not None:
             with pytest.raises(error):
                 truncated_wolff(mu, x, R, pp3, quad)
+
+
+def test_measure_without_mass_is_zero(pp3, quad):
+    # no component with mass: the value is an exact 0, not an error
+    for mu in (zero_measure(3), Atom([0.2, 0.0, 0.0], 0.0),
+               Sum([dirac(3, 0.0), SphericalShell(3, 0.5, 0.0)])):
+        for x in ([0.5, 0.0, 0.0], np.zeros(3)):
+            assert wolff(mu, x, pp3, quad) == PotentialValue(0.0, 0.0, True)
+            assert truncated_wolff(mu, x, 1.0, pp3, quad) == PotentialValue(0.0, 0.0, True)
 
 
 def _ball_and_shell(n, quad):
