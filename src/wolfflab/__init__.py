@@ -23,9 +23,8 @@ from .energy import (InequalityReport, check_mutual_energy_estimate,
                      check_picone_caccioppoli, check_quasi_triangle,
                      check_weighted_norm, generalized_energy, mutual_energy,
                      sigma_energy, wolff_energy)
-from .lorentz import (RearrangedProfile, check_density_conditions,
-                      check_lorentz_embedding, density_condition_exponents,
-                      lorentz_norm, rearrange)
+from .lorentz import (check_density_conditions, check_lorentz_embedding,
+                      density_condition_exponents, lorentz_norm, rearrange)
 from .solver import (IterationState, Solution, initial_subsolution,
                      intrinsic_fixed_point, iterate_once, solve_bounded_endpoint,
                      solve_minimal, solve_with_exhaustion, verify_solution)

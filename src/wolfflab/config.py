@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .families import family_density
+from .families import family_density_fn
 from .measure import (Atom, RadialDensity, RadonMeasure, SphericalShell, Sum,
                       zero_measure)
 from .params import ProblemParams, QuadratureConfig, validate
@@ -154,16 +154,11 @@ def _parse_density(desc, dim, quad, where) -> RadialDensity:
     kind = profile["kind"]
     if kind == "family":
         a, b, c = (float(profile[k]) for k in ("a", "b", "c"))
-        dens = family_density(dim, a, b, c, quad,
-                              cut=None if cut is None else float(cut))
-        if lo_cut or allow or tail is not None:
-            dens = RadialDensity(dim, dens.grid, dens.values,
-                                 density_fn=dens.density_fn,
-                                 tail=tuple(tail) if tail else dens.tail,
-                                 cut=dens.cut, lo_cut=lo_cut,
-                                 allow_infinite_mass=allow,
-                                 window_order=quad.window_gauss_order)
-        return dens
+        if not tail:  # family_density's tail, none for a cut family
+            tail = None if cut is not None else (a * b ** (2.0 * c), 2.0 * c)
+        return RadialDensity.from_function(dim, family_density_fn(a, b, c), quad,
+                                           tail=tail, cut=None if cut is None else float(cut),
+                                           lo_cut=lo_cut, allow_infinite_mass=allow)
     if kind == "uniform_ball":
         return RadialDensity.uniform_ball(dim, float(profile["radius"]),
                                           float(profile.get("density", 1.0)), quad)

@@ -28,6 +28,7 @@ from .radial_pde import RadialFunction, dirichlet_energy
 from .wolff import _split, wolff, wolff_profile
 
 DEFAULT_BOUND = 1e3
+_PICONE_SLACK = 1e-6  # relative quadrature slack of the Picone bound
 
 
 @dataclass
@@ -193,7 +194,6 @@ def check_quasi_triangle(mu: RadonMeasure, nu: RadonMeasure, gamma: float,
 def check_picone_caccioppoli(u: RadialFunction, v: RadialFunction,
                              nu_v: RadonMeasure, params: ProblemParams,
                              quad: QuadratureConfig = DEFAULT_QUAD,
-                             tolerance: float = 1e-6,
                              instance=None) -> InequalityReport:
     """Test-function bound: int u^p v^{1-p} d(nu_v) <= int |grad u|^p dx.
 
@@ -215,8 +215,7 @@ def check_picone_caccioppoli(u: RadialFunction, v: RadialFunction,
         return out
 
     lhs = integrate_against(nu_v, g, quad)
-    rep = InequalityReport.build("picone", lhs, rhs, 1.0 + tolerance, instance)
-    return rep
+    return InequalityReport.build("picone", lhs, rhs, 1.0 + _PICONE_SLACK, instance)
 
 
 def check_weighted_norm(sigma: RadonMeasure, f, gamma: float, q: float,

@@ -15,6 +15,8 @@ from .measure import RadialDensity
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig
 from .radial_pde import RadialFunction
 
+_COMPACT_PROB = 0.5  # share of random densities cut to a ball
+
 
 def family_density_fn(a: float, b: float, c: float):
     def fn(s, _a=a, _b=b, _c=c):
@@ -42,14 +44,13 @@ def family_profile(a: float, b: float, c: float,
 
 
 def random_density(rng: np.random.Generator, params: ProblemParams,
-                   quad: QuadratureConfig = DEFAULT_QUAD,
-                   compact_prob: float = 0.5):
+                   quad: QuadratureConfig = DEFAULT_QUAD):
     """One random family density plus its descriptor."""
     a = 10.0 ** rng.uniform(-1.0, 1.0)
     b = 10.0 ** rng.uniform(-1.0, 1.0)
     c = params.n / 2.0 + rng.uniform(0.26, 2.0)
     cut = None
-    if rng.uniform() < compact_prob:
+    if rng.uniform() < _COMPACT_PROB:
         cut = b * 10.0 ** rng.uniform(0.3, 1.3)
     desc = {"a": a, "b": b, "c": c, "cut": cut}
     return family_density(params.n, a, b, c, quad, cut=cut), desc

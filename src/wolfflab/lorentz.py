@@ -10,7 +10,6 @@ of the profile turn into power laws in t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,46 +18,24 @@ from .measure import RadonMeasure
 from .params import (DEFAULT_QUAD, Mode, ProblemParams, QuadratureConfig,
                      derive_exponents, unit_ball_volume, validate)
 from .quadrature import panel_sum
-from .radial_pde import RadialFunction, _loglog_interp
+from .radial_pde import RadialFunction
 
 
-@dataclass(frozen=True)
-class RearrangedProfile:
-    """Nonincreasing rearrangement tabulated against measure values t."""
-
-    t_grid: np.ndarray
-    fstar: np.ndarray
-    # f*(t) ~ tail_coeff * t**(-tail_exp) past the grid; head_value is
-    # f*(0+), inf allowed with the head power law below the first node
-    tail_coeff: float = 0.0
-    tail_exp: float = 0.0
-    head_value: float = 0.0
-    head_coeff: float = 0.0
-    head_exp: float = 0.0
-
-
-def rearrange(u: RadialFunction, params: ProblemParams) -> RearrangedProfile:
-    """Decreasing rearrangement of a radial profile on R^n."""
+def rearrange(u: RadialFunction, params: ProblemParams) -> RadialFunction:
+    """Decreasing rearrangement f*(t) of a radial profile on R^n, as a
+    RadialFunction in t."""
     validate(params)
     n = params.n
     wn = unit_ball_volume(n)
     if u.is_nonincreasing(slack=1e-9):
-        t = wn * u.grid ** n
-        fstar = u.values.copy()
-        tail_coeff = tail_exp = 0.0
-        if u.tail_coeff > 0:
-            # u = A r^{-tau}  =>  f*(t) = A (t/wn)^{-tau/n}
-            tail_exp = u.tail_exp / n
-            tail_coeff = u.tail_coeff * wn ** tail_exp
-        head_value = u.center_value
-        head_coeff = head_exp = 0.0
-        if math.isinf(head_value) and len(u.grid) > 1 \
-                and u.values[0] > 0 and u.values[1] > 0:
-            tau0 = math.log(u.values[0] / u.values[1]) / math.log(u.grid[1] / u.grid[0])
-            head_exp = tau0 / n
-            head_coeff = u.values[0] * (wn * u.grid[0] ** n) ** head_exp
-        return RearrangedProfile(t, fstar, tail_coeff, tail_exp,
-                                 head_value, head_coeff, head_exp)
+        # log t = log(wn r^n) is affine in log r, so the log-log
+        # interpolant in t, with slopes du/dt = u'/(n wn r^{n-1}), is the
+        # one in r
+        deriv = None if u.deriv is None else u.deriv / (n * wn * u.grid ** (n - 1))
+        # u = A r^{-tau}  =>  f*(t) = A (t/wn)^{-tau/n}
+        tail_exp = u.tail_exp / n
+        return RadialFunction(wn * u.grid ** n, u.values, u.tail_coeff * wn ** tail_exp,
+                              tail_exp, u.center_value, deriv)
     # non-monotone: distribution function on a grid scan
     levels = np.unique(u.values)[::-1]
     levels = levels[levels > 0]
@@ -75,8 +52,8 @@ def rearrange(u: RadialFunction, params: ProblemParams) -> RearrangedProfile:
     t = np.asarray(t_list[1:])
     f = np.asarray(f_list[1:])
     keep = np.concatenate([[True], np.diff(t) > 0])
-    return RearrangedProfile(np.maximum(t[keep], wn * r[0] ** n * 1e-6),
-                             f[keep], 0.0, 0.0, f_list[0], 0.0, 0.0)
+    return RadialFunction(np.maximum(t[keep], wn * r[0] ** n * 1e-6), f[keep],
+                          center_value=f_list[0])
 
 
 def lorentz_norm(u: RadialFunction, r_idx: float, rho_idx: float,
@@ -84,96 +61,73 @@ def lorentz_norm(u: RadialFunction, r_idx: float, rho_idx: float,
                  quad: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Lorentz norm of a radial profile; inf when divergent.
 
-    For nonincreasing profiles the rearrangement is the exact change of
-    variables t = omega_n r^n, so the norm integral is evaluated in r
-    directly against the profile's own interpolation; other profiles go
-    through the rearranged table.
+    Integrates (t^{1/r} f*(t))^rho dt/t over the rearrangement's nodes up
+    to the last positive one, with the power-law head and tail in closed
+    form; rho = inf is the weak norm sup t^{1/r} f*(t).
     """
     if r_idx <= 0 or rho_idx <= 0:
         raise ValueError("Lorentz indices must be positive")
-    rp = rearrange(u, params)
-    if u.is_nonincreasing(slack=1e-9) and not math.isinf(rho_idx) \
-            and np.any(u.values > 0):
-        return _norm_in_r(u, rp, r_idx, rho_idx, params, quad)
-    return lorentz_norm_rearranged(rp, r_idx, rho_idx, quad)
-
-
-def _ends(rp: RearrangedProfile, e_head: float, rho_idx: float, last: int) -> float:
-    """Closed-form power-law parts of int (t^{1/r} f*(t))^rho dt/t below
-    the first node and past the last positive node; inf when either
-    diverges."""
-    t = rp.t_grid
-    total = 0.0
-    if math.isinf(rp.head_value):
-        if rp.head_coeff > 0:
-            e = e_head - rho_idx * rp.head_exp
-            if e <= -1.0:
-                return math.inf
-            total += rp.head_coeff ** rho_idx * t[0] ** (e + 1.0) / (e + 1.0)
-    elif rp.head_value > 0:
-        total += rp.head_value ** rho_idx * t[0] ** (e_head + 1.0) / (e_head + 1.0)
-    if rp.tail_coeff > 0:
-        e = e_head - rho_idx * rp.tail_exp
-        if e >= -1.0:
-            return math.inf
-        total += rp.tail_coeff ** rho_idx * t[last] ** (e + 1.0) / (-e - 1.0)
-    return total
-
-
-def _norm_in_r(u: RadialFunction, rp: RearrangedProfile, r_idx, rho_idx,
-               params, quad) -> float:
-    """Norm integral substituted back to r: dt/t = n dr/r, t = w_n r^n."""
-    n = params.n
-    wn = unit_ball_volume(n)
-    last = int(np.nonzero(u.values > 0)[0][-1])
-    total = _ends(rp, rho_idx / r_idx - 1.0, rho_idx, last)
-    if last > 0 and math.isfinite(total):
-        total += panel_sum(
-            lambda rr: (wn * rr ** n) ** (rho_idx / r_idx)
-            * np.maximum(u.eval(rr), 0.0) ** rho_idx * n / rr,
-            u.grid[:last + 1], quad.gauss_order)
-    return total ** (1.0 / rho_idx)
-
-
-def lorentz_norm_rearranged(rp: RearrangedProfile, r_idx: float, rho_idx: float,
-                            quad: QuadratureConfig = DEFAULT_QUAD) -> float:
-    pos = rp.fstar > 0
-    if not np.any(pos) and rp.head_value == 0 and rp.tail_coeff == 0:
+    f = rearrange(u, params)
+    pos = f.values > 0
+    if not np.any(pos) and f.center_value == 0 and f.tail_coeff == 0:
         return 0.0
     last = int(np.nonzero(pos)[0][-1]) if np.any(pos) else 0
 
     if math.isinf(rho_idx):
-        return _weak_norm(rp, r_idx, last)
+        return _weak_norm(f, r_idx, last)
 
     e_head = rho_idx / r_idx - 1.0
-    total = _ends(rp, e_head, rho_idx, last)
+    total = _ends(f, e_head, rho_idx, last)
     # grid part up to the last positive node
     if last > 0 and math.isfinite(total):
-        t, f = rp.t_grid[:last + 1], rp.fstar[:last + 1]
-        total += panel_sum(lambda tq: _loglog_interp(t, f, tq) ** rho_idx * tq ** e_head,
-                           t, quad.gauss_order)
+        total += panel_sum(lambda t: f.eval(t) ** rho_idx * t ** e_head,
+                           f.grid[:last + 1], quad.gauss_order)
     return total ** (1.0 / rho_idx)
 
 
-def _weak_norm(rp, r_idx, last):
-    t = rp.t_grid
-    cand = float(np.max(t[:last + 1] ** (1.0 / r_idx) * rp.fstar[:last + 1]))
-    if rp.tail_coeff > 0:
-        e = 1.0 / r_idx - rp.tail_exp
+def _ends(f: RadialFunction, e_head: float, rho_idx: float, last: int) -> float:
+    """Closed-form power-law parts of int (t^{1/r} f*(t))^rho dt/t below
+    the first node and past the last positive node; inf when either
+    diverges."""
+    t = f.grid
+    total = 0.0
+    if math.isinf(f.center_value):
+        a = f.head_slope
+        if a is not None:
+            e = e_head + rho_idx * a
+            if e <= -1.0:
+                return math.inf
+            total += f.values[0] ** rho_idx * t[0] ** (e_head + 1.0) / (e + 1.0)
+    elif f.center_value > 0:
+        total += f.center_value ** rho_idx * t[0] ** (e_head + 1.0) / (e_head + 1.0)
+    if f.tail_coeff > 0:
+        e = e_head - rho_idx * f.tail_exp
+        if e >= -1.0:
+            return math.inf
+        total += f.tail_coeff ** rho_idx * t[last] ** (e + 1.0) / (-e - 1.0)
+    return total
+
+
+def _weak_norm(f: RadialFunction, r_idx, last):
+    t = f.grid
+    cand = float(np.max(t[:last + 1] ** (1.0 / r_idx) * f.values[:last + 1]))
+    if f.tail_coeff > 0:
+        e = 1.0 / r_idx - f.tail_exp
         if e > 1e-14:
             return math.inf
         if abs(e) <= 1e-14:
-            cand = max(cand, rp.tail_coeff)
+            cand = max(cand, f.tail_coeff)
         else:
-            cand = max(cand, rp.tail_coeff * t[last] ** e)
-    if math.isinf(rp.head_value) and rp.head_coeff > 0:
-        e = 1.0 / r_idx - rp.head_exp
+            cand = max(cand, f.tail_coeff * t[last] ** e)
+    a = f.head_slope
+    if a is not None:
+        # below the grid t^{1/r} f*(t) is a power law with exponent 1/r + a;
+        # its sup is at the first node unless it is flat or blows up
+        e = 1.0 / r_idx + a
         if e < -1e-14:
             return math.inf
         if abs(e) <= 1e-14:
-            cand = max(cand, rp.head_coeff)
-        else:
-            cand = max(cand, rp.head_coeff * t[0] ** e)
+            cand = max(cand, f.values[0] * t[0] ** -a)
     return cand
 
 
@@ -250,14 +204,14 @@ def check_density_conditions(f_exponents, role: str, params: ProblemParams,
     return report
 
 
-def export_rearranged_csv(rp: RearrangedProfile, path: str):
+def export_rearranged_csv(rp: RadialFunction, path: str):
     """Write the rearranged profile as two-column CSV (t, fstar)."""
     import csv
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "fstar"])
-        for t, f in zip(rp.t_grid, rp.fstar):
+        for t, f in zip(rp.grid, rp.values):
             w.writerow([repr(float(t)), repr(float(f))])
 
 

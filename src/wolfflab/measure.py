@@ -728,35 +728,25 @@ def dirac(dim: int, weight: float = 1.0, location=None) -> Atom:
     return Atom(loc, weight)
 
 
-def integrate_against(mu: RadonMeasure, g, quad: QuadratureConfig = DEFAULT_QUAD,
-                      *, radial: bool = True) -> float:
-    """Integral of g over R^n against mu.
+def integrate_against(mu: RadonMeasure, g, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+    """Integral of a radial g over R^n against mu.
 
-    g takes radii when radial=True (valid for radial measures, and for
-    atoms via |location| provided g is genuinely radial), or points when
-    radial=False (atoms only).  Returns inf when g is infinite on a set
-    of positive mass; raises SignError if g is negative on the support.
+    g takes an array of radii (atoms enter at |location|).  Returns inf
+    when g is infinite on a set of positive mass; raises SignError if g
+    is negative on the support.
     """
     total = 0.0
     for comp in mu.components():
-        if isinstance(comp, Atom):
-            if comp.weight == 0.0:
+        if isinstance(comp, (Atom, SphericalShell)):
+            radius, weight = (float(np.linalg.norm(comp.location)), comp.weight) \
+                if isinstance(comp, Atom) else (comp.radius, comp.total)
+            if weight == 0.0:
                 continue
-            if radial:
-                arg = np.atleast_1d(float(np.linalg.norm(comp.location)))
-                val = float(np.asarray(g(arg), dtype=float).reshape(-1)[0])
-            else:
-                val = float(np.asarray(g(comp.location), dtype=float))
+            val = float(np.asarray(g(np.atleast_1d(radius)), dtype=float).reshape(-1)[0])
             _check_sign(val)
-            total += comp.weight * val
-        elif isinstance(comp, SphericalShell):
-            if comp.total == 0.0:
-                continue
-            val = float(np.asarray(_radial_eval(g, np.atleast_1d(comp.radius), radial)).reshape(-1)[0])
-            _check_sign(val)
-            total += comp.total * val
+            total += weight * val
         elif isinstance(comp, MassTable):
-            total += _integrate_density(comp, g, quad, radial)
+            total += _integrate_density(comp, g, quad)
         else:
             raise NonRadialMeasure(f"cannot integrate against {comp!r}")
         if math.isinf(total):
@@ -764,20 +754,12 @@ def integrate_against(mu: RadonMeasure, g, quad: QuadratureConfig = DEFAULT_QUAD
     return float(total)
 
 
-def _radial_eval(g, s, radial):
-    if not radial:
-        raise NonRadialMeasure(
-            "integrating a pointwise (non-radial) g against a radial "
-            "component requires radial=True")
-    return np.asarray(g(s), dtype=float)
-
-
 def _check_sign(val):
     if np.any(np.asarray(val) < -1e-12):
         raise SignError("integrand is negative on the support")
 
 
-def _integrate_density(comp: MassTable, g, quad, radial) -> float:
+def _integrate_density(comp: MassTable, g, quad) -> float:
     if comp.total_mass() == 0.0:
         return 0.0
     edges = comp._edges
@@ -790,7 +772,7 @@ def _integrate_density(comp: MassTable, g, quad, radial) -> float:
         return 0.0
 
     def integrand(s):
-        gv = _radial_eval(g, s, radial)
+        gv = np.asarray(g(s), dtype=float)
         _check_sign(np.min(gv))
         f = comp.density_at(s)
         with np.errstate(invalid="ignore", over="ignore"):

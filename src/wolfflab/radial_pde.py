@@ -56,6 +56,7 @@ class RadialFunction:
         # node slopes d log u / d log r of the cubic Hermite interpolant
         self._slope = None if deriv is None else \
             self.grid * self.deriv / np.maximum(self.values, _TINY)
+        self._abs_deriv = None
 
     def __repr__(self):
         return (f"RadialFunction(nodes={len(self.grid)}, u(0)={self.center_value:.6g}, "
@@ -109,34 +110,50 @@ class RadialFunction:
         out[loc.on_node] = v[loc.hit]
         return out
 
+    @property
+    def head_slope(self):
+        """Log-log slope a of the power law u = values[0] (r / grid[0])^a
+        through the first two nodes, which continues u below the grid when
+        u(0+) = inf; None for a finite center, one node or a zero value."""
+        g, v = self.grid, self.values
+        if not math.isinf(self.center_value) or len(v) < 2 or not (v[0] > 0 and v[1] > 0):
+            return None
+        return math.log(v[1] / v[0]) / math.log(g[1] / g[0])
+
     def _eval_below(self, r):
         g, v = self.grid, self.values
         if math.isinf(self.center_value):
-            if len(g) > 1 and v[0] > 0 and v[1] > 0:
-                alpha = (self._lnv[1] - self._lnv[0]) / (self._lng[1] - self._lng[0])
-                return v[0] * (r / g[0]) ** alpha
-            return np.full_like(r, math.inf)
+            a = self.head_slope
+            return np.full_like(r, math.inf) if a is None else v[0] * (r / g[0]) ** a
         # linear ramp between the center value and the first node
         t = r / g[0]
         return self.center_value * (1 - t) + v[0] * t
 
     def deriv_at(self, r):
         """du/dr; exact for solver output (ball-mass formula), otherwise
-        log-log interpolation of the stored or differenced node slopes."""
+        minus abs_deriv at r."""
+        if self._mass_fn is None:
+            return -self.abs_deriv.eval(r)
         r_in = np.asarray(r, dtype=float)
         r1 = np.atleast_1d(r_in).ravel().astype(float)
-        if self._mass_fn is not None:
-            n, p, nwn = self._mass_pow
-            m = np.maximum(self._mass_fn(r1), 0.0)
-            out = -((m / (nwn * r1 ** (n - 1))) ** (1.0 / (p - 1.0)))
-        else:
-            d = self.deriv if self.deriv is not None else np.gradient(self.values, self.grid)
-            out = -_loglog_interp(self.grid, np.abs(d), r1)
-            high = r1 > self.grid[-1]
-            if np.any(high):
-                out[high] = -self.tail_coeff * self.tail_exp * r1[high] ** (-self.tail_exp - 1.0) \
-                    if self.tail_coeff else 0.0
+        n, p, nwn = self._mass_pow
+        m = np.maximum(self._mass_fn(r1), 0.0)
+        out = -((m / (nwn * r1 ** (n - 1))) ** (1.0 / (p - 1.0)))
         return float(out[0]) if r_in.ndim == 0 else out.reshape(r_in.shape)
+
+    @property
+    def abs_deriv(self) -> RadialFunction:
+        """|u'| as a profile on this grid, built once: the stored or
+        differenced node slopes, the tail's A tau r^{-tau-1} beyond the
+        grid and, when the first two slopes are positive, their power law
+        below it."""
+        if self._abs_deriv is None:
+            d = np.abs(self.deriv if self.deriv is not None
+                       else np.gradient(self.values, self.grid))
+            center = math.inf if len(d) > 1 and d[0] > 0 and d[1] > 0 else d[0]
+            self._abs_deriv = RadialFunction(self.grid, d, self.tail_coeff * self.tail_exp,
+                                             self.tail_exp + 1.0, center)
+        return self._abs_deriv
 
     # -- algebra ---------------------------------------------------------
     def __pow__(self, e: float):
@@ -218,25 +235,6 @@ def nodewise_max(funcs) -> RadialFunction:
 def zero_profile(quad: QuadratureConfig = DEFAULT_QUAD) -> RadialFunction:
     g = quad.radial_grid()
     return RadialFunction(g, np.zeros_like(g), 0.0, 1.0, 0.0, np.zeros_like(g))
-
-
-def _loglog_interp(xs, ys, x):
-    """Positive-data log-log interpolation, extrapolating the end slopes
-    beyond the grid; linear fallback when the data carries zeros."""
-    if np.all(ys > 0):
-        lx, ly = np.log(xs), np.log(ys)
-        lq = np.log(np.maximum(x, _TINY))
-        out = np.exp(np.interp(lq, lx, ly))
-        lo = lq < lx[0]
-        if np.any(lo):
-            slope = (ly[1] - ly[0]) / (lx[1] - lx[0])
-            out[lo] = np.exp(ly[0] + slope * (lq[lo] - lx[0]))
-        hi = lq > lx[-1]
-        if np.any(hi):
-            slope = (ly[-1] - ly[-2]) / (lx[-1] - lx[-2])
-            out[hi] = np.exp(ly[-1] + slope * (lq[hi] - lx[-1]))
-        return out
-    return np.interp(x, xs, ys)
 
 
 def monotone_deriv(grid, values):
@@ -413,9 +411,12 @@ def dirichlet_energy(u: RadialFunction, params: ProblemParams,
     if not np.any(u.values > 0):
         return 0.0
 
+    exact = u._mass_fn is not None  # solver output: |u'| from ball masses
+
     def integrand(s):
-        du = np.abs(u.deriv_at(s))
-        uv = u.eval(s)
+        loc = GridPoints(u, s)  # one location for u and |u'|
+        du = np.abs(u.deriv_at(s)) if exact else u.abs_deriv.eval_at(loc)
+        uv = u.eval_at(loc)
         out = np.zeros_like(s)
         live = du > 0
         if gam == 1.0:

@@ -101,16 +101,14 @@ def _fixed_composer(sigma_list, q_list, mu, wgrid, pts):
 
 def initial_subsolution(sigma: RadonMeasure, q: float, params: ProblemParams,
                         quad: QuadratureConfig = DEFAULT_QUAD,
-                        c_init: float = 1.0, grid=None) -> RadialFunction:
+                        grid=None) -> RadialFunction:
     """Starting subsolution c * v^{(p-1)/(p-1-q)} where v solves
-    -Delta_p v = ((p-1-q)/(p-1))^{p-1} sigma; the scale c <= c_init is
+    -Delta_p v = ((p-1-q)/(p-1))^{p-1} sigma; the scale c <= 1 is
     fixed by a halving search certified by the node-level ball-mass
     comparison riesz(u0) <= sigma * u0^q."""
     validate(params)
     if sigma.total_mass() == 0.0:
         raise ZeroMeasure("subsolution needs a nonzero coefficient measure")
-    if not (0 < c_init <= 1.0):
-        raise ValueError("c_init must lie in (0, 1]")
     p = params.p
     beta = (p - 1.0) / (p - 1.0 - q)
     tilde = scale(sigma, ((p - 1.0 - q) / (p - 1.0)) ** (p - 1.0))
@@ -121,7 +119,7 @@ def initial_subsolution(sigma: RadonMeasure, q: float, params: ProblemParams,
     live = lhs1 > 0
     if np.any(live & (rhs1 <= 0)):
         raise SubsolutionSearchFailed("coefficient measure cannot dominate the seed")
-    c = c_init
+    c = 1.0
     for _ in range(60):
         ok = np.all(c ** (p - 1.0 - q) * lhs1[live] <= rhs1[live] * (1.0 + 1e-9))
         if ok:

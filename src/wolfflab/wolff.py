@@ -31,6 +31,10 @@ from .quadrature import (decade_tail, log_bisect, panel_sum, panelize,
 from .radial_pde import RadialFunction, monotone_deriv
 
 _TINY = 1e-300
+# head start on a support edge, relative to the usual one
+_EDGE_HEAD = 1e-3
+# sample radii shared by the densities of wolff_sup_on_support
+_SUP_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -139,6 +143,10 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
     # 2e-3 d far out) but below a quarter of it; outside, nothing lies
     # below the distance to the support
     r_lo = np.minimum(np.maximum(quad.r_min, 2e-3 * d), 0.25 * first)
+    # on a support edge or shell the ball mass is a power law only to
+    # first order in r, so the head starts lower there (error ~ r_lo^2)
+    on_edge = (d > 0) & np.isin(d, [e for c in radial for e in _support_edges(c)])
+    r_lo = np.where(on_edge, _EDGE_HEAD * r_lo, r_lo)
     if R is not None:
         r_lo = np.minimum(r_lo, 0.5 * R)
     r_lo = np.where(inside, r_lo, gap)
@@ -208,12 +216,18 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
     return val, np.where(exact, 0.0, err), converged | exact
 
 
+def _support_edges(c):
+    """Inner and outer radius of the support of a radial shell or density."""
+    if isinstance(c, SphericalShell):
+        return c.radius, c.radius
+    return c.lo_cut, c.support_radius()
+
+
 def _support_distance(c, d):
     """Distance from points at radii d to the support of a radial
     shell or density."""
-    if isinstance(c, SphericalShell):
-        return np.abs(d - c.radius)
-    return np.maximum(np.maximum(c.lo_cut - d, d - c.support_radius()), 0.0)
+    lo, hi = _support_edges(c)
+    return np.maximum(np.maximum(lo - d, d - hi), 0.0)
 
 
 def wolff_profile(mu: RadonMeasure, params: ProblemParams,
@@ -267,8 +281,7 @@ def wolff_profile(mu: RadonMeasure, params: ProblemParams,
 
 
 def wolff_sup_on_support(mu: RadonMeasure, params: ProblemParams,
-                         quad: QuadratureConfig = DEFAULT_QUAD,
-                         sample_budget: int = 200) -> float:
+                         quad: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Supremum of the potential over a deterministic sample of supp mu.
 
     A lower bound of the true sup converging under sample refinement;
@@ -283,7 +296,7 @@ def wolff_sup_on_support(mu: RadonMeasure, params: ProblemParams,
     # sample radii on the supports of the radial components
     radii = []
     nd = max(1, sum(1 for c in radial if isinstance(c, MassTable)))
-    per = max(8, sample_budget // max(nd, 1))
+    per = max(8, _SUP_SAMPLES // nd)
     include_zero = False
     for c in radial:
         if isinstance(c, SphericalShell):

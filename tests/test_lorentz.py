@@ -6,7 +6,7 @@ import pytest
 from wolfflab import (RadialDensity, RadialFunction, check_density_conditions,
                       check_lorentz_embedding, density_condition_exponents,
                       dirac, lorentz_norm, params, rearrange,
-                      scale, solve_radial_p_laplace)
+                      scale, solve_radial_p_laplace, unit_ball_volume)
 from wolfflab.families import family_density, family_profile
 
 from oracles import lebesgue_radial_integral
@@ -22,8 +22,8 @@ def indicator_profile():
 
 def test_indicator_rearrangement(pp3):
     rp = rearrange(indicator_profile(), pp3)
-    assert np.allclose(rp.t_grid, W3 * indicator_profile().grid ** 3)
-    assert np.all(rp.fstar == 1.0)
+    assert np.allclose(rp.grid, W3 * indicator_profile().grid ** 3)
+    assert np.all(rp.values == 1.0)
     assert rp.tail_coeff == 0.0
 
 
@@ -38,16 +38,39 @@ def test_power_profile_rearrangement(pp3, quad):
     g = quad.radial_grid()
     u = RadialFunction(g, 1.0 / g, 1.0, 1.0, math.inf)
     rp = rearrange(u, pp3)
-    want = (W3 / rp.t_grid) ** (1.0 / 3.0)
-    assert np.allclose(rp.fstar, want, rtol=1e-12)
+    want = (W3 / rp.grid) ** (1.0 / 3.0)
+    assert np.allclose(rp.values, want, rtol=1e-12)
     assert rp.tail_exp == pytest.approx(1.0 / 3.0)
 
 
 def test_rearrangement_change_of_variables_exact(pp3, quad):
     u = family_profile(1.3, 0.7, 1.1, quad)
     rp = rearrange(u, pp3)
-    assert np.array_equal(rp.fstar, u.values)
-    assert np.allclose(rp.t_grid, W3 * u.grid ** 3, rtol=1e-15)
+    assert np.array_equal(rp.values, u.values)
+    assert np.allclose(rp.grid, W3 * u.grid ** 3, rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rearrangement_is_the_profile_in_t(n, quad):
+    # log t (t = w_n r^n) is affine in log r, so with the slopes carried
+    # over the log-log interpolant in t is the one in r: between the nodes, on the
+    # power law of the first two nodes below them (infinite center) and on
+    # the tail beyond.  Off-node radii stay within 1e3 of 1: rounding of
+    # log t (|log t| ~ 60 at the ends of the default grid) alone reaches
+    # 1.5e-14 there.
+    pp = params(n, 2.0, 0.5, 1.0)
+    g = quad.radial_grid()
+    a, c = 0.5, 1.25
+    vals = g ** -a * (1.0 + g * g) ** -c
+    u = RadialFunction(g, vals, 1.0, a + 2.0 * c, math.inf,
+                       vals * (-a / g - 2.0 * c * g / (1.0 + g * g)))
+    f = rearrange(u, pp)
+    mids = np.sqrt(g[:-1] * g[1:])
+    r = np.concatenate([mids[(mids > 1e-3) & (mids < 1e3)],
+                        g[0] * np.array([0.9, 0.5, 0.1]),
+                        g[-1] * np.array([1.1, 10.0, 1e3])])
+    got = f.eval(unit_ball_volume(n) * r ** n)
+    assert np.allclose(got, u.eval(r), rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("a_exp", [1.0, 2.0, 1.5])
@@ -69,17 +92,17 @@ def test_equimeasurability_non_monotone(pp3, quad):
     vals = g ** 2 / (1.0 + g ** 2) ** 2
     u = RadialFunction(g, vals, 1.0, 2.0, 0.0)
     rp = rearrange(u, pp3)
-    assert np.all(np.diff(rp.fstar) <= 1e-15)
-    assert np.all(np.diff(rp.t_grid) > 0)
+    assert np.all(np.diff(rp.values) <= 1e-15)
+    assert np.all(np.diff(rp.grid) > 0)
     # distribution function agrees with a brute-force scan at the
     # library's own level values
     from oracles import rearrangement_by_scan
     idx = [10, 25, 40]
-    levels = rp.fstar[idx]
+    levels = rp.values[idx]
     t_oracle = rearrangement_by_scan(
         lambda r: r ** 2 / (1.0 + r ** 2) ** 2, 3, levels)
     for i, t_want in zip(idx, t_oracle):
-        assert rp.t_grid[i] == pytest.approx(t_want, rel=1e-2)
+        assert rp.grid[i] == pytest.approx(t_want, rel=1e-2)
 
 
 def test_norm_at_equal_indices_matches_lebesgue(pp3, quad):
@@ -174,5 +197,5 @@ def test_export_rearranged_csv(tmp_path, pp3, quad):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "fstar"]
-    assert len(rows) == len(rp.t_grid) + 1
-    assert float(rows[1][1]) == rp.fstar[0]
+    assert len(rows) == len(rp.grid) + 1
+    assert float(rows[1][1]) == rp.values[0]

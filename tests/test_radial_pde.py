@@ -201,6 +201,19 @@ def test_infinite_mass_power_density_closed_form(pp3, suite_quad, tau):
     assert u.tail_exp == pytest.approx(tau - 2, rel=1e-10)
 
 
+def test_deriv_at_power_law_without_mass_fn(quad):
+    # without a mass function |u'| is the log-log interpolant of the node
+    # slopes, continued by their power law below the grid and by the
+    # tail's derivative beyond it: exact for a power law everywhere
+    C, b = 2.5, 0.7
+    g = quad.radial_grid()
+    u = RadialFunction(g, C * g ** -b, C, b, math.inf, -C * b * g ** (-b - 1.0))
+    r = np.concatenate([g[::50], np.sqrt(g[:-1] * g[1:])[::50],
+                        g[0] * np.array([0.5, 1e-3]), g[-1] * np.array([2.0, 1e3])])
+    assert np.allclose(u.deriv_at(r), -C * b * r ** (-b - 1.0), rtol=1e-13, atol=0.0)
+    assert u.deriv_at(1.0) == pytest.approx(-C * b, rel=1e-13)
+
+
 def test_stored_derivative_matches_mass_formula(pp3, quad):
     ball = RadialDensity.uniform_ball(3, 1.0, 1.0, quad)
     u = solve_radial_p_laplace(ball, pp3, quad)

@@ -248,6 +248,18 @@ def test_weak_maximum_principle(pp3, quad, rng):
     assert recorded <= 1.0 + 1e-9  # radial compact case: potential peaks on the support
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_support_edge_matches_newton(n, quad):
+    # on the edge of the unit ball its mass near x is a power law only to
+    # first order in r; at p = 2 the potential there is |B_1| / (n - 2)
+    ball = RadialDensity.uniform_ball(n, 1.0, 1.0, quad)
+    got = wolff(ball, np.eye(n)[0], params(n, 2.0, 0.5, 1.0), quad)
+    exact = math.pi ** (n / 2) / math.gamma(n / 2 + 1) / (n - 2)
+    assert got.converged
+    assert got.value == pytest.approx(exact, rel=1e-12)
+    assert got.quad_error_estimate <= 1e-12 * exact
+
+
 def test_sup_on_support_examples(pp3, quad):
     ball = RadialDensity.uniform_ball(3, 1.0, 1.0, quad)
     assert wolff_sup_on_support(ball, pp3, quad) == pytest.approx(2 * math.pi, rel=1e-9)
