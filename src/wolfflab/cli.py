@@ -196,6 +196,8 @@ def cmd_solve(args) -> int:
     sigmas, qs = _sigma_terms(cfg)
     mu = cfg.measure(cmd.get("mu"))
     mode = cfg.params.mode
+    if mode is Mode.GAMMA_ZERO and len(sigmas) > 1:
+        raise ConfigError(f"gamma = 0 solves one sigma term, got {len(sigmas)}")
     status = EXIT_OK
     try:
         if mode is Mode.FINITE_GAMMA:

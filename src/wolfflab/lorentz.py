@@ -27,7 +27,7 @@ def rearrange(u: RadialFunction, params: ProblemParams) -> RadialFunction:
     validate(params)
     n = params.n
     wn = unit_ball_volume(n)
-    if u.is_nonincreasing(slack=1e-9):
+    if u.is_nonincreasing():
         # log t = log(wn r^n) is affine in log r, so the log-log
         # interpolant in t, with slopes du/dt = u'/(n wn r^{n-1}), is the
         # one in r
@@ -204,24 +204,9 @@ def check_density_conditions(f_exponents, role: str, params: ProblemParams,
     return report
 
 
-def export_rearranged_csv(rp: RadialFunction, path: str):
-    """Write the rearranged profile as two-column CSV (t, fstar)."""
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "fstar"])
-        for t, f in zip(rp.grid, rp.values):
-            w.writerow([repr(float(t)), repr(float(f))])
-
-
 def _density_profile(density, quad) -> RadialFunction:
     """View a radial density as a RadialFunction for norm computations."""
     grid = density.grid
-    vals = density.density_at(grid)
-    tail = density.tail if density.tail is not None else (0.0, 0.0)
-    cut = getattr(density, "cut", None)
-    if cut is not None:
-        tail = (0.0, 0.0)
     center = float(density.density_at(grid[0] * 0.5))
-    return RadialFunction(grid, vals, tail[0], tail[1], center)
+    return RadialFunction(grid, density.density_at(grid), *(density.tail or (0.0, 0.0)),
+                          center)

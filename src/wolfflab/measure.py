@@ -136,10 +136,6 @@ class RadonMeasure:
     def is_radial(self) -> bool:
         raise NotImplementedError
 
-    @property
-    def is_zero(self) -> bool:
-        return self.total_mass() == 0.0
-
     def components(self):
         return [self]
 
@@ -275,36 +271,118 @@ class SphericalShell(RadonMeasure):
         return [self.radius]
 
 
-class MassTable(RadonMeasure):
-    """A radial density known by its table: the density on [edges[0], hi],
-    its piece masses between the edges, its values at the edges (interp as
-    in RadialDensity) and a power-law tail A s**-tau past the last edge.
-    Centered masses read the table; off-center masses integrate the density
-    over each window with panels of window_k points."""
+class RadialDensity(RadonMeasure):
+    """Radial density f(s) (mass per unit volume), known by its table.
 
-    def __init__(self, dim, edges, piece_mass, edge_vals, tail=None, interp="loglog",
-                 density=None, hi=math.inf, window_k=None):
-        self.dim, self.interp = int(dim), interp
-        self.lo_cut, self._hi, self._density = float(edges[0]), hi, density
+    The measure is f(s) dx restricted to {lo_cut <= |x| <= cut}.  The table
+    holds the piece masses between the edges (the grid between the cuts,
+    from 0 when lo_cut is 0), the density at the edges and, without a cut,
+    a power-law tail coeff * s**(-exponent) past the last grid node.
+    Centered masses read the table; off-center masses integrate the density
+    over each window with panels of window_order points.  The density is the
+    exact callable density_fn when one is given, the grid then serving only
+    as the quadrature backbone; otherwise the values interpolated like a
+    RadialFunction (monotone log-log, the tail past the last node).
+    """
+
+    def __init__(self, dim: int, grid, values, *,
+                 density_fn: Optional[Callable] = None,
+                 tail: Optional[tuple] = None, cut: Optional[float] = None,
+                 lo_cut: float = 0.0, allow_infinite_mass: bool = False,
+                 window_order: Optional[int] = None):
+        grid = np.asarray(grid, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if grid.ndim != 1 or len(grid) < 2 or grid[0] <= 0 or np.any(np.diff(grid) <= 0):
+            raise ValueError("grid must be strictly increasing and positive")
+        if len(values) != len(grid):
+            raise ValueError("values must match grid length")
+        if np.any(values < 0):
+            raise ValueError("density values must be >= 0")
+        tail = None if tail is None else (float(tail[0]), float(tail[1]))
+        if tail is not None and tail[0] < 0:
+            raise ValueError("tail coefficient must be >= 0")
+        lo_cut = float(lo_cut)
+        if not lo_cut >= 0:
+            raise ValueError("lo_cut must be >= 0")
+        if density_fn is None:  # the node interpolant, with the tail past the grid
+            from .radial_pde import RadialFunction
+            density = RadialFunction(grid, values, *(tail or ())).eval
+        else:
+            density = lambda s: np.maximum(np.asarray(density_fn(s), dtype=float), 0.0)
+        hi = float(cut) if cut is not None else (math.inf if tail is not None else float(grid[-1]))
+        self._fill(dim, *_laid_out(density, dim, grid, lo_cut, hi), tail, density, hi,
+                   window_order)
+        if not allow_infinite_mass and math.isinf(self._total):
+            raise ValueError(
+                "density has infinite total mass; pass allow_infinite_mass=True")
+
+    @classmethod
+    def _table(cls, dim, edges, piece_mass, edge_vals, tail=None, density=None,
+               hi=math.inf, window_k=None) -> "RadialDensity":
+        """The density known by a table: products, scaled and restricted densities."""
+        out = cls.__new__(cls)
+        out._fill(dim, edges, piece_mass, edge_vals, tail, density, hi, window_k)
+        return out
+
+    def _fill(self, dim, edges, piece_mass, edge_vals, tail, density, hi, window_k):
+        self.dim, self.lo_cut, self._hi, self._density = int(dim), float(edges[0]), hi, density
         self._window_k = int(window_k or DEFAULT_QUAD.window_gauss_order)
         self._nwn = self.dim * unit_ball_volume(self.dim)
         self._edges, self._piece_mass, self._edge_vals = edges, piece_mass, edge_vals
         self._cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
         # per piece [a, b]: log(b/a), e for edge values on a power law (mass ~ r^e), (b/a)^e - 1
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ba = edges[1:] / edges[:-1]
             self._lba = np.log(ba)
             self._e = np.log(edge_vals[1:] / edge_vals[:-1]) / self._lba + self.dim
+            if edges[0] == 0.0 and len(edges) > 1:
+                # mass ~ r^e on [0, b]: e = n omega_n b^n f(b) / mu(B(0, b)),
+                # exact for a power-law density
+                self._e[0] = self._nwn * edges[1] ** self.dim * edge_vals[1] / piece_mass[0]
+            self._den = ba ** self._e - 1.0
         self._powerlaw = (edge_vals[:-1] > 0) & (edge_vals[1:] > 0) & (edges[:-1] > 0)
-        self._den = ba ** self._e - 1.0
-        self._tail = tail if tail is not None and tail[0] > 0 else None
+        self.tail = tail if tail is not None and tail[0] > 0 and math.isinf(hi) else None
         self._tail_total = 0.0
-        if self._tail is not None:
-            A, tau = self._tail
+        if self.tail is not None:
+            A, tau = self.tail
             e = self.dim - 1 - tau
             self._tail_total = math.inf if e >= -1.0 else \
                 self._nwn * A * edges[-1] ** (e + 1.0) / (-e - 1.0)
         self._total = float(self._cum[-1] + self._tail_total)
+
+    @classmethod
+    def from_function(cls, dim, fn, quad: QuadratureConfig = DEFAULT_QUAD, *,
+                      tail=None, cut=None, lo_cut=0.0, allow_infinite_mass=False):
+        """Tabulate a callable density on the configured log grid."""
+        grid = quad.radial_grid()
+        if cut is not None:
+            grid = np.append(grid[grid < cut], cut)
+        if len(grid) < 2:
+            hi = cut if cut is not None else quad.r_max
+            grid = np.geomspace(hi * 1e-4, hi, 33)
+        vals = np.maximum(np.asarray(fn(grid), dtype=float), 0.0)
+        return cls(dim, grid, vals, density_fn=fn, tail=tail, cut=cut,
+                   lo_cut=lo_cut, allow_infinite_mass=allow_infinite_mass,
+                   window_order=quad.window_gauss_order)
+
+    @classmethod
+    def uniform_ball(cls, dim, radius=1.0, density=1.0,
+                     quad: QuadratureConfig = DEFAULT_QUAD):
+        return cls.from_function(
+            dim, lambda s: np.full(np.shape(s), float(density)), quad, cut=radius)
+
+    def __repr__(self):
+        return (f"RadialDensity(n={self.dim}, nodes={len(self.grid)}, "
+                f"cut={self.cut}, tail={self.tail})")
+
+    @property
+    def grid(self):
+        """The table's positive edges."""
+        return self._edges[self._edges > 0]
+
+    @property
+    def cut(self):
+        return self._hi if math.isfinite(self._hi) else None
 
     @property
     def is_radial(self):
@@ -317,7 +395,7 @@ class MassTable(RadonMeasure):
         return sorted({float(self._edges[0]), float(self._edges[-1])})
 
     def density_at(self, s):
-        """Density at radii s, honoring cuts, interpolation and tail."""
+        """Density at radii s, honoring the cuts."""
         s_in = np.asarray(s, dtype=float)
         s1 = np.atleast_1d(s_in).ravel().astype(float)
         out = np.where((s1 >= self.lo_cut) & (s1 <= self._hi), self._density(s1), 0.0)
@@ -336,23 +414,31 @@ class MassTable(RadonMeasure):
             return self.support_radius()
         if math.isinf(self._total):
             return math.inf
-        A, tau = self._tail
+        A, tau = self.tail
         e = self.dim - 1 - tau
         target = rel_tol * self._total
         radius = (target * (-e - 1.0) / (self._nwn * A)) ** (1.0 / (e + 1.0))
         return max(float(self._edges[-1]), radius)
 
     def _scale(self, lam):
-        tail = None if self._tail is None else (lam * self._tail[0], self._tail[1])
-        return MassTable(self.dim, self._edges, lam * self._piece_mass,
-                         lam * self._edge_vals, tail, self.interp,
-                         lambda s, _d=self._density: lam * _d(s), self._hi, self._window_k)
+        tail = None if self.tail is None else (lam * self.tail[0], self.tail[1])
+        return RadialDensity._table(self.dim, self._edges, lam * self._piece_mass,
+                                    lam * self._edge_vals, tail,
+                                    lambda s, _d=self._density: lam * _d(s), self._hi,
+                                    self._window_k)
+
+    def restricted(self, lo_cut: float, hi: float) -> "RadialDensity":
+        """The density restricted to {lo_cut <= |x| <= hi}, its table laid
+        out afresh on its own positive edges between the new cuts."""
+        return RadialDensity._table(
+            self.dim, *_laid_out(self._density, self.dim, self.grid, lo_cut, hi),
+            self.tail, self._density, hi, self._window_k)
 
     def _tail_mass_to(self, r):
         """Mass between the last edge and radii r >= last edge."""
         if self._tail_total == 0.0:
             return np.zeros_like(np.asarray(r, dtype=float))
-        A, tau = self._tail
+        A, tau = self.tail
         e = self.dim - 1 - tau
         a = self._edges[-1]
         r = np.asarray(r, dtype=float)
@@ -378,10 +464,11 @@ class MassTable(RadonMeasure):
     def _partial_piece(self, loc):
         """Mass between edges[i] and r inside piece i, at located radii.
 
-        Closed-form interpolant shape normalized so the full piece equals
-        the tabulated piece mass exactly; node masses stay exact and the
-        interior deviates only by the interpolation shape error within
-        one narrow segment.
+        Closed-form shapes normalized so the full piece equals the tabulated
+        piece mass exactly: the power law through the edge values (linear
+        if one is 0), and from the origin the power law r^e of _fill.  Node
+        masses stay exact and the interior deviates only by the shape error
+        within one narrow segment.
         """
         edges, f, i = self._edges, self._edge_vals, loc.idx
         full = self._piece_mass[i]
@@ -390,19 +477,16 @@ class MassTable(RadonMeasure):
         if not np.any(live):
             return out
         n = self.dim
-        if self.interp == "segment":
-            aa, bb, rr = edges[i][live], edges[i + 1][live], loc.r[live]
-            frac = (rr ** n - aa ** n) / (bb ** n - aa ** n)
-            out[live] = np.clip(frac, 0.0, 1.0) * full[live]
-            return out
         frac, powerlaw = np.empty(len(i)), live & self._powerlaw[i]
+        origin = live & (i == 0) & (edges[0] == 0.0)
+        frac[origin] = (loc.r[origin] / edges[1]) ** self._e[0]
         if np.any(powerlaw):
             j = i[powerlaw]
             ej, dj = self._e[j], self._den[j]
             # overflow-free ratio form of (r^e - a^e) / (b^e - a^e)
             frac[powerlaw] = np.where(np.abs(ej) < 1e-9, loc.lra[powerlaw] / self._lba[j],
                                       (loc.ra[powerlaw] ** ej - 1.0) / np.where(dj != 0, dj, 1.0))
-        rest = live & ~powerlaw
+        rest = live & ~powerlaw & ~origin
         if np.any(rest):
             az, bz, rz = edges[i[rest]], edges[i[rest] + 1], loc.r[rest]
             f0, f1 = f[i[rest]], f[i[rest] + 1]
@@ -519,128 +603,19 @@ def _piece_masses(density, dim, layout, vals=None):
     return masses
 
 
-class RadialDensity(MassTable):
-    """Radial density f(s) (mass per unit volume) tabulated on a log grid.
+def _laid_out(density, dim, grid, lo_cut, hi):
+    """Edges, piece masses and edge values of a density on the grid
+    between lo_cut and hi."""
+    layout = _table_layout(grid, lo_cut, hi)
+    edges = layout[0]
+    vals = _on_edges(edges, density(edges[edges > 0]))
+    return edges, _piece_masses(density, dim, layout), vals
 
-    The measure is f(s) dx restricted to {lo_cut <= |x| <= cut}.  Between
-    grid nodes the density is interpolated (power law when both endpoint
-    values are positive, linear otherwise); below the first node it is
-    constant; past the last node it follows the declared power-law tail
-    coeff * s**(-exponent), or vanishes if no tail is declared.  When an
-    exact callable is supplied it overrides interpolation on the whole
-    support and the grid only serves as the quadrature backbone.
 
-    interp="segment" switches to piecewise-constant densities per grid
-    segment (values[i] on [s_i, s_{i+1})), the representation used for
-    reconstructed Riesz measures; node ball masses are then closed-form.
-    """
-
-    def __init__(self, dim: int, grid, values, *,
-                 density_fn: Optional[Callable] = None,
-                 tail: Optional[tuple] = None, cut: Optional[float] = None,
-                 lo_cut: float = 0.0, allow_infinite_mass: bool = False,
-                 interp: str = "loglog", window_order: Optional[int] = None):
-        self.dim = int(dim)
-        self.grid = np.asarray(grid, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if self.grid.ndim != 1 or len(self.grid) < 2 or self.grid[0] <= 0 \
-                or np.any(np.diff(self.grid) <= 0):
-            raise ValueError("grid must be strictly increasing and positive")
-        if interp == "segment":
-            if len(self.values) != len(self.grid) - 1:
-                raise ValueError("segment mode needs one value per grid segment")
-        elif len(self.values) != len(self.grid):
-            raise ValueError("values must match grid length")
-        if interp not in ("loglog", "segment"):
-            raise ValueError(f"unknown interp mode {interp!r}")
-        if np.any(self.values < 0):
-            raise ValueError("density values must be >= 0")
-        self.density_fn = density_fn
-        self.tail = None if tail is None else (float(tail[0]), float(tail[1]))
-        if self.tail is not None and self.tail[0] < 0:
-            raise ValueError("tail coefficient must be >= 0")
-        self.cut = None if cut is None else float(cut)
-        self.lo_cut = float(lo_cut)
-        if not self.lo_cut >= 0:
-            raise ValueError("lo_cut must be >= 0")
-        self.allow_infinite_mass = bool(allow_infinite_mass)
-        self.interp = interp
-        if interp == "loglog":  # the node interpolant, with the tail past the grid
-            from .radial_pde import RadialFunction
-            self._interpolant = RadialFunction(self.grid, self.values, *(self.tail or ()))
-        self._build_tables(window_order)
-        if not allow_infinite_mass and math.isinf(self._total):
-            raise ValueError(
-                "density has infinite total mass; pass allow_infinite_mass=True")
-
-    @classmethod
-    def from_function(cls, dim, fn, quad: QuadratureConfig = DEFAULT_QUAD, *,
-                      tail=None, cut=None, lo_cut=0.0, allow_infinite_mass=False):
-        """Tabulate a callable density on the configured log grid."""
-        grid = quad.radial_grid()
-        if cut is not None:
-            grid = grid[grid < cut]
-            grid = np.append(grid, cut)
-        if len(grid) < 2:
-            hi = cut if cut is not None else quad.r_max
-            grid = np.geomspace(hi * 1e-4, hi, 33)
-        vals = np.maximum(np.asarray(fn(grid), dtype=float), 0.0)
-        return cls(dim, grid, vals, density_fn=fn, tail=tail, cut=cut,
-                   lo_cut=lo_cut, allow_infinite_mass=allow_infinite_mass,
-                   window_order=quad.window_gauss_order)
-
-    @classmethod
-    def uniform_ball(cls, dim, radius=1.0, density=1.0,
-                     quad: QuadratureConfig = DEFAULT_QUAD):
-        return cls.from_function(
-            dim, lambda s: np.full(np.shape(s), float(density)), quad, cut=radius)
-
-    def __repr__(self):
-        return (f"RadialDensity(n={self.dim}, nodes={len(self.grid)}, "
-                f"cut={self.cut}, tail={self.tail}, interp={self.interp!r})")
-
-    # -- density evaluation --------------------------------------------
-    def _base_density(self, s):
-        if self.density_fn is not None:
-            return np.maximum(np.asarray(self.density_fn(s), dtype=float), 0.0)
-        if self.interp == "loglog":
-            return self._interpolant.eval(s)
-        g, v = self.grid, self.values
-        out = v[np.clip(np.searchsorted(g, s, side="right") - 1, 0, len(v) - 1)]
-        above = s > g[-1]
-        if np.any(above):
-            A, tau = (0.0, 0.0) if self.tail is None else self.tail
-            out[above] = A * s[above] ** (-tau)
-        return out
-
-    # -- cumulative mass tables ----------------------------------------
-    def _build_tables(self, window_order):
-        hi = self.cut if self.cut is not None else (
-            math.inf if self.tail is not None else float(self.grid[-1]))
-        layout = _table_layout(self.grid, self.lo_cut, hi)
-        edges = layout[0]
-        masses = _piece_masses(self._base_density, self.dim, layout)
-        MassTable.__init__(self, self.dim, edges, masses,
-                           self._base_density(np.maximum(edges, _TINY)),
-                           self.tail if math.isinf(hi) else None, self.interp,
-                           self._base_density, hi, window_order)
-
-    def _scale(self, lam):
-        if lam == 0.0:
-            nvals = len(self.values)
-            return RadialDensity(self.dim, self.grid, np.zeros(nvals),
-                                 cut=self.cut, lo_cut=self.lo_cut,
-                                 interp=self.interp, window_order=self._window_k)
-        fn = None
-        if self.density_fn is not None:
-            base = self.density_fn
-            fn = lambda s, _b=base, _l=lam: _l * np.asarray(_b(s), dtype=float)
-        tail = None if self.tail is None else (lam * self.tail[0], self.tail[1])
-        return RadialDensity(self.dim, self.grid, lam * self.values,
-                             density_fn=fn, tail=tail, cut=self.cut,
-                             lo_cut=self.lo_cut,
-                             allow_infinite_mass=self.allow_infinite_mass,
-                             interp=self.interp, window_order=self._window_k)
+def _on_edges(edges, vals):
+    """Edge values from the values at the positive edges: 0 at an edge at
+    the origin, where the first piece's shape comes from its mass."""
+    return np.concatenate([np.zeros(len(edges) - len(vals)), vals])
 
 
 class Sum(RadonMeasure):
@@ -745,7 +720,7 @@ def integrate_against(mu: RadonMeasure, g, quad: QuadratureConfig = DEFAULT_QUAD
             val = float(np.asarray(g(np.atleast_1d(radius)), dtype=float).reshape(-1)[0])
             _check_sign(val)
             total += weight * val
-        elif isinstance(comp, MassTable):
+        elif isinstance(comp, RadialDensity):
             total += _integrate_density(comp, g, quad)
         else:
             raise NonRadialMeasure(f"cannot integrate against {comp!r}")
@@ -759,7 +734,7 @@ def _check_sign(val):
         raise SignError("integrand is negative on the support")
 
 
-def _integrate_density(comp: MassTable, g, quad) -> float:
+def _integrate_density(comp: RadialDensity, g, quad) -> float:
     if comp.total_mass() == 0.0:
         return 0.0
     edges = comp._edges
@@ -805,7 +780,7 @@ def weighting(comp: RadonMeasure, wgrid, pts):
     values are formed in RadialDensity's order, so the table equals that of
     the RadialDensity with the product as its density_fn."""
     from .radial_pde import GridPoints
-    if not isinstance(comp, MassTable):
+    if not isinstance(comp, RadialDensity):
         def point(g):
             m = _weigh_point(comp, g)
             return m, m.centered_mass(pts)
@@ -814,7 +789,7 @@ def weighting(comp: RadonMeasure, wgrid, pts):
     edges, points, head = layout[0], layout[1], layout[4]
     shells = np.append(points, [] if head is None else head * _HEAD_FIT)
     k = len(shells)
-    at = np.append(shells, np.maximum(edges, _TINY))
+    at = np.append(shells, edges[edges > 0])
     f, pw = comp.density_at(at), shells ** (comp.dim - 1)
     at_pts, on_g = TablePoints(edges, pts), [None]
 
@@ -824,8 +799,8 @@ def weighting(comp: RadonMeasure, wgrid, pts):
         gf = np.maximum(f * np.maximum(g.eval_at(on_g[0]), 0.0), 0.0)
         density = _product_density(comp, g)
         masses = _piece_masses(density, comp.dim, layout, gf[:k] * comp._nwn * pw)
-        m = MassTable(comp.dim, edges, masses, gf[k:], _product_tail(comp, g),
-                      density=density, hi=comp._hi, window_k=comp._window_k)
+        m = RadialDensity._table(comp.dim, edges, masses, _on_edges(edges, gf[k:]),
+                                 _product_tail(comp, g), density, comp._hi, comp._window_k)
         return m, m.mass_at(at_pts)
     return table
 
@@ -846,16 +821,16 @@ def _weigh_point(comp, g):
     raise NonRadialMeasure(f"cannot weight {comp!r}")
 
 
-def _product_tail(comp: MassTable, g):
+def _product_tail(comp: RadialDensity, g):
     """Power-law tail of comp times g, from both tails."""
-    if comp._tail is None:
+    if comp.tail is None:
         return None
     gc = float(getattr(g, "tail_coeff", 0.0) or 0.0)
     ge = float(getattr(g, "tail_exp", 0.0) or 0.0)
-    return (comp._tail[0] * gc, comp._tail[1] + ge)
+    return (comp.tail[0] * gc, comp.tail[1] + ge)
 
 
-def _product_density(comp: MassTable, g):
+def _product_density(comp: RadialDensity, g):
     """The density of comp times the weight g."""
     return lambda s: np.maximum(
         comp.density_at(s) * np.maximum(np.asarray(g.eval(s), dtype=float), 0.0), 0.0)

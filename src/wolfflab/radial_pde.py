@@ -179,10 +179,10 @@ class RadialFunction:
         m = float(np.max(self.values)) if len(self.values) else 0.0
         return max(self.center_value, m)
 
-    def is_nonincreasing(self, slack=1e-10):
-        dv = np.diff(self.values)
-        scale = np.maximum(self.values[:-1], _TINY)
-        return bool(np.all(dv <= slack * scale + 1e-300))
+    def is_nonincreasing(self):
+        """Whether no node value rises by more than 1e-9 relative."""
+        rise = np.diff(self.values)
+        return bool(np.all(rise <= 1e-9 * np.maximum(self.values[:-1], _TINY) + 1e-300))
 
 
 class GridPoints:
@@ -349,7 +349,7 @@ def riesz_measure_of(u: RadialFunction, params: ProblemParams) -> RadonMeasure:
     """Radial measure with ball mass n omega_n r^{n-1} |u'(r)|^{p-1},
     reconstructed so node ball masses are exact."""
     validate(params)
-    if not u.is_nonincreasing(slack=1e-9):
+    if not u.is_nonincreasing():
         raise NonMonotoneProfile("profile must be nonincreasing")
     n, p = params.n, params.p
     nwn = params.sphere_area
@@ -360,28 +360,32 @@ def riesz_measure_of(u: RadialFunction, params: ProblemParams) -> RadonMeasure:
     mass = nwn * g ** (n - 1) * slope ** (p - 1.0)
     mass = np.maximum.accumulate(mass)
 
-    # piecewise-constant densities per segment reproduce node masses exactly
-    grid = np.concatenate([[g[0] * 1e-6], g])
-    seg_vals = np.empty(len(grid) - 1)
-    seg_vals[0] = mass[0] / (wn * g[0] ** n)  # constant core below the first node
-    dm = np.diff(mass)
-    dvol = wn * (g[1:] ** n - g[:-1] ** n)
-    seg_vals[1:] = dm / dvol
+    # a step density, constant below the first node and on each segment
+    # (g[i-1], g[i]]: the table integrates it exactly, so node masses are exact
+    vals = np.empty(len(g))
+    vals[0] = mass[0] / (wn * g[0] ** n)
+    vals[1:] = np.diff(mass) / (wn * (g[1:] ** n - g[:-1] ** n))
+    vals = np.maximum(vals, 0.0)
 
     # Potential-type tails u ~ A r^{-(n-p)/(p-1)} have constant ball mass
     # beyond the grid (no density there).  Slower decay means the ball mass
     # keeps growing like r^eta: reconstruct the power-law density tail.
     tail = None
-    allow_inf = False
     if u.tail_coeff > 0:
         eta = n - 1 - (u.tail_exp + 1.0) * (p - 1.0)
         if eta > 1e-12:
             m_inf = nwn * (u.tail_coeff * u.tail_exp) ** (p - 1.0)
             tail = (m_inf * eta / nwn, n - eta)
-            allow_inf = True
-    return RadialDensity(params.n, grid, np.maximum(seg_vals, 0.0),
-                         interp="segment", tail=tail,
-                         allow_infinite_mass=allow_inf)
+    A, tau = tail or (0.0, 0.0)
+
+    def step(s):
+        out = vals[np.minimum(np.searchsorted(g, s), len(g) - 1)]
+        above = s > g[-1]
+        out[above] = A * s[above] ** (-tau)
+        return out
+
+    return RadialDensity(n, g, vals, density_fn=step, tail=tail,
+                         allow_infinite_mass=tail is not None)
 
 
 def riesz_ball_mass(u: RadialFunction, params: ProblemParams, r=None):
@@ -403,7 +407,7 @@ def dirichlet_energy(u: RadialFunction, params: ProblemParams,
     validate(params)
     if weight_gamma < 0:
         raise ValueError("weight_gamma must be >= 0")
-    if not u.is_nonincreasing(slack=1e-9):
+    if not u.is_nonincreasing():
         raise NonMonotoneProfile("profile must be nonincreasing")
     n, p, gam = params.n, params.p, float(weight_gamma)
     nwn = params.sphere_area

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadPoint, NonpositiveR, NonRadialMeasure, ZeroMeasure
-from .measure import (Atom, MassTable, RadialDensity, RadonMeasure, SphericalShell, Sum,
+from .measure import (Atom, RadialDensity, RadonMeasure, SphericalShell, Sum,
                       integrate_against, zero_measure)
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
 from .quadrature import (decade_tail, log_bisect, panel_sum, panelize,
@@ -232,7 +232,7 @@ def _support_distance(c, d):
 
 def wolff_profile(mu: RadonMeasure, params: ProblemParams,
                   quad: QuadratureConfig = DEFAULT_QUAD,
-                  d_grid=None, R=None) -> RadialFunction:
+                  d_grid=None) -> RadialFunction:
     """Radial Wolff-potential profile of a radial measure.
 
     Evaluates W at a log grid of center distances, batched (the potential
@@ -253,7 +253,7 @@ def wolff_profile(mu: RadonMeasure, params: ProblemParams,
 
     def rows(d, resolution):  # radial atoms sit at the origin
         dist = np.repeat(d[:, None], len(atoms), axis=1)
-        return _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution)[0]
+        return _wolff_rows(radial, atoms, d, dist, params, quad, None, resolution)[0]
 
     # the constant-mass tail absorbs the sliver of mass beyond a looser
     # horizon, and a profile needs no refinement; but this resolution is
@@ -270,7 +270,7 @@ def wolff_profile(mu: RadonMeasure, params: ProblemParams,
     vals, center = vals[:-1], vals[-1]
     ipm1 = 1.0 / (params.p - 1.0)
     tau = (params.n - params.p) * ipm1
-    coeff = total_mass ** ipm1 / tau if R is None else 0.0
+    coeff = total_mass ** ipm1 / tau
     if math.isinf(total_mass):  # the power law through the last two values
         if len(d_grid) >= 2 and vals[-1] > 0 and vals[-2] > 0:
             tau = math.log(vals[-2] / vals[-1]) / math.log(d_grid[-1] / d_grid[-2])
@@ -295,13 +295,13 @@ def wolff_sup_on_support(mu: RadonMeasure, params: ProblemParams,
         return math.inf  # the potential blows up at the atom itself
     # sample radii on the supports of the radial components
     radii = []
-    nd = max(1, sum(1 for c in radial if isinstance(c, MassTable)))
+    nd = max(1, sum(1 for c in radial if isinstance(c, RadialDensity)))
     per = max(8, _SUP_SAMPLES // nd)
     include_zero = False
     for c in radial:
         if isinstance(c, SphericalShell):
             radii.append(np.array([c.radius]))
-        elif isinstance(c, MassTable):
+        elif isinstance(c, RadialDensity):
             hi = c.support_radius()
             if math.isinf(hi):
                 hi = quad.r_max
@@ -321,9 +321,8 @@ def cutoff_measure(mu: RadonMeasure, k: int, params: ProblemParams,
     of radius 2^k.
 
     Atoms never survive (the potential is infinite on them); radial
-    densities are restricted with interpolated crossing radii so the
-    admissible set grows with k.  A product table (multiply_radial) has no
-    tabulated values to restrict and raises NonRadialMeasure.
+    densities, products included, are restricted with interpolated crossing
+    radii so the admissible set grows with k.
     """
     validate(params)
     if k < 1:
@@ -331,8 +330,6 @@ def cutoff_measure(mu: RadonMeasure, k: int, params: ProblemParams,
     atom_free, atoms = _split(mu)
     if any(np.any(a.location) for a in atoms):
         raise NonRadialMeasure("cutoffs need a radial measure")
-    if any(not isinstance(c, (SphericalShell, RadialDensity)) for c in atom_free):
-        raise NonRadialMeasure("cutoffs need tabulated radial densities")
 
     ball_cap = 2.0 ** k
     kept = []
@@ -376,13 +373,7 @@ def cutoff_measure(mu: RadonMeasure, k: int, params: ProblemParams,
         hi_new = min(hi_new, ball_cap, hi_edge)
         if hi_new <= lo_new:
             continue
-        kept.append(RadialDensity(
-            c.dim, c.grid, c.values, density_fn=c.density_fn,
-            tail=c.tail if (c.tail is not None and hi_new >= float(c.grid[-1])) else None,
-            cut=hi_new if math.isfinite(hi_new) else None,
-            lo_cut=max(lo_new, c.lo_cut),
-            allow_infinite_mass=c.allow_infinite_mass, interp=c.interp,
-            window_order=c._window_k))
+        kept.append(c.restricted(max(lo_new, c.lo_cut), hi_new))
 
     if not nontrivial:
         return mu

@@ -133,6 +133,19 @@ def test_solve_zero_data_exit_2(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_solve_gamma_zero_two_sigma_terms_exit_2(tmp_path, capsys):
+    # the gamma = 0 endpoint solves one sigma term; a second one was dropped
+    ball = {"type": "radial_density", "profile": {"kind": "uniform_ball", "radius": 1.0}}
+    cfg = write_config(tmp_path, {
+        "params": {"n": 3, "p": 2.0, "q": [0.5, 0.35], "gamma": 0.0},
+        "measures": {"s1": ball, "s2": ball},
+        "command": {"sigma": ["s1", "s2"], "mu": None, "output": "sol"},
+    })
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--json-errors"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not (tmp_path / "sol.csv").exists()
+
+
 def test_solve_gamma_inf_atom_exit_2(tmp_path):
     cfg = write_config(tmp_path, {
         "params": {"n": 3, "p": 2.0, "q": 0.5, "gamma": "inf"},

@@ -185,17 +185,3 @@ def test_density_condition_instance_implication(pp3, quad):
     assert math.isfinite(res["instance_norm"])
     assert math.isfinite(res["instance_energy"])
     assert res["implication_holds"]
-
-
-def test_export_rearranged_csv(tmp_path, pp3, quad):
-    import csv
-    from wolfflab.lorentz import export_rearranged_csv
-    u = family_profile(1.0, 1.0, 1.5, quad)
-    rp = rearrange(u, pp3)
-    path = tmp_path / "rearranged.csv"
-    export_rearranged_csv(rp, str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "fstar"]
-    assert len(rows) == len(rp.grid) + 1
-    assert float(rows[1][1]) == rp.values[0]

@@ -392,8 +392,8 @@ def test_picard_steps_build_no_measures(pp3, monkeypatch):
     # without track_energies a step builds no RadialDensity and calls
     # neither multiply_radial nor integrate_against: 10 and 30 allowed
     # steps cost the same number of such calls.  Nor does the solve build
-    # a product after the loop: its one RadialDensity is the subsolution's
-    # scaled sigma, and it never calls multiply_radial
+    # a product after the loop: the subsolution's scaled sigma is a table
+    # too, so the solve builds no RadialDensity and never calls multiply_radial
     counts = _count_calls(monkeypatch)
     seen = []
     for max_iter in (10, 30):
@@ -408,7 +408,7 @@ def test_picard_steps_build_no_measures(pp3, monkeypatch):
         seen.append({k: counts[k] - before[k] for k in counts})
         assert all(st.energies == {} for st in sol.trace)
     assert seen[0] == seen[1]
-    assert seen[0]["init"] == 1 and seen[0]["multiply_radial"] == 0
+    assert seen[0]["init"] == 0 and seen[0]["multiply_radial"] == 0
     assert sol.iterations_used > 10
 
 
