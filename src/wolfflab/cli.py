@@ -149,7 +149,7 @@ def cmd_wolff(args) -> int:
             label = repr(float(pt))
         try:
             pv = wolff(mu, x, cfg.params, cfg.quad)
-            row = [label, repr(pv.value), repr(pv.quad_error_estimate)]
+            row = [label, repr(pv.value), repr(pv.quad_error_estimate), str(pv.converged)]
             for R in truncs:
                 row.append(repr(truncated_wolff(mu, x, R, cfg.params, cfg.quad).value))
         except WolffLabError:
@@ -159,7 +159,7 @@ def cmd_wolff(args) -> int:
             return EXIT_NUMERICAL
         rows.append(row)
     path = _outpath(args, cmd.get("output", "wolff.csv"))
-    header = ["point", "value", "error_estimate"] + [f"trunc_{R:g}" for R in truncs]
+    header = ["point", "value", "error_estimate", "converged"] + [f"trunc_{R:g}" for R in truncs]
     _write_csv(path, header, rows)
     return EXIT_OK
 

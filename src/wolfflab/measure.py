@@ -27,9 +27,14 @@ from .errors import (
     SignError,
 )
 from .params import DEFAULT_QUAD, QuadratureConfig, unit_ball_volume
-from .quadrature import _HEAD_FIT, decade_tail, panel_nodes, panel_sum, power_law_head
+from .quadrature import (_HEAD_FIT, decade_tail, gauss_partial_basis, gauss_partial_coeffs,
+                         panel_nodes, panel_sum, power_law_head)
 
 _TINY = 1e-300
+# Gauss points of a table piece, and geometric panels of a first piece
+# from the origin (12 decades above its power-law head)
+_TABLE_K = 8
+_HEAD_PANELS = 60
 # nodes per fused window pass, updated in place: bounds its temporaries
 _WINDOW_NODES = 8192
 # phi - sin(phi) = phi^3 * sum_k (-1)^k phi^(2k) / (2k+3)!, for phi < 0.7
@@ -276,13 +281,17 @@ class RadialDensity(RadonMeasure):
 
     The measure is f(s) dx restricted to {lo_cut <= |x| <= cut}.  The table
     holds the piece masses between the edges (the grid between the cuts,
-    from 0 when lo_cut is 0), the density at the edges and, without a cut,
-    a power-law tail coeff * s**(-exponent) past the last grid node.
-    Centered masses read the table; off-center masses integrate the density
-    over each window with panels of window_order points.  The density is the
-    exact callable density_fn when one is given, the grid then serving only
-    as the quadrature backbone; otherwise the values interpolated like a
-    RadialFunction (monotone log-log, the tail past the last node).
+    from 0 when lo_cut is 0), the density at the edges, per piece the
+    partial-mass coefficients of its Gauss-point shell values and, without
+    a cut, a power-law tail coeff * s**(-exponent) past the last grid node.
+    Centered masses read the table: whole pieces, then the integral of the
+    interpolant through those shell values up to r (in a first piece from
+    the origin, its power law r^e).  Off-center masses integrate the
+    density over each window with panels of window_order points.  The
+    density is the exact callable density_fn when one is given, the grid
+    then serving only as the quadrature backbone; otherwise the values
+    interpolated like a RadialFunction (monotone log-log, the tail past the
+    last node).
     """
 
     def __init__(self, dim: int, grid, values, *,
@@ -317,30 +326,23 @@ class RadialDensity(RadonMeasure):
                 "density has infinite total mass; pass allow_infinite_mass=True")
 
     @classmethod
-    def _table(cls, dim, edges, piece_mass, edge_vals, tail=None, density=None,
+    def _table(cls, dim, edges, piece_mass, edge_vals, coef, tail=None, density=None,
                hi=math.inf, window_k=None) -> "RadialDensity":
         """The density known by a table: products, scaled and restricted densities."""
         out = cls.__new__(cls)
-        out._fill(dim, edges, piece_mass, edge_vals, tail, density, hi, window_k)
+        out._fill(dim, edges, piece_mass, edge_vals, coef, tail, density, hi, window_k)
         return out
 
-    def _fill(self, dim, edges, piece_mass, edge_vals, tail, density, hi, window_k):
+    def _fill(self, dim, edges, piece_mass, edge_vals, coef, tail, density, hi, window_k):
         self.dim, self.lo_cut, self._hi, self._density = int(dim), float(edges[0]), hi, density
         self._window_k = int(window_k or DEFAULT_QUAD.window_gauss_order)
         self._nwn = self.dim * unit_ball_volume(self.dim)
         self._edges, self._piece_mass, self._edge_vals = edges, piece_mass, edge_vals
+        self._coef = coef  # see _piece_masses
         self._cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
-        # per piece [a, b]: log(b/a), e for edge values on a power law (mass ~ r^e), (b/a)^e - 1
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ba = edges[1:] / edges[:-1]
-            self._lba = np.log(ba)
-            self._e = np.log(edge_vals[1:] / edge_vals[:-1]) / self._lba + self.dim
-            if edges[0] == 0.0 and len(edges) > 1:
-                # mass ~ r^e on [0, b]: e = n omega_n b^n f(b) / mu(B(0, b)),
-                # exact for a power-law density
-                self._e[0] = self._nwn * edges[1] ** self.dim * edge_vals[1] / piece_mass[0]
-            self._den = ba ** self._e - 1.0
-        self._powerlaw = (edge_vals[:-1] > 0) & (edge_vals[1:] > 0) & (edges[:-1] > 0)
+        # a first piece [0, b] has mass ~ r^e, e = n omega_n b^n f(b) / its mass
+        self._e0 = self._nwn * edges[1] ** self.dim * edge_vals[1] / piece_mass[0] \
+            if edges[0] == 0.0 and len(edges) > 1 and piece_mass[0] > 0 else 1.0
         self.tail = tail if tail is not None and tail[0] > 0 and math.isinf(hi) else None
         self._tail_total = 0.0
         if self.tail is not None:
@@ -414,16 +416,19 @@ class RadialDensity(RadonMeasure):
             return self.support_radius()
         if math.isinf(self._total):
             return math.inf
-        A, tau = self.tail
-        e = self.dim - 1 - tau
+        # the first edge with at most the target beyond it, table and tail
         target = rel_tol * self._total
-        radius = (target * (-e - 1.0) / (self._nwn * A)) ** (1.0 / (e + 1.0))
-        return max(float(self._edges[-1]), radius)
+        ok = np.flatnonzero(self._total - self._cum[1:] <= target)
+        if len(ok):
+            return float(self._edges[ok[0] + 1])
+        A, tau = self.tail  # the tail alone holds more: its own radius
+        e = self.dim - 1 - tau
+        return (target * (-e - 1.0) / (self._nwn * A)) ** (1.0 / (e + 1.0))
 
     def _scale(self, lam):
         tail = None if self.tail is None else (lam * self.tail[0], self.tail[1])
         return RadialDensity._table(self.dim, self._edges, lam * self._piece_mass,
-                                    lam * self._edge_vals, tail,
+                                    lam * self._edge_vals, lam * self._coef, tail,
                                     lambda s, _d=self._density: lam * _d(s), self._hi,
                                     self._window_k)
 
@@ -447,7 +452,9 @@ class RadialDensity(RadonMeasure):
         return self._nwn * A * (r ** (e + 1.0) - a ** (e + 1.0)) / (e + 1.0)
 
     def _centered_mass(self, r):
-        return self.mass_at(TablePoints(self._edges, r))
+        # a pass at a time: bounds the located basis
+        return np.concatenate([self.mass_at(TablePoints(self._edges, r[j:j + _WINDOW_NODES]))
+                               for j in range(0, len(r), _WINDOW_NODES)] or [np.zeros(0)])
 
     def mass_at(self, loc: TablePoints):
         """Centered ball masses at radii located on this table's edges."""
@@ -457,50 +464,17 @@ class RadialDensity(RadonMeasure):
         out = np.zeros(loc.size)  # the mass below the first edge
         if len(loc.r_beyond):
             out[loc.beyond] = cum[-1] + self._tail_mass_to(np.maximum(loc.r_beyond, edges[-1]))
-        if len(loc.idx):
-            out[loc.mid] = cum[loc.idx] + self._partial_piece(loc)
-        return out
-
-    def _partial_piece(self, loc):
-        """Mass between edges[i] and r inside piece i, at located radii.
-
-        Closed-form shapes normalized so the full piece equals the tabulated
-        piece mass exactly: the power law through the edge values (linear
-        if one is 0), and from the origin the power law r^e of _fill.  Node
-        masses stay exact and the interior deviates only by the shape error
-        within one narrow segment.
-        """
-        edges, f, i = self._edges, self._edge_vals, loc.idx
-        full = self._piece_mass[i]
-        out = np.zeros(len(i))
-        live = (full > 0) & loc.inside
-        if not np.any(live):
-            return out
-        n = self.dim
-        frac, powerlaw = np.empty(len(i)), live & self._powerlaw[i]
-        origin = live & (i == 0) & (edges[0] == 0.0)
-        frac[origin] = (loc.r[origin] / edges[1]) ** self._e[0]
-        if np.any(powerlaw):
-            j = i[powerlaw]
-            ej, dj = self._e[j], self._den[j]
-            # overflow-free ratio form of (r^e - a^e) / (b^e - a^e)
-            frac[powerlaw] = np.where(np.abs(ej) < 1e-9, loc.lra[powerlaw] / self._lba[j],
-                                      (loc.ra[powerlaw] ** ej - 1.0) / np.where(dj != 0, dj, 1.0))
-        rest = live & ~powerlaw & ~origin
-        if np.any(rest):
-            az, bz, rz = edges[i[rest]], edges[i[rest] + 1], loc.r[rest]
-            f0, f1 = f[i[rest]], f[i[rest] + 1]
-            slope = np.where(bz > az, (f1 - f0) / np.maximum(bz - az, _TINY), 0.0)
-
-            def prim(x):
-                return f0 * (x ** n - az ** n) / n + slope * (
-                    (x ** (n + 1) - az ** (n + 1)) / (n + 1)
-                    - az * (x ** n - az ** n) / n)
-
-            den = prim(bz)
-            frac[rest] = np.where(den > 0, prim(rz) / np.maximum(den, _TINY),
-                                  (rz ** n - az ** n) / (bz ** n - az ** n))
-        out[live] = np.clip(frac[live], 0.0, 1.0) * full[live]
+        i = loc.idx
+        if len(i):
+            part = self._coef[0][i] * loc.basis[0]
+            for m in range(1, len(self._coef)):
+                part += self._coef[m][i] * loc.basis[m]
+            full = self._piece_mass[i]
+            np.clip(part, 0.0, full, out=part)
+            if len(loc.origin):
+                frac = (loc.r_origin / edges[1]) ** self._e0
+                part[loc.origin] = np.clip(frac, 0.0, 1.0) * full[loc.origin]
+            out[loc.mid] = cum[i] + part
         return out
 
     # -- off-center masses ---------------------------------------------
@@ -564,52 +538,61 @@ class TablePoints:
         self.edges, self.size = edges, len(r)
         self.beyond = idx >= len(edges) - 1
         self.mid = ~self.beyond & (idx >= 0)
-        self.r_beyond, self.r = r[self.beyond], r[self.mid]
+        self.r_beyond, r = r[self.beyond], r[self.mid]
         i = self.idx = idx[self.mid]
-        self.inside = self.r > edges[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.ra = self.r / edges[i]
-            self.lra = np.log(self.ra)
+        a, b = edges[i], edges[i + 1]
+        # r's place in its piece, -1 exactly on the left edge
+        self.basis = gauss_partial_basis(((r - a) - (b - r)) / (b - a), _TABLE_K)
+        self.origin = np.flatnonzero((a == 0.0) & (r > 0.0))
+        self.r_origin = r[self.origin]
 
 
 def _table_layout(grid, lo_cut, hi):
-    """Mass table on the grid between lo_cut and hi: edges, 24-point Gauss
-    points and weights, each panel's piece and the head's anchor (from 0:
-    12 geometric panels from edges[1] * 1e-12, the power-law head below)."""
+    """Mass table on the grid between lo_cut and hi: edges, the _TABLE_K
+    Gauss points and weights of each panel, each panel's piece and the
+    head's anchor.  A piece is one panel, except that a first piece from 0
+    is _HEAD_PANELS geometric panels from edges[1] * 1e-12 (head below)."""
     end = [hi] if math.isfinite(hi) and hi > lo_cut else []
     edges = np.concatenate([[lo_cut], grid[(grid > lo_cut) & (grid < hi)], end])
     if lo_cut > 0.0 or len(edges) < 2:
-        nodes, weights = panel_nodes(edges, 24)
+        nodes, weights = panel_nodes(edges, _TABLE_K)
         return edges, nodes.ravel(), weights, np.arange(len(edges) - 1), None
     head = edges[1] * 1e-12
-    nodes, weights = panel_nodes(np.append(np.geomspace(head, edges[1], 13), edges[2:]), 24)
-    piece = np.repeat(np.arange(len(edges) - 1), [12] + [1] * (len(edges) - 2))
+    nodes, weights = panel_nodes(
+        np.append(np.geomspace(head, edges[1], _HEAD_PANELS + 1), edges[2:]), _TABLE_K)
+    piece = np.repeat(np.arange(len(edges) - 1), [_HEAD_PANELS] + [1] * (len(edges) - 2))
     return edges, nodes.ravel(), weights, piece, head
 
 
 def _piece_masses(density, dim, layout, vals=None):
-    """Piece masses of a density on a _table_layout; vals, when known, are
-    its shell mass n omega_n s^{n-1} density(s) at the layout's points and
-    then at its head's fit points."""
+    """Piece masses of a density on a _table_layout, and per piece the
+    gauss_partial_coeffs of its Gauss-point shell values, scaled to the
+    piece, one row per basis term (unused for a first piece from 0).  vals,
+    when known, are its shell mass n omega_n s^{n-1} density(s) at the
+    layout's points and then at its head's fit points."""
     edges, points, weights, piece, head = layout
     nwn = dim * unit_ball_volume(dim)
     shell = lambda s, _=None: density(s) * nwn * s ** (dim - 1)
     vals = shell(points) if vals is None else vals
-    sums = (vals[:len(points)].reshape(weights.shape) * weights).sum(axis=1)
+    per_panel = vals[:len(points)].reshape(weights.shape)
+    sums = (per_panel * weights).sum(axis=1)
     masses = np.bincount(piece, sums, minlength=len(edges) - 1)
     if head is not None:
         fit = vals[len(points):]
         masses[0] += power_law_head(shell, head, fit if len(fit) else None)
-    return masses
+    half = 0.5 * np.diff(edges)
+    last = gauss_partial_coeffs(per_panel[len(per_panel) - len(masses):])
+    return masses, np.ascontiguousarray((half[:, None] * last).T)
 
 
 def _laid_out(density, dim, grid, lo_cut, hi):
-    """Edges, piece masses and edge values of a density on the grid
-    between lo_cut and hi."""
+    """Edges, piece masses, edge values and partial-mass coefficients of a
+    density on the grid between lo_cut and hi."""
     layout = _table_layout(grid, lo_cut, hi)
     edges = layout[0]
     vals = _on_edges(edges, density(edges[edges > 0]))
-    return edges, _piece_masses(density, dim, layout), vals
+    masses, coef = _piece_masses(density, dim, layout)
+    return edges, masses, vals, coef
 
 
 def _on_edges(edges, vals):
@@ -776,9 +759,11 @@ def multiply_radial(mu: RadonMeasure, g) -> RadonMeasure:
 
 def weighting(comp: RadonMeasure, wgrid, pts):
     """g -> (comp times g, its centered masses at pts) for weights on wgrid:
-    a density's product table laid out and located here once.  The shell
-    values are formed in RadialDensity's order, so the table equals that of
-    the RadialDensity with the product as its density_fn."""
+    a density's product table laid out and pts located on its edges here
+    once, so a step's masses are cumulative piece masses plus one gather-sum
+    over the shell values it forms.  These are formed in RadialDensity's
+    order, so the table equals that of the RadialDensity with the product
+    as its density_fn."""
     from .radial_pde import GridPoints
     if not isinstance(comp, RadialDensity):
         def point(g):
@@ -798,8 +783,8 @@ def weighting(comp: RadonMeasure, wgrid, pts):
             on_g[0] = GridPoints(g, at)
         gf = np.maximum(f * np.maximum(g.eval_at(on_g[0]), 0.0), 0.0)
         density = _product_density(comp, g)
-        masses = _piece_masses(density, comp.dim, layout, gf[:k] * comp._nwn * pw)
-        m = RadialDensity._table(comp.dim, edges, masses, _on_edges(edges, gf[k:]),
+        masses, coef = _piece_masses(density, comp.dim, layout, gf[:k] * comp._nwn * pw)
+        m = RadialDensity._table(comp.dim, edges, masses, _on_edges(edges, gf[k:]), coef,
                                  _product_tail(comp, g), density, comp._hi, comp._window_k)
         return m, m.mass_at(at_pts)
     return table

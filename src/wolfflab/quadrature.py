@@ -33,6 +33,41 @@ def gauss_rule(k: int):
     return x, w
 
 
+@lru_cache(maxsize=16)
+def _lagrange_in_legendre(k: int):
+    """c[m, j] = w_j P_m(x_j) / 2 for the k-point Gauss rule (x, w): node
+    j's Lagrange polynomial is sum_m (2m + 1) c[m, j] P_m."""
+    x, w = gauss_rule(k)
+    return 0.5 * w * np.polynomial.legendre.legvander(x, k - 1).T
+
+
+def gauss_partial_coeffs(vals):
+    """Coefficients a[..., m] of the interpolant through vals[..., j] at the
+    k-point Gauss nodes on [-1, 1], k the last axis: its integral from -1 to
+    y is sum_m a_m B_m(y) (gauss_partial_basis), that is sum_j W_j(y) vals_j
+    with W_j(y) the integral of node j's Lagrange polynomial (at y = 1 the
+    Gauss weights).  einsum, as a first BLAS product sets up MBs of buffers."""
+    vals = np.asarray(vals, dtype=float)
+    return np.einsum("...j,mj->...m", vals, _lagrange_in_legendre(vals.shape[-1]))
+
+
+def gauss_partial_basis(y, k: int):
+    """B_m(y), m < k, the integral from -1 to y of (2m + 1) P_m: y + 1, then
+    P_{m+1}(y) - P_{m-1}(y); shape (k,) + shape(y), all 0 at y = -1."""
+    y = np.asarray(y, dtype=float)
+    out = np.empty((k,) + y.shape)
+    out[0] = y + 1.0
+    prev, cur = np.ones_like(y), y
+    for m in range(1, k):  # integer factors keep P_m(-1) = (-1)^m exact
+        nxt = y * cur
+        nxt *= 2 * m + 1
+        nxt -= m * prev
+        nxt /= m + 1
+        np.subtract(nxt, prev, out=out[m])
+        prev, cur = cur, nxt
+    return out
+
+
 def panelize(lo, hi, breakpoints=(), panels_per_decade: int = 4):
     """Geometric panels for many rows (lo, hi, breakpoints) at once.
 

@@ -53,7 +53,8 @@ def test_wolff_without_measure_writes_zeros(tmp_path):
     })
     assert main(["wolff", "--config", cfg, "--out", str(tmp_path)]) == 0
     rows = read_csv(tmp_path / "wolff.csv")
-    assert [[float(v) for v in r[1:]] for r in rows[1:]] == [[0.0, 0.0, 0.0]] * 2
+    assert rows[0] == ["point", "value", "error_estimate", "converged", "trunc_1"]
+    assert [r[1:] for r in rows[1:]] == [["0.0", "0.0", "True", "0.0"]] * 2
 
 
 @pytest.mark.parametrize("field, literal, error", [

@@ -368,86 +368,115 @@ def test_offcenter_mass_window_properties(n, kind, log_d, log_r):
 
 # -- located mass tables -----------------------------------------------------
 
-def _reference_centered_mass(t, r):
-    """Table centered masses as written before located evaluation,
-    locating the radii inside: the arithmetic the located form must
-    reproduce."""
-    out = np.empty_like(r)
-    edges, cum, n = t._edges, t._cum, t.dim
-    idx = np.searchsorted(edges, r, side="right") - 1
-    below, beyond = idx < 0, idx >= len(edges) - 1
-    out[below] = 0.0
-    if np.any(beyond):
-        out[beyond] = cum[-1] + t._tail_mass_to(np.maximum(r[beyond], edges[-1]))
-    mid = ~(beyond | below)
-    i, rm = idx[mid], r[mid]
-    a, b, full = edges[i], edges[i + 1], t._piece_mass[i]
-    part = np.zeros_like(rm)
-    live = (full > 0) & (rm > a)
-    aa, bb, rr = a[live], b[live], rm[live]
-    fa, fb = t._edge_vals[i][live], t._edge_vals[i + 1][live]
-    frac = np.empty_like(rr)
-    # from the origin: mass ~ r^e, e = n omega_n b^n f(b) / mass of the piece,
-    # one exponent of the first piece [0, b]
-    origin = aa == 0.0
-    if np.any(origin):
-        b0 = edges[1]
-        e0 = n * unit_ball_volume(n) * b0 ** n * t._edge_vals[1] / t._piece_mass[0]
-        frac[origin] = (rr[origin] / b0) ** e0
-    pl = (fa > 0) & (fb > 0) & (aa > 0)
-    e = np.log(fb[pl] / fa[pl]) / np.log(bb[pl] / aa[pl]) + n
-    az, bz, rz = aa[pl], bb[pl], rr[pl]
-    den = (bz / az) ** e - 1.0
-    frac[pl] = np.where(np.abs(e) < 1e-9, np.log(rz / az) / np.log(bz / az),
-                        ((rz / az) ** e - 1.0) / np.where(den != 0, den, 1.0))
-    rest = ~pl & ~origin
-    az, bz, rz, f0, f1 = aa[rest], bb[rest], rr[rest], fa[rest], fb[rest]
-    slope = np.where(bz > az, (f1 - f0) / np.maximum(bz - az, 1e-300), 0.0)
+_LOCATED_DENSITIES = {
+    "family": lambda s: 2.0 * (1.0 + (np.asarray(s, float) / 0.7) ** 2) ** -2.5,
+    "power": lambda s: np.asarray(s, float) ** -1.5,
+}
 
-    def prim(x):
-        return f0 * (x ** n - az ** n) / n + slope * (
-            (x ** (n + 1) - az ** (n + 1)) / (n + 1) - az * (x ** n - az ** n) / n)
 
-    den = prim(bz)
-    frac[rest] = np.where(den > 0, prim(rz) / np.maximum(den, 1e-300),
-                          (rz ** n - az ** n) / (bz ** n - az ** n))
-    part[live] = np.clip(frac, 0.0, 1.0) * full[live]
-    out[mid] = cum[i] + part
+def _scipy_centered_mass(mu, fn, r):
+    """mu(B(0, r)) of a density fn on mu's edges by scipy quad, piece by
+    piece, with the tail mu's power law past the last edge."""
+    edges, n = mu._edges, mu.dim
+    nwn = n * unit_ball_volume(n)
+    shell = lambda s: float(fn(s)) * nwn * s ** (n - 1)
+
+    def integral(a, b):
+        return scipy_quad(shell, a, b, epsabs=1e-300, epsrel=1e-14, limit=200)[0]
+
+    cum = np.concatenate([[0.0], np.cumsum([integral(a, b) for a, b in
+                                            zip(edges[:-1], edges[1:])])])
+    out = np.zeros_like(r)
+    for j, rj in enumerate(r):
+        i = np.searchsorted(edges, rj, side="right") - 1
+        if i >= len(edges) - 1:
+            out[j] = cum[-1] + (mu._tail_mass_to(rj) if mu.tail else 0.0)
+        elif i >= 0:
+            out[j] = cum[i] + integral(edges[i], rj)
     return out
 
 
-_piece_values = st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 1e4)),
-                         min_size=9, max_size=9)
-
-
-@settings(deadline=None, max_examples=60)
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@settings(deadline=None, max_examples=25)
 @given(n=st.sampled_from([2, 3, 5]), log_lo=st.floats(-3.0, 0.0),
-       from_zero=st.booleans(), masses=st.tuples(_piece_values, _piece_values),
-       vals=st.tuples(_piece_values, _piece_values),
-       tail=st.sampled_from([None, (0.5, 4.5), (2.0, 3.0)]),
+       from_zero=st.booleans(), kind=st.sampled_from(sorted(_LOCATED_DENSITIES)),
+       gap=st.booleans(), tail=st.sampled_from([None, (0.5, 7.5)]),
        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
-# a first piece from the origin with a steep exponent (about 168), where an
-# exponent off by one ulp shows in the mass at the piece's midpoint
-@example(n=3, log_lo=-1e-12, from_zero=True, masses=([0.0] * 9, [1.0] + [0.0] * 8),
-         vals=([0.0] * 9, [0.0, 1.0] + [0.0] * 7), tail=None, fracs=[0.0])
-def test_located_masses_match_centered_mass(n, log_lo, from_zero, masses, vals, tail,
-                                            fracs):
+# a first piece from the origin, where the power law r^e of the table is
+# exact for a power-law density
+@example(n=3, log_lo=-1e-12, from_zero=True, kind="power", gap=False, tail=None,
+         fracs=[0.0])
+def test_located_masses_match_centered_mass(n, log_lo, from_zero, kind, gap, tail, fracs):
     # below and beyond the edges, on them and inside pieces; zero-mass
-    # pieces, pieces whose edge values are no power law, with and without
-    # a tail
-    edges = np.geomspace(10.0 ** log_lo, 10.0 ** (log_lo + 3.0), 9)
-    if from_zero:
-        edges[0] = 0.0
-    t, t2 = (RadialDensity._table(n, edges, np.array(m[:8]), np.array(v), tail)
-             for m, v in zip(masses, vals))
+    # pieces, with and without a tail: located and plain masses agree bit
+    # for bit, and with scipy to 1e-13 (in a first piece from the origin,
+    # where the table's law is r^e, only for the power law)
+    grid = np.geomspace(10.0 ** log_lo, 10.0 ** (log_lo + 3.0), 97)
+    base = _LOCATED_DENSITIES[kind]
+    fn = (lambda s: np.where(np.asarray(s, float) < grid[48], 0.0, base(s))) if gap else base
+    mu = RadialDensity(n, grid, fn(grid), density_fn=fn, tail=tail,
+                       lo_cut=0.0 if from_zero else grid[0], allow_infinite_mass=True)
+    edges = mu._edges
     inside = edges[1] * (edges[-1] / edges[1]) ** np.array(fracs)
-    r = np.concatenate([[0.0, edges[1] * 1e-3], edges, inside,
+    r = np.concatenate([[0.0, grid[0] * 1e-3], edges, inside,
                         0.5 * (edges[1:] + edges[:-1]), edges[-1] * np.array([1.5, 1e3])])
-    loc = TablePoints(edges, r)
-    for table in (t, t2):
-        want = _reference_centered_mass(table, r)
-        assert np.array_equal(table.centered_mass(r), want, equal_nan=True)
-        assert np.array_equal(table.mass_at(loc), want, equal_nan=True)
+    got = mu.centered_mass(r)
+    assert np.array_equal(mu.mass_at(TablePoints(edges, r)), got)
+    checked = (r >= grid[0]) | (kind == "power" or not from_zero)
+    np.testing.assert_allclose(got[checked], _scipy_centered_mass(mu, fn, r[checked]),
+                               rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("ppd", [32, 64])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["family", "rational"])
+def test_centered_masses_between_edges_match_scipy(kind, n, ppd):
+    # the partial piece integrates the interpolant through the piece's
+    # Gauss-point values: exact between the edges, not only on them
+    quad = QuadratureConfig(points_per_decade=ppd)
+    if kind == "family":  # finite mass in every n
+        fn = family_density_fn(1.0, 1.0, (n + 2) / 2.0)
+        mu = family_density(n, 1.0, 1.0, (n + 2) / 2.0, quad)
+    else:
+        fn = lambda s: (1.0 + np.asarray(s, float) ** 2) ** -4.0
+        mu = RadialDensity.from_function(n, fn, quad, tail=(1.0, 8.0))
+    g = mu.grid[(mu.grid > 1e-3) & (mu.grid < 1e3)]
+    rng = np.random.default_rng(n * ppd)
+    i = rng.integers(0, len(g) - 1, 40)
+    r = np.concatenate([g[i] + rng.uniform(0.0, 1.0, len(i)) * (g[i + 1] - g[i]),
+                        0.5 * (g[:-1:16] + g[1::16])])
+    nwn = n * unit_ball_volume(n)
+    shell = lambda s: float(fn(s)) * nwn * s ** (n - 1)
+    want = [scipy_quad(shell, 0.0, min(x, 1.0), epsabs=1e-300, epsrel=1e-14)[0]
+            + (scipy_quad(shell, 1.0, x, epsabs=1e-300, epsrel=1e-14)[0] if x > 1.0 else 0.0)
+            for x in r]
+    np.testing.assert_allclose(mu.centered_mass(r), want, rtol=1e-13, atol=0.0)
+
+
+def test_riesz_measure_masses_are_its_step_density_masses():
+    # a step density, constant on each node segment: between the nodes its
+    # masses grow like the volume, and the table reads them exactly
+    quad = QuadratureConfig(points_per_decade=32)
+    pp = params(3, 2.0, 0.5, 1.0)
+    nu = riesz_measure_of(solve_radial_p_laplace(family_density(3, 1.0, 1.0, 2.5, quad),
+                                                 pp, quad), pp)
+    g = nu.grid
+    mid = 0.5 * (g[1:] + g[:-1])
+    want = nu.centered_mass(g[:-1]) + nu.density_at(mid) * W3 * (mid ** 3 - g[:-1] ** 3)
+    np.testing.assert_allclose(nu.centered_mass(mid), want, rtol=1e-13, atol=0.0)
+
+
+def test_effective_extent_is_the_first_edge_past_the_mass():
+    # a tailed density's table runs to r_max, but its mass is spent long
+    # before: the extent is the first edge with at most rel_tol of it beyond
+    mu = family_density(3, 1.0, 1.0, 2.5)
+    total = mu.total_mass()
+    ext = mu.effective_extent(1e-7)
+    k = int(np.flatnonzero(mu._edges == ext)[0])
+    assert ext < mu.grid[-1]
+    assert total - mu.centered_mass(ext) <= 1e-7 * total
+    assert total - mu.centered_mass(mu._edges[k - 1]) > 1e-7 * total
 
 
 @pytest.mark.parametrize("ppd", [32, 64])
@@ -467,14 +496,15 @@ def test_first_piece_of_a_singular_density_is_its_power_law(ppd):
 
 
 def test_table_location_is_tied_to_its_edges():
-    edges = np.geomspace(1e-2, 1e2, 5)
-    t = RadialDensity._table(3, edges, np.ones(4), np.ones(5))
+    grid = np.geomspace(1e-2, 1e2, 33)
+    fn = family_density_fn(1.0, 1.0, 2.0)
+    t = RadialDensity(3, grid, fn(grid), density_fn=fn)
     r = np.array([0.05, 3.0, 300.0])
-    assert np.array_equal(RadialDensity._table(3, edges.copy(), np.full(4, 2.0), np.ones(5))
-                          .mass_at(TablePoints(edges, r)), 2.0 * t.centered_mass(r))
+    twice = RadialDensity(3, grid.copy(), 2.0 * fn(grid), density_fn=lambda s: 2.0 * fn(s))
+    assert np.array_equal(twice.mass_at(TablePoints(t._edges, r)), 2.0 * t.centered_mass(r))
     with pytest.raises(ValueError, match="other edges"):
-        RadialDensity._table(3, edges * 2.0, np.ones(4), np.ones(5)).mass_at(
-            TablePoints(edges, r))
+        RadialDensity(3, grid * 2.0, fn(grid), density_fn=fn).mass_at(
+            TablePoints(t._edges, r))
 
 
 def test_weighting_locates_a_weight_on_another_grid_afresh(quad):

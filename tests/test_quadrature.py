@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wolfflab.quadrature import (decade_tail, panel_nodes, panel_sum, panelize,
+from wolfflab.quadrature import (decade_tail, gauss_partial_basis, gauss_partial_coeffs,
+                                 gauss_rule, panel_nodes, panel_sum, panelize,
                                  power_law_head)
 
 
@@ -195,3 +196,20 @@ def test_tail_stops_at_upper_cap(upper):
 
 def test_tail_of_zero_is_zero():
     assert decade_tail(lambda r: np.zeros_like(r), 1.0, 16, 1e-10) == 0.0
+
+
+def test_partial_gauss_integrates_the_interpolant():
+    # sum_m coeffs_m B_m(y) is the integral from -1 to y of the interpolant
+    # through the Gauss nodes: exact for polynomials of degree < k, zero at
+    # y = -1 and the Gauss rule at y = 1
+    k = 8
+    x, w = gauss_rule(k)
+    y = np.linspace(-1.0, 1.0, 9)
+    basis = gauss_partial_basis(y, k)
+    for deg in range(k):
+        want = (y ** (deg + 1) - (-1.0) ** (deg + 1)) / (deg + 1)
+        np.testing.assert_allclose(gauss_partial_coeffs(x ** deg) @ basis, want,
+                                   rtol=0.0, atol=4e-15)
+    assert np.array_equal(basis[:, 0], np.zeros(k))
+    weights = gauss_partial_coeffs(np.eye(k)) @ gauss_partial_basis(np.ones(1), k)
+    np.testing.assert_allclose(weights.ravel(), w, rtol=1e-14, atol=0.0)

@@ -18,7 +18,7 @@ from wolfflab.families import family_density
 from wolfflab.measure import Sum
 import wolfflab.solver
 from wolfflab.solver import _fixed_composer
-from wolfflab.radial_pde import marked_grid, zero_profile
+from wolfflab.radial_pde import marked_grid, solve_points, zero_profile
 
 from reference import plain_picard, reference_product
 
@@ -360,6 +360,26 @@ def test_fixed_step_matches_composed_solve(case, n, p):
         assert np.array_equal(masses[:len(grid)], nu.centered_mass(grid))
     else:
         assert np.allclose(masses[:len(grid)], nu.centered_mass(grid), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("case", ["tailed", "cut", "shell_atom_mu", "infinite"])
+def test_composer_masses_are_the_composed_measures(case):
+    # the composer reads its masses at every solve point (nodes, Gauss
+    # nodes, head fit points) from points located once per solve; they are
+    # the centered masses of the measure it composes
+    quad = QuadratureConfig(points_per_decade=32)
+    pp = params(3, 2.0, 0.5, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sigma, mu = _step_case(case, 3, quad)
+        grid = marked_grid(quad.radial_grid(), [sigma] + ([mu] if mu else []))
+        u = solve_radial_p_laplace(family_density(3, 1.0, 1.0, 2.5, quad), pp, quad,
+                                   grid=grid)
+        pts = solve_points(grid, quad)
+        compose = _fixed_composer([sigma], [0.5], mu, grid, pts)
+        for w in (u, u.scaled(3.0)):
+            nu, masses = compose(w)
+            np.testing.assert_allclose(masses, nu.centered_mass(pts), rtol=1e-14, atol=0.0)
 
 
 def _count_calls(monkeypatch):

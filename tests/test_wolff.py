@@ -3,12 +3,13 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from wolfflab import (Atom, BadPoint, NonpositiveR, QuadratureConfig, RadialDensity,
                       SphericalShell, Sum, ZeroMeasure, add, cutoff_measure, dirac,
                       params, scale, truncated_wolff, wolff, wolff_profile,
                       wolff_sup_on_support, integrate_against, zero_measure)
-from wolfflab.families import family_density
+from wolfflab.families import family_density, family_density_fn
 from wolfflab.wolff import PotentialValue
 
 from oracles import ball_potential
@@ -158,8 +159,9 @@ def test_converged_flag(quad):
 
 
 def test_refinement_only_splits_unconverged_panels(quad, monkeypatch):
-    # n = 4, cut family at 64 ppd: uniform refinement runs all three rounds
-    # here, so it evaluates 1 + 2 + 4 + 8 = 15 times the first rule's nodes
+    # n = 4, cut family at 64 ppd: uniform refinement would run all three
+    # rounds, evaluating 1 + 2 + 4 + 8 = 15 times the first rule's nodes;
+    # with exact ball masses two rounds converge
     wolff_module = sys.modules["wolfflab.wolff"]
     panel_sum = wolff_module.panel_sum
     calls = []
@@ -169,20 +171,62 @@ def test_refinement_only_splits_unconverged_panels(quad, monkeypatch):
         return panel_sum(f, edges, k, rows)
 
     monkeypatch.setattr(wolff_module, "panel_sum", counting)
+    fn = family_density_fn(1.3, 0.7, 2.8)
     mu = family_density(4, 1.3, 0.7, 2.8, quad, cut=1.5)
     pp = params(4, 2.0, 0.5, 1.0)
+    x = [0.4, 0.3, 0.0, 0.2]
     counts = []
     for _ in range(2):
         calls.clear()
-        got = wolff(mu, [0.4, 0.3, 0.0, 0.2], pp, quad)
+        got = wolff(mu, x, pp, quad)
         counts.append([widths.size * k for widths, k in calls])
     assert counts[0] == counts[1]
-    assert len(counts[0]) == 4  # the first rule and three rounds
+    assert len(counts[0]) == 3  # the first rule and two rounds
+    assert got.converged
     assert sum(counts[0]) < 0.5 * 15 * counts[0][0]
     # no panel is bisected more than three times
     first = np.min(calls[0][0])
     assert min(np.min(widths) for widths, _ in calls) >= first / 8 * (1 - 1e-12)
-    assert got.value == pytest.approx(1.0667746347192228, rel=1e-11)  # the uniform value
+    assert got.value == pytest.approx(_newton_wolff(fn, 4, float(np.linalg.norm(x)), 1.5),
+                                      rel=1e-11)
+
+
+def _newton_wolff(fn, n, d, cut):
+    """W_{1,2} of the radial density fn on B(0, cut) at |x| = d by Newton's
+    theorem, (d^{2-n} mu(B(0, d)) + int_{|y| > d} |y|^{2-n} dmu) / (n - 2),
+    with scipy quad."""
+    nwn = n * math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    shell = lambda s: float(fn(s)) * nwn * s ** (n - 1)
+    inner = integrate.quad(shell, 0.0, min(d, cut), epsabs=1e-300, epsrel=1e-13)[0]
+    outer = integrate.quad(lambda s: shell(s) * s ** (2 - n), min(d, cut), cut,
+                           epsabs=1e-300, epsrel=1e-13)[0]
+    return (d ** (2 - n) * inner + outer) / (n - 2)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("kind", ["ball", "shell", "family"])
+def test_pointwise_matches_newton_at_default_quad(kind, n, quad):
+    # p = 2: W is the Newtonian potential / (n - 2), known from Newton's
+    # theorem; with exact ball masses refinement converges on every point
+    pp = params(n, 2.0, 0.5, 1.0)
+    wn = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    if kind == "ball":
+        mu = RadialDensity.uniform_ball(n, 1.0, 1.0, quad)
+        want = lambda d: (wn * d * d + n * wn * (1.0 - d * d) / 2.0 if d < 1.0
+                          else wn * d ** (2 - n)) / (n - 2)
+    elif kind == "shell":
+        mu = SphericalShell(n, 1.0, 2.0)
+        want = lambda d: 2.0 * max(d, 1.0) ** (2 - n) / (n - 2)
+    else:
+        c = (n + 2) / 2.0
+        mu = family_density(n, 1.0, 1.0, c, quad)
+        want = lambda d: _newton_wolff(family_density_fn(1.0, 1.0, c), n, d, math.inf)
+    for d in (0.3, 1.7, 6.0):
+        x = np.zeros(n)
+        x[0] = d
+        got = wolff(mu, x, pp, quad)
+        assert got.converged
+        assert got.value == pytest.approx(want(d), rel=1e-12)
 
 
 def test_truncation_below_full_and_converging(pp3, quad, rng):
