@@ -281,9 +281,9 @@ class RadialDensity(RadonMeasure):
 
     The measure is f(s) dx restricted to {lo_cut <= |x| <= cut}.  The table
     holds the piece masses between the edges (the grid between the cuts,
-    from 0 when lo_cut is 0), the density at the edges, per piece the
-    partial-mass coefficients of its Gauss-point shell values and, without
-    a cut, a power-law tail coeff * s**(-exponent) past the last grid node.
+    from 0 when lo_cut is 0), per piece the partial-mass coefficients of
+    its Gauss-point shell values, a first piece's exponent and, without a
+    cut, a power-law tail coeff * s**(-exponent) past the last grid node.
     Centered masses read the table: whole pieces, then the integral of the
     interpolant through those shell values up to r (in a first piece from
     the origin, its power law r^e).  Off-center masses integrate the
@@ -326,23 +326,20 @@ class RadialDensity(RadonMeasure):
                 "density has infinite total mass; pass allow_infinite_mass=True")
 
     @classmethod
-    def _table(cls, dim, edges, piece_mass, edge_vals, coef, tail=None, density=None,
+    def _table(cls, dim, edges, piece_mass, coef, e0, tail=None, density=None,
                hi=math.inf, window_k=None) -> "RadialDensity":
         """The density known by a table: products, scaled and restricted densities."""
         out = cls.__new__(cls)
-        out._fill(dim, edges, piece_mass, edge_vals, coef, tail, density, hi, window_k)
+        out._fill(dim, edges, piece_mass, coef, e0, tail, density, hi, window_k)
         return out
 
-    def _fill(self, dim, edges, piece_mass, edge_vals, coef, tail, density, hi, window_k):
+    def _fill(self, dim, edges, piece_mass, coef, e0, tail, density, hi, window_k):
         self.dim, self.lo_cut, self._hi, self._density = int(dim), float(edges[0]), hi, density
         self._window_k = int(window_k or DEFAULT_QUAD.window_gauss_order)
         self._nwn = self.dim * unit_ball_volume(self.dim)
-        self._edges, self._piece_mass, self._edge_vals = edges, piece_mass, edge_vals
-        self._coef = coef  # see _piece_masses
+        self._edges, self._piece_mass = edges, piece_mass
+        self._coef, self._e0 = coef, e0  # see _piece_masses
         self._cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
-        # a first piece [0, b] has mass ~ r^e, e = n omega_n b^n f(b) / its mass
-        self._e0 = self._nwn * edges[1] ** self.dim * edge_vals[1] / piece_mass[0] \
-            if edges[0] == 0.0 and len(edges) > 1 and piece_mass[0] > 0 else 1.0
         self.tail = tail if tail is not None and tail[0] > 0 and math.isinf(hi) else None
         self._tail_total = 0.0
         if self.tail is not None:
@@ -428,7 +425,7 @@ class RadialDensity(RadonMeasure):
     def _scale(self, lam):
         tail = None if self.tail is None else (lam * self.tail[0], self.tail[1])
         return RadialDensity._table(self.dim, self._edges, lam * self._piece_mass,
-                                    lam * self._edge_vals, lam * self._coef, tail,
+                                    lam * self._coef, self._e0, tail,
                                     lambda s, _d=self._density: lam * _d(s), self._hi,
                                     self._window_k)
 
@@ -548,9 +545,11 @@ class TablePoints:
 
 
 def _table_layout(grid, lo_cut, hi):
-    """Mass table on the grid between lo_cut and hi: edges, the _TABLE_K
-    Gauss points and weights of each panel, each panel's piece and the
-    head's anchor.  A piece is one panel, except that a first piece from 0
+    """Mass table on the grid between lo_cut and hi: edges, the points where
+    it reads the shell mass (each panel's _TABLE_K Gauss points, then for a
+    first piece from 0 its head's fit points and its end), the panels'
+    weights, each panel's piece and the head's anchor (None without a first
+    piece from 0).  A piece is one panel, except that a first piece from 0
     is _HEAD_PANELS geometric panels from edges[1] * 1e-12 (head below)."""
     end = [hi] if math.isfinite(hi) and hi > lo_cut else []
     edges = np.concatenate([[lo_cut], grid[(grid > lo_cut) & (grid < hi)], end])
@@ -561,44 +560,38 @@ def _table_layout(grid, lo_cut, hi):
     nodes, weights = panel_nodes(
         np.append(np.geomspace(head, edges[1], _HEAD_PANELS + 1), edges[2:]), _TABLE_K)
     piece = np.repeat(np.arange(len(edges) - 1), [_HEAD_PANELS] + [1] * (len(edges) - 2))
-    return edges, nodes.ravel(), weights, piece, head
+    return edges, np.concatenate([nodes.ravel(), head * _HEAD_FIT, edges[1:2]]), weights, \
+        piece, head
 
 
 def _piece_masses(density, dim, layout, vals=None):
-    """Piece masses of a density on a _table_layout, and per piece the
+    """Piece masses of a density on a _table_layout; per piece the
     gauss_partial_coeffs of its Gauss-point shell values, scaled to the
-    piece, one row per basis term (unused for a first piece from 0).  vals,
-    when known, are its shell mass n omega_n s^{n-1} density(s) at the
-    layout's points and then at its head's fit points."""
+    piece, one row per basis term (unused for a first piece from 0); and
+    the exponent e of a first piece [0, b], whose mass grows like r^e,
+    e = b n omega_n b^{n-1} f(b) / its mass (1 without one).  vals, when
+    known, are the shell mass n omega_n s^{n-1} f(s) at the layout's points."""
     edges, points, weights, piece, head = layout
     nwn = dim * unit_ball_volume(dim)
     shell = lambda s, _=None: density(s) * nwn * s ** (dim - 1)
     vals = shell(points) if vals is None else vals
-    per_panel = vals[:len(points)].reshape(weights.shape)
+    per_panel = vals[:weights.size].reshape(weights.shape)
     sums = (per_panel * weights).sum(axis=1)
     masses = np.bincount(piece, sums, minlength=len(edges) - 1)
-    if head is not None:
-        fit = vals[len(points):]
-        masses[0] += power_law_head(shell, head, fit if len(fit) else None)
+    e0 = 1.0
+    if head is not None:  # the head's fit points, then the piece's end
+        masses[0] += power_law_head(shell, head, vals[-4:-1])
+        e0 = edges[1] * vals[-1] / masses[0] if masses[0] > 0 else 1.0
     half = 0.5 * np.diff(edges)
     last = gauss_partial_coeffs(per_panel[len(per_panel) - len(masses):])
-    return masses, np.ascontiguousarray((half[:, None] * last).T)
+    return masses, np.ascontiguousarray((half[:, None] * last).T), e0
 
 
 def _laid_out(density, dim, grid, lo_cut, hi):
-    """Edges, piece masses, edge values and partial-mass coefficients of a
-    density on the grid between lo_cut and hi."""
+    """Edges, piece masses, partial-mass coefficients and first-piece
+    exponent of a density on the grid between lo_cut and hi."""
     layout = _table_layout(grid, lo_cut, hi)
-    edges = layout[0]
-    vals = _on_edges(edges, density(edges[edges > 0]))
-    masses, coef = _piece_masses(density, dim, layout)
-    return edges, masses, vals, coef
-
-
-def _on_edges(edges, vals):
-    """Edge values from the values at the positive edges: 0 at an edge at
-    the origin, where the first piece's shape comes from its mass."""
-    return np.concatenate([np.zeros(len(edges) - len(vals)), vals])
+    return (layout[0],) + _piece_masses(density, dim, layout)
 
 
 class Sum(RadonMeasure):
@@ -771,11 +764,8 @@ def weighting(comp: RadonMeasure, wgrid, pts):
             return m, m.centered_mass(pts)
         return point
     layout = _table_layout(np.union1d(comp._edges, wgrid), comp.lo_cut, comp._hi)
-    edges, points, head = layout[0], layout[1], layout[4]
-    shells = np.append(points, [] if head is None else head * _HEAD_FIT)
-    k = len(shells)
-    at = np.append(shells, edges[edges > 0])
-    f, pw = comp.density_at(at), shells ** (comp.dim - 1)
+    edges, at = layout[0], layout[1]
+    f, pw = comp.density_at(at), at ** (comp.dim - 1)
     at_pts, on_g = TablePoints(edges, pts), [None]
 
     def table(g):
@@ -783,8 +773,8 @@ def weighting(comp: RadonMeasure, wgrid, pts):
             on_g[0] = GridPoints(g, at)
         gf = np.maximum(f * np.maximum(g.eval_at(on_g[0]), 0.0), 0.0)
         density = _product_density(comp, g)
-        masses, coef = _piece_masses(density, comp.dim, layout, gf[:k] * comp._nwn * pw)
-        m = RadialDensity._table(comp.dim, edges, masses, _on_edges(edges, gf[k:]), coef,
+        m = RadialDensity._table(comp.dim, edges,
+                                 *_piece_masses(density, comp.dim, layout, gf * comp._nwn * pw),
                                  _product_tail(comp, g), density, comp._hi, comp._window_k)
         return m, m.mass_at(at_pts)
     return table

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import DivergentTail, NonMonotoneProfile, NonRadialMeasure
 from .measure import RadialDensity, RadonMeasure
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
-from .quadrature import (_HEAD_FIT, decade_tail, gauss_rule, panel_nodes, panel_sum,
-                         power_law_head)
+from .quadrature import (_HEAD_FIT, decade_tail, gauss_partial_basis, gauss_partial_coeffs,
+                         gauss_rule, panel_nodes, panel_sum, power_law_head)
 
 _TINY = 1e-300
 
@@ -33,10 +33,12 @@ class RadialFunction:
     du/dr at the nodes (exact for solver output, monotone_deriv's monotone
     estimate for potential profiles), the slopes of the log-log cubic
     Hermite interpolant between nodes; without it u is a power law there.
+    Solver output instead falls from a node by the integral of |u'|
+    interpolated at the segment's Gauss points (partial, per basis term).
     """
 
     def __init__(self, grid, values, tail_coeff=0.0, tail_exp=0.0,
-                 center_value=None, deriv=None, mass_fn=None, mass_pow=None):
+                 center_value=None, deriv=None, mass_fn=None, mass_pow=None, partial=None):
         self.grid = np.asarray(grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if self.grid.shape != self.values.shape or self.grid.ndim != 1:
@@ -47,9 +49,9 @@ class RadialFunction:
         self.tail_exp = float(tail_exp)
         self.center_value = float(values[0]) if center_value is None else float(center_value)
         self.deriv = None if deriv is None else np.asarray(deriv, dtype=float)
-        # solver output: exact |u'|(s) = (mass_fn(s)/(n w_n s^{n-1}))^{1/(p-1)}
-        self._mass_fn = mass_fn
-        self._mass_pow = mass_pow  # (n, p, n*omega_n)
+        # solver output: exact |u'|(s) = (mass_fn(s)/(n w_n s^{n-1}))^{1/(p-1)},
+        # mass_pow = (n, p, n*omega_n)
+        self._mass_fn, self._mass_pow, self._partial = mass_fn, mass_pow, partial
         with np.errstate(divide="ignore"):
             self._lng = np.log(self.grid)
             self._lnv = np.where(self.values > 0, np.log(np.maximum(self.values, _TINY)), -np.inf)
@@ -85,6 +87,12 @@ class RadialFunction:
     def _eval_grid(self, loc):
         v, idx = self.values, loc.idx
         v0, v1 = v[idx], v[idx + 1]
+        if self._partial is not None:  # solver output
+            c = self._partial
+            basis = gauss_partial_basis(2.0 * loc.t_lin - 1.0, len(c))
+            out = np.clip(v0 - sum(c[m][idx] * basis[m] for m in range(len(c))), v1, v0)
+            out[loc.on_node] = v[loc.hit]
+            return out
         out = np.empty_like(v0)
         pos = (v0 > 0) & (v1 > 0)
         sel = slice(None) if np.all(pos) else pos  # views when all positive
@@ -307,7 +315,7 @@ def _solve_on_grid(nu: RadonMeasure, pts, masses, params: ProblemParams,
     hv = h(pts, masses)
     # per-segment Gauss integrals of h (panel_nodes' weights)
     weights = (0.5 * np.diff(grid))[:, None] * gauss_rule(quad.gauss_order)[1]
-    seg = (hv[len(grid):-2].reshape(weights.shape) * weights).sum(axis=1)  # Gauss nodes
+    seg = ((hseg := hv[len(grid):-2].reshape(weights.shape)) * weights).sum(axis=1)
 
     # tail beyond the last node
     m_end = masses[len(grid) - 1]
@@ -325,8 +333,9 @@ def _solve_on_grid(nu: RadonMeasure, pts, masses, params: ProblemParams,
     deriv = -hv[:len(grid)]
 
     center = u[0] + power_law_head(lambda r, _: h(r), grid[0], hv[[-2, -1, 0]])
-    return RadialFunction(grid, u, tail_coeff, tail_exp, center, deriv,
-                          mass_fn=nu.centered_mass, mass_pow=(n, p, nwn))
+    partial = ((0.5 * np.diff(grid))[:, None] * gauss_partial_coeffs(hseg)).T
+    return RadialFunction(grid, u, tail_coeff, tail_exp, center, deriv, mass_fn=nu.centered_mass,
+                          mass_pow=(n, p, nwn), partial=np.ascontiguousarray(partial))
 
 
 def _divergent_mass_tail(h, params, quad, r_end):

@@ -111,7 +111,8 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
     halves; a row's estimate is the sum over its panels (inf without
     refinement, 0 for rows without a core or with an infinite value), and
     it converged when no panel is above its share after the last round.
-    The core ends where at most ext_tol of the mass lies beyond.
+    The core ends where at most ext_tol min(1, p - 1) of the mass lies
+    beyond, as the integrand goes like the mass to the 1/(p - 1).
     """
     k, ppd, refine, ext_tol = resolution
     ipm1 = 1.0 / (params.p - 1.0)
@@ -150,7 +151,7 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
     if R is not None:
         r_lo = np.minimum(r_lo, 0.5 * R)
     r_lo = np.where(inside, r_lo, gap)
-    exts = [c.effective_extent(ext_tol) for c in radial]
+    exts = [c.effective_extent(ext_tol * min(1.0, params.p - 1.0)) for c in radial]
     infinite = any(math.isinf(x) for x in exts)
     horizon = np.max([d + x for x in exts if math.isfinite(x)] + list(dist.T)
                      + [2.0 * r_lo], axis=0)

@@ -376,46 +376,56 @@ _LOCATED_DENSITIES = {
 
 def _scipy_centered_mass(mu, fn, r):
     """mu(B(0, r)) of a density fn on mu's edges by scipy quad, piece by
-    piece, with the tail mu's power law past the last edge."""
+    piece, and past the last edge of mu's power-law tail A s^-tau."""
     edges, n = mu._edges, mu.dim
     nwn = n * unit_ball_volume(n)
-    shell = lambda s: float(fn(s)) * nwn * s ** (n - 1)
 
-    def integral(a, b):
-        return scipy_quad(shell, a, b, epsabs=1e-300, epsrel=1e-14, limit=200)[0]
+    def integral(f, a, b):
+        return scipy_quad(lambda s: f(s) * nwn * s ** (n - 1), a, b,
+                          epsabs=1e-300, epsrel=1e-14, limit=200)[0]
 
-    cum = np.concatenate([[0.0], np.cumsum([integral(a, b) for a, b in
+    cum = np.concatenate([[0.0], np.cumsum([integral(fn, a, b) for a, b in
                                             zip(edges[:-1], edges[1:])])])
     out = np.zeros_like(r)
     for j, rj in enumerate(r):
         i = np.searchsorted(edges, rj, side="right") - 1
         if i >= len(edges) - 1:
-            out[j] = cum[-1] + (mu._tail_mass_to(rj) if mu.tail else 0.0)
+            out[j] = cum[-1]
+            if mu.tail is not None and rj > edges[-1]:
+                A, tau = mu.tail
+                cuts = np.geomspace(edges[-1], rj, 7)  # at most half a decade each
+                out[j] += sum(integral(lambda s: A * s ** -tau, a, b)
+                              for a, b in zip(cuts[:-1], cuts[1:]))
         elif i >= 0:
-            out[j] = cum[i] + integral(edges[i], rj)
+            out[j] = cum[i] + integral(fn, edges[i], rj)
     return out
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-@settings(deadline=None, max_examples=25)
+@settings(deadline=None, max_examples=60)
 @given(n=st.sampled_from([2, 3, 5]), log_lo=st.floats(-3.0, 0.0),
        from_zero=st.booleans(), kind=st.sampled_from(sorted(_LOCATED_DENSITIES)),
-       gap=st.booleans(), tail=st.sampled_from([None, (0.5, 7.5)]),
+       scales=st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 1e4)), min_size=8, max_size=8),
+       tail=st.sampled_from([None, (0.5, 7.5), (2.0, 3.0)]),
        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
 # a first piece from the origin, where the power law r^e of the table is
 # exact for a power-law density
-@example(n=3, log_lo=-1e-12, from_zero=True, kind="power", gap=False, tail=None,
+@example(n=3, log_lo=-1e-12, from_zero=True, kind="power", scales=[1.0] * 8, tail=None,
          fracs=[0.0])
-def test_located_masses_match_centered_mass(n, log_lo, from_zero, kind, gap, tail, fracs):
-    # below and beyond the edges, on them and inside pieces; zero-mass
-    # pieces, with and without a tail: located and plain masses agree bit
+def test_located_masses_match_centered_mass(n, log_lo, from_zero, kind, scales, tail, fracs):
+    # below and beyond the edges, on them and inside pieces; a density
+    # scaled by arbitrary factors, zero among them, in blocks of 13 pieces;
+    # no tail, a finite-mass tail or an infinite-mass one (the log tail for
+    # n = 3, a growing mass for n = 5): located and plain masses agree bit
     # for bit, and with scipy to 1e-13 (in a first piece from the origin,
     # where the table's law is r^e, only for the power law)
     grid = np.geomspace(10.0 ** log_lo, 10.0 ** (log_lo + 3.0), 97)
-    base = _LOCATED_DENSITIES[kind]
-    fn = (lambda s: np.where(np.asarray(s, float) < grid[48], 0.0, base(s))) if gap else base
+    base, block = _LOCATED_DENSITIES[kind], np.array(scales)
+    # constant on each piece: s in (grid[j-1], grid[j]] is in block j // 13
+    fn = lambda s: base(s) * block[np.minimum(np.searchsorted(grid, s) // 13, 7)]
     mu = RadialDensity(n, grid, fn(grid), density_fn=fn, tail=tail,
                        lo_cut=0.0 if from_zero else grid[0], allow_infinite_mass=True)
+    assert math.isinf(mu.total_mass()) == (tail is not None and tail[1] <= n)
     edges = mu._edges
     inside = edges[1] * (edges[-1] / edges[1]) ** np.array(fracs)
     r = np.concatenate([[0.0, grid[0] * 1e-3], edges, inside,
@@ -560,7 +570,7 @@ def test_product_table_is_the_product_density(case):
     comp = _product_density_case(case, quad)
     for g in _product_weights(quad):
         got, ref = multiply_radial(comp, g), reference_product(comp, g)
-        for name in ("_edges", "_piece_mass", "_edge_vals"):
+        for name in ("_edges", "_piece_mass", "_coef", "_e0"):
             assert np.array_equal(getattr(got, name), getattr(ref, name), equal_nan=True)
         edges = ref._edges[ref._edges > 0]
         r = np.concatenate([[0.0, edges[0] * 1e-3], edges, np.sqrt(edges[1:] * edges[:-1]),

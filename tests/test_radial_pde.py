@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wolfflab import (DivergentTail, NonMonotoneProfile, NonRadialMeasure,
-                      RadialDensity, RadialFunction, Sum, dirac,
+                      QuadratureConfig, RadialDensity, RadialFunction, Sum, dirac,
                       dirichlet_energy, integrate_against, params,
                       riesz_measure_of, scale, solve_radial_p_laplace,
                       truncated_wolff, Atom)
@@ -219,6 +219,18 @@ def test_stored_derivative_matches_mass_formula(pp3, quad):
     u = solve_radial_p_laplace(ball, pp3, quad)
     m = riesz_ball_mass(u, pp3)
     assert np.allclose(m, ball.centered_mass(u.grid), rtol=1e-12)
+
+
+@pytest.mark.parametrize("ppd", [32, 64])
+def test_solver_output_is_exact_between_nodes(ppd):
+    # between nodes solver output falls from a node by the integral of |u'|
+    # through the segment's Gauss values; the log-log Hermite interpolant
+    # with the exact node slopes is 6.9e-8 (32 ppd) off here
+    quad = QuadratureConfig(points_per_decade=ppd)
+    u = solve_radial_p_laplace(family_density(3, 1.0, 1.0, 2.5, quad),
+                               params(3, 2.0, 0.5, 1.0), quad)
+    r = np.geomspace(1e-2, 1e2, 401)
+    np.testing.assert_allclose(u.eval(r), (1.0 + r * r) ** -0.5 / 3.0, rtol=1e-13, atol=0.0)
 
 
 # -- located evaluation ----------------------------------------------------
