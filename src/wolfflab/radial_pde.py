@@ -177,10 +177,11 @@ class RadialFunction:
         return RadialFunction(self.grid, vals, tail_c, self.tail_exp * e,
                               center, deriv)
 
-    def scaled(self, c: float):
+    def scaled(self, c):
+        """c u; an array c scales node by node (c[0] the center, c[-1] the tail)."""
         deriv = None if self.deriv is None else c * self.deriv
-        return RadialFunction(self.grid, c * self.values, c * self.tail_coeff,
-                              self.tail_exp, c * self.center_value, deriv)
+        return RadialFunction(self.grid, c * self.values, np.ravel(c)[-1] * self.tail_coeff,
+                              self.tail_exp, np.ravel(c)[0] * self.center_value, deriv)
 
     @property
     def sup_norm(self):

@@ -3,14 +3,15 @@
 
 The scheme starts from an explicit subsolution (or from zero when the
 pure measure term is present), solves the linear-in-measure problem
--Delta_p u_{j+1} = sum_m sigma^(m) u_j^{q_m} + mu exactly at each step,
-and increases pointwise to the minimal solution (with mu = 0 and one q it
-first finds the fixed point's shape, then its scale).  Convergence needs a
-small sup-relative change between iterates and agreement of the composed
-right-hand measure with the Riesz measure of the iterate.  Every iterate
-lives on one grid, so a step is array work on nodes fixed once per solve;
-the Riesz measure is the last step's composed measure, and per-step
-energies are computed only with track_energies.
+-Delta_p u_{j+1} = sum_m sigma^(m) u_j^{q_m} + mu exactly at each step;
+those iterates increase pointwise to the minimal solution.  Anderson
+mixing of log u reaches the limit first, and increasing plain steps from
+just below it certify it.  Convergence needs a small sup-relative change
+between iterates and agreement of the composed right-hand measure with
+the Riesz measure of the iterate.  Every iterate lives on one grid, so a
+step is array work on nodes fixed once per solve; the Riesz measure is
+the last step's composed measure, and per-step energies are computed
+only with track_energies.
 
 Endpoints: the bounded variant tracks sup norms under sup-norm finiteness
 hypotheses; the intrinsic (gamma = 0) variant runs the same Picard map
@@ -35,6 +36,7 @@ from .measure import (RadonMeasure, Sum, integrate_against, multiply_radial,
                       scale, weighting, zero_measure)
 from .params import (DEFAULT_QUAD, Mode, ProblemParams, QuadratureConfig,
                      derive_exponents, validate)
+from .quadrature import log_bisect
 from .radial_pde import (RadialFunction, dirichlet_energy, marked_grid,
                          _solve_on_grid, nodewise_max, riesz_ball_mass,
                          solve_points, solve_radial_p_laplace, zero_profile)
@@ -43,8 +45,9 @@ from .wolff import (cutoff_measure, truncated_wolff, wolff_profile,
 
 _EPS = 1e-300
 _TRUNCATION_BOUND = 10.0
-# the split's estimate is certified from this many rel_tol below it
-_SPLIT_GAP = 10.0
+# the mixed estimate is certified from this many rel_tol below it
+_CERT_GAP = 10.0
+_DEPTH = 5  # Anderson history length
 
 
 @dataclass
@@ -135,9 +138,7 @@ def iterate_once(u_prev: RadialFunction, sigma_list, q_list, mu,
     """One monotone step: solve with the measure composed from u_prev."""
     sigma_list = _as_list(sigma_list)
     nu = _fixed_composer(sigma_list, q_list, mu, u_prev.grid, np.empty(0))(u_prev)[0]
-    grid = marked_grid(quad.radial_grid() if grid is None else grid, [nu])
-    pts = solve_points(grid, quad)
-    return _solve_on_grid(nu, pts, nu.centered_mass(pts), params, quad, grid)
+    return solve_radial_p_laplace(nu, params, quad, grid=grid)
 
 
 def _inputs(sigma_list, q_list, mu, params, quad, mode, mismatch):
@@ -162,14 +163,17 @@ def _picard(sigma_list, q_list, mu, params, quad, u0, grid,
     sum_m sigma^(m) u_j^{q_m} + mu, from u0 on the grid; one exact solve
     when every sigma vanishes.
 
-    With mu = 0 and one live q, T(cu) = c^r T(u), r = q/(p-1): the shape
-    w <- T(w)/lam, lam = sup T(w), runs from u0/sup u0 to residual
-    rel_tol (1-r), and plain steps certify lam^{1/(1-r)} w, taken _SPLIT_GAP
-    rel_tol below (it lies above u0; they increase and converge).  A scale
-    that is no positive double, or a failed certificate, restarts plain
-    Picard from u0 with the steps left.  Iterates must increase except at
-    gamma = 0, whose seed may start above the solution; at gamma = inf each
-    step records the sup-recursion constant of its estimate."""
+    T is monotone and r-subhomogeneous, r = max q_m/(p-1), so v -> log T(e^v)
+    contracts by r in the sup norm.  The loop mixes log x at the nodes
+    (type-II Anderson, depth _DEPTH) from the shape u0/sup u0: the next input
+    is T(x) scaled nodewise, which keeps T(x)'s log-slopes and so plain
+    Picard's fixed point.  At max|log T(x) - log x| <= rel_tol plain steps
+    certify T(x), taken _CERT_GAP rel_tol below (it lies above u0; they
+    increase and converge).  A zero or NaN node of T(x), or a failed
+    certificate, restarts plain Picard from u0 with the steps left.
+    Iterates must increase except at gamma = 0, whose seed may start above
+    the solution; at gamma = inf each step records its sup-recursion
+    constant sup T(x) / (sup x^r + 1)."""
     if not any(s.total_mass() > 0 for s in sigma_list):
         u = solve_radial_p_laplace(mu, params, quad, grid=grid)
         return Solution(u=u, riesz=mu, residual_final=0.0, converged=True,
@@ -178,66 +182,63 @@ def _picard(sigma_list, q_list, mu, params, quad, u0, grid,
     sup_recursion = params.mode is Mode.GAMMA_INFINITY
     pts = solve_points(grid, quad)
     compose = _fixed_composer(sigma_list, q_list, mu, grid, pts)
-    qs = {q for s, q in zip(sigma_list, q_list) if s.total_mass() > 0}
-    r = max(qs) / (params.p - 1.0)
-    phase = "shape" if len(qs) == 1 and mu.total_mass() == 0.0 \
-        and 0 < u0.sup_norm < math.inf else "plain"
-    u_prev = u0.scaled(1.0 / u0.sup_norm) if phase == "shape" else u0
-    (current, cur_m), est_prev = compose(u_prev), u0
-    trace, residual, converged, log_scale, u = [], math.inf, False, None, u0
+    r = max(q for s, q in zip(sigma_list, q_list) if s.total_mass() > 0) / (params.p - 1.0)
+    x = u0.scaled(1.0 / u0.sup_norm) if 0 < u0.sup_norm < math.inf else u0
+    u0_vals = u0.values if np.array_equal(u0.grid, grid) else u0.eval(grid)
+    (current, cur_m), phase, hist, best = compose(x), "mix", [], math.inf
+    trace, residual, converged, u = [], math.inf, False, u0
     for j in range(1, quad.max_iter + 1):
         u = _solve_on_grid(current, pts, cur_m, params, quad, grid)
-        if phase == "shape":
-            lam = u.sup_norm
-            log_scale = math.log(lam) / (1.0 - r) if 0 < lam < math.inf else math.nan
-            scale = math.exp(log_scale) if log_scale < 709.0 else math.inf
-            if not 0 < scale < math.inf:
-                trace.append(IterationState(j, math.nan, math.nan, scale))
-                u_prev, est_prev, (current, cur_m), phase = u0, u0, compose(u0), "plain"
-                continue
-            u = u.scaled(1.0 / lam)
         # at the nodes eval returns the stored values
-        prev_vals = u_prev.values if np.array_equal(u_prev.grid, u.grid) else u_prev.eval(u.grid)
-        residual = float(np.max(np.abs(u.values - prev_vals)
+        x_vals = x.values if np.array_equal(x.grid, u.grid) else x.eval(u.grid)
+        residual = float(np.max(np.abs(u.values - x_vals)
                                 / np.maximum(u.values, _EPS))) if len(u.grid) else 0.0
-        nxt, nxt_m = compose(u)
-        m1, m0 = nxt_m[:len(grid)], cur_m[:len(grid)]  # at the grid nodes
+        mixing, nxt = phase == "mix", u
+        if mixing and not np.all((u.values > 0) & (u.values < math.inf)):  # 0, inf or NaN
+            nxt, phase = u0, "plain"
+        elif mixing and np.all(x_vals > 0):
+            f = np.log(u.values) - np.log(x_vals)
+            f_max = float(np.max(np.abs(f)))
+            # the last _DEPTH + 1 (log x, f), dropped when f grows past twice its best
+            hist = ([] if f_max > 2.0 * best else hist[-_DEPTH:]) + [(np.log(x_vals), f)]
+            best = min(best, f_max)
+            if f_max <= quad.rel_tol:
+                nxt, phase = u.scaled(1.0 - _CERT_GAP * quad.rel_tol), "certify"
+                if monotone and np.any(nxt.values < u0_vals):
+                    nxt, phase = u0, "plain"
+            elif len(hist) > 1:
+                dx, df = (np.diff(np.column_stack(h)) for h in zip(*hist))
+                gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+                nxt = u.scaled(np.exp(-(dx + df) @ gamma))
+        elif not mixing:
+            # relative when certifying: the mixed estimate may be tiny
+            floor = x_vals - 1e-12 if phase == "plain" else x_vals * (1.0 - 1e-12)
+            if monotone and np.any(u.values < floor):
+                if phase == "plain":
+                    worst = float(np.max(x_vals - u.values))
+                    raise MonotonicityViolated(
+                        f"iterate decreased by {worst:.3e} at step {j}")
+                nxt, phase = u0, "plain"
+        nu, nu_m = compose(nxt)
+        m1, m0 = nu_m[:len(grid)], cur_m[:len(grid)]  # at the grid nodes
         mass_residual = float(np.max(np.abs(m1 - m0) / np.maximum(m1, _EPS)))
-        est = u.scaled(scale) if phase == "shape" else u
         state = IterationState(j=j, residual=residual, mass_residual=mass_residual,
-                               sup_norm=est.sup_norm)
+                               sup_norm=u.sup_norm)
         if track_energies:
-            state.energies = _cheap_energies(est, sigma_list, q_list, params, quad)
-        if sup_recursion and est_prev.sup_norm > 0:
+            state.energies = _cheap_energies(u, sigma_list, q_list, params, quad)
+        if sup_recursion and x.sup_norm > 0:
             state.energies["sup_recursion_constant"] = \
-                est.sup_norm / (est_prev.sup_norm ** r + 1.0)
+                u.sup_norm / (x.sup_norm ** r + 1.0)
         trace.append(state)
-        current, cur_m, u_prev, est_prev = nxt, nxt_m, u, est
-        if phase == "shape":
-            if residual <= quad.rel_tol * (1.0 - r):
-                u = est.scaled(1.0 - _SPLIT_GAP * quad.rel_tol)
-                u0_vals = u0.values if np.array_equal(u0.grid, grid) else u0.eval(grid)
-                phase = "plain" if monotone and np.any(u.values < u0_vals) else "certify"
-                u_prev, est_prev, (current, cur_m) = \
-                    (u, u, compose(u)) if phase == "certify" else (u0, u0, compose(u0))
-            continue
-        # relative when certifying: the split's estimate may be tiny
-        floor = prev_vals - 1e-12 if phase == "plain" else prev_vals * (1.0 - 1e-12)
-        if monotone and np.any(u.values < floor):
-            if phase == "plain":
-                worst = float(np.max(prev_vals - u.values))
-                raise MonotonicityViolated(
-                    f"iterate decreased by {worst:.3e} at step {j}")
-            u_prev, est_prev, (current, cur_m), phase = u0, u0, compose(u0), "plain"
-        elif residual <= quad.conv_tol and mass_residual <= 10.0 * quad.rel_tol:
+        x, current, cur_m = nxt, nu, nu_m
+        if not mixing and nxt is u and residual <= quad.conv_tol \
+                and mass_residual <= 10.0 * quad.rel_tol:
             converged = True
             break
-    u = est if phase == "shape" else u  # unconverged: riesz is u's measure
-    current = current if converged else compose(u)[0]
+    current = current if converged else compose(u)[0]  # unconverged: u's measure
     return Solution(u=u, riesz=current, residual_final=residual,
                     converged=converged, iterations_used=len(trace),
-                    mode=params.mode, sup_norm=u.sup_norm, trace=trace,
-                    extras={} if log_scale is None else {"log_scale": log_scale})
+                    mode=params.mode, sup_norm=u.sup_norm, trace=trace)
 
 
 def _cheap_energies(u, sigma_list, q_list, params, quad):
@@ -340,17 +341,13 @@ def solve_with_exhaustion(sigma_list, q_list, mu, params: ProblemParams,
                           k_max: int = 5):
     """Solve with all inputs replaced by their cutoff restrictions for
     k = 1..k_max; solutions increase in k."""
-    validate(params)
-    sigma_list = _as_list(sigma_list)
-    mu = mu if mu is not None else zero_measure(params.n)
+    sigma_list, mu, _ = _inputs(sigma_list, q_list, mu, params, quad, Mode.FINITE_GAMMA,
+                                "exhaustion needs finite gamma > 0")
     sols = []
-    prev = None
-    all_trivial_at_kmax = False
     for k in range(1, k_max + 1):
         sig_k = [cutoff_measure(s, k, params, quad) if s.total_mass() > 0 else s
                  for s in sigma_list]
         mu_k = cutoff_measure(mu, k, params, quad) if mu.total_mass() > 0 else mu
-        trivial = all(a is b for a, b in zip(sig_k, sigma_list)) and mu_k is mu
         if all(s.total_mass() == 0 for s in sig_k) and mu_k.total_mass() == 0:
             u = zero_profile(quad)
             sol = Solution(u=u, riesz=zero_measure(params.n), residual_final=0.0,
@@ -358,23 +355,12 @@ def solve_with_exhaustion(sigma_list, q_list, mu, params: ProblemParams,
         else:
             sol = solve_minimal(sig_k, q_list, mu_k, params, quad,
                                 check_conditions=False)
-        if prev is not None:
-            gap = prev.u.eval(sol.u.grid) - sol.u.values
+        if sols:
+            gap = sols[-1].u.eval(sol.u.grid) - sol.u.values
             if np.any(gap > 1e-10 * np.maximum(sol.u.values, 1.0)):
                 raise MonotonicityViolated(
                     f"exhaustion level {k} fell below level {k - 1}")
         sols.append(sol)
-        prev = sol
-        if k == k_max:
-            all_trivial_at_kmax = trivial
-    if all_trivial_at_kmax:
-        full = solve_minimal(sigma_list, q_list, mu, params, quad,
-                             check_conditions=False)
-        gap = np.max(np.abs(full.u.eval(sols[-1].u.grid) - sols[-1].u.values)
-                     / np.maximum(full.u.eval(sols[-1].u.grid), _EPS))
-        if gap > 10.0 * quad.conv_tol:
-            warnings.warn(f"exhaustion limit differs from direct solve by {gap:.2e}",
-                          stacklevel=2)
     return sols
 
 
@@ -535,7 +521,19 @@ def km_sandwich_ratio(nu: RadonMeasure, u: RadialFunction, samples,
 
 
 def _truncated_profile(u: RadialFunction, level: float) -> RadialFunction:
-    vals = np.minimum(u.values, level)
-    deriv = None if u.deriv is None else np.where(u.values >= level, 0.0, u.deriv)
-    return RadialFunction(u.grid, vals, u.tail_coeff if level > 0 else 0.0,
-                          u.tail_exp, min(u.center_value, level), deriv)
+    """min(u, level).  For solver output the kink radius, where u falls
+    through level, is a node, with u's exact |u'| beyond it and 0 inside."""
+    above = u.values >= level
+    if u._mass_fn is None or above.all() or not above.any():
+        deriv = None if u.deriv is None else np.where(above, 0.0, u.deriv)
+        return RadialFunction(u.grid, np.minimum(u.values, level), u.tail_coeff,
+                              u.tail_exp, min(u.center_value, level), deriv)
+    i = int(np.argmin(above)) - 1  # the last node at or above level
+    kink = log_bisect(lambda r: u.eval(r) < level, u.grid[i:i + 1], u.grid[i + 1:i + 2],
+                      1e-15)[1][0]
+    g = np.union1d(u.grid, [kink])
+    inside = g < kink
+    vals, deriv = np.where(inside, level, np.minimum(u.eval(g), level)), u.deriv_at(g)
+    return RadialFunction(g, vals, u.tail_coeff, u.tail_exp, level,
+                          np.where(inside, 0.0, deriv), mass_pow=u._mass_pow,
+                          mass_fn=lambda s: np.where(s > kink, u._mass_fn(s), 0.0))
