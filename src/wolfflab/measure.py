@@ -60,16 +60,23 @@ def _cap_area(n: int, x):
 
 
 def _cap_series(a: float, x):
-    """I_x(a, a) = x^a (1-x)^a / (a B(a, a)) * 2F1(2a, 1; a+1; x) (DLMF
-    8.17.8), positive terms of ratio below 2x, at min(x, 1-x) <= 1/2 and
-    reflected by I_x(a, a) = 1 - I_{1-x}(a, a)."""
+    """I_y(a, a) at y = min(x, 1-x) <= 1/2, reflected by I_x(a, a) =
+    1 - I_{1-x}(a, a): for integer a (odd n) the binomial tail sum_{j=a}^{m}
+    C(m, j) y^j (1-y)^{m-j}, m = 2a - 1, in powers of y/(1-y) <= 1; else
+    y^a (1-y)^a / (a B(a, a)) * 2F1(2a, 1; a+1; y) (DLMF 8.17.8), positive
+    terms of ratio below 2y."""
     y = np.minimum(x, 1.0 - x)
-    term, total, k = np.ones_like(y), np.ones_like(y), 0
-    while np.any(term > 1e-17 * total):
-        term = term * y * (2.0 * a + k) / (a + 1.0 + k)
-        total, k = total + term, k + 1
-    beta = math.exp(2.0 * math.lgamma(a) - math.lgamma(2.0 * a))
-    half = (y * (1.0 - y)) ** a * total / (a * beta)
+    if a == int(a):
+        m = int(2 * a - 1)
+        tail = [math.comb(m, j) for j in range(m, int(a) - 1, -1)]
+        half = y ** a * (1.0 - y) ** (m - a) * np.polyval(tail, y / (1.0 - y))
+    else:
+        term, total, k = np.ones_like(y), np.ones_like(y), 0
+        while np.any(term > 1e-17 * total):
+            term = term * y * (2.0 * a + k) / (a + 1.0 + k)
+            total, k = total + term, k + 1
+        beta = math.exp(2.0 * math.lgamma(a) - math.lgamma(2.0 * a))
+        half = (y * (1.0 - y)) ** a * total / (a * beta)
     return np.where(x > 0.5, 1.0 - half, half)
 
 
@@ -100,7 +107,7 @@ def cap_fraction(n: int, s, d, r):
     x = (1-c)/2 = (r^2 - (s-d)^2) / (4 s d).  Closed forms: x (n = 3),
     x^2 (3 - 2x) (n = 5), phi/(2 pi) (n = 2) and (phi - sin phi)/(2 pi)
     (n = 4, a series at small phi), phi = 4 arcsin(sqrt(x)); else a
-    hypergeometric series (_cap_series).
+    binomial sum (odd n) or hypergeometric series (_cap_series).
     """
     s = np.asarray(s, float)
     d = np.asarray(d, float)
@@ -446,7 +453,8 @@ class RadialDensity(RadonMeasure):
         r = np.asarray(r, dtype=float)
         if e == -1.0:
             return self._nwn * A * np.log(r / a)
-        return self._nwn * A * (r ** (e + 1.0) - a ** (e + 1.0)) / (e + 1.0)
+        # expm1 is exactly 0 at r = a, where array and scalar powers may differ
+        return self._nwn * A * a ** (e + 1.0) * np.expm1((e + 1.0) * np.log(r / a)) / (e + 1.0)
 
     def _centered_mass(self, r):
         # a pass at a time: bounds the located basis
@@ -487,7 +495,8 @@ class RadialDensity(RadonMeasure):
 
     def _offcenter_mass(self, d, r):
         # spheres with s <= r - d lie fully inside B(x, r)
-        out = self._centered_mass(np.clip(r - d, 0.0, None))
+        out = np.zeros_like(r)
+        out[r > d] = self._centered_mass((r - d)[r > d])
         hi = self._hi
         a = np.maximum(np.abs(d - r), self.lo_cut)
         b = np.minimum(d + r, hi)

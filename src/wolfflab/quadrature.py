@@ -34,6 +34,36 @@ def gauss_rule(k: int):
 
 
 @lru_cache(maxsize=16)
+def kronrod_rule(k: int):
+    """The (2k + 1)-point Gauss-Kronrod extension of gauss_rule(k): nodes x
+    (the Gauss nodes at x[1::2]), Kronrod weights w and Gauss weights g (0
+    off x[1::2]).  Laurie's algorithm (Math. Comp. 66, 1997) completes the
+    Legendre Jacobi matrix from its first ceil(3k/2) + 1 coefficients b (its
+    diagonal stays 0, the weight being even); nodes are its eigenvalues."""
+    j = np.arange(2 * k + 1.0)
+    b = np.where(j <= (3 * k + 1) // 2, j * j / (4.0 * j * j - 1.0), 0.0)
+    b[0] = 2.0
+    s, t = np.zeros(k // 2 + 2), np.zeros(k // 2 + 2)
+    t[1] = b[k + 1]
+    for m in range(k - 1):
+        i = np.arange((m + 1) // 2, -1, -1)
+        s[i + 1] = np.cumsum(b[i + k + 1] * s[i] - b[m - i] * s[i + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(k - 1, 2 * k - 2):
+        i = np.arange(m + 1 - k, (m - 1) // 2 + 1)
+        j = k - 1 - m + i
+        s[j + 1] = np.cumsum(b[m - i] * s[j + 2] - b[i + k + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + k + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    x, v = np.linalg.eigh(np.diag(np.sqrt(b[1:]), -1))  # reads the lower triangle
+    g = np.zeros(2 * k + 1)
+    g[1::2] = gauss_rule(k)[1]
+    return 0.5 * (x - x[::-1]), v[0] ** 2 + v[0, ::-1] ** 2, g
+
+
+@lru_cache(maxsize=16)
 def _lagrange_in_legendre(k: int):
     """c[m, j] = w_j P_m(x_j) / 2 for the k-point Gauss rule (x, w): node
     j's Lagrange polynomial is sum_m (2m + 1) c[m, j] P_m."""
@@ -106,19 +136,19 @@ def panelize(lo, hi, breakpoints=(), panels_per_decade: int = 4):
     return left, right, span_row[span]
 
 
-def panel_nodes(edges, k: int):
-    """Gauss nodes/weights for integrating f(x) dx over panels.
+def panel_nodes(edges, k: int, kronrod: bool = False):
+    """Gauss (Gauss-Kronrod with kronrod) nodes/weights for f(x) dx over panels.
 
     edges is either a 1-D array of consecutive panel edges or a pair
     (left, right) of equal-shape arrays of panel ends.  Returns arrays of
-    shape (npanels, k), or left.shape + (k,).
+    shape (npanels, k), or left.shape + (k,); 2k + 1 nodes with kronrod.
     """
     if isinstance(edges, tuple):
         lo, hi = (np.asarray(e, dtype=float) for e in edges)
     else:
         edges = np.asarray(edges, dtype=float)
         lo, hi = edges[:-1], edges[1:]
-    t, w = gauss_rule(k)
+    t, w = kronrod_rule(k)[:2] if kronrod else gauss_rule(k)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[..., None] + half[..., None] * t
@@ -139,6 +169,16 @@ def panel_sum(f, edges, k: int, rows: int = None):
     vals = f(nodes.ravel()) if callable(f) else f
     vals = np.asarray(vals, dtype=float).reshape(nodes.shape) * weights
     return float(np.sum(vals)) if rows is None else vals.reshape(rows, -1).sum(axis=1)
+
+
+def kronrod_sum(f, edges, k: int):
+    """Per panel (edges a pair as in panel_nodes), the Kronrod sum of f and
+    |Kronrod - Gauss|, QUADPACK's error estimate of the k-point Gauss sum
+    without its rescaling.  f sees the nodes panel by panel, 2k + 1 at a time."""
+    nodes, weights = panel_nodes(edges, k, kronrod=True)
+    _, w, g = kronrod_rule(k)
+    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape) * weights
+    return vals.sum(axis=1), np.abs(vals @ (1.0 - g / w))
 
 
 def power_law_head(f, r0, fit=None):

@@ -26,8 +26,8 @@ from .errors import BadPoint, NonpositiveR, NonRadialMeasure, ZeroMeasure
 from .measure import (Atom, RadialDensity, RadonMeasure, SphericalShell, Sum,
                       integrate_against, zero_measure)
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
-from .quadrature import (decade_tail, log_bisect, panel_sum, panelize,
-                         power_law_head)
+from .quadrature import (_HEAD_FIT, decade_tail, kronrod_sum, log_bisect, panel_sum,
+                         panelize, power_law_head)
 from .radial_pde import RadialFunction, monotone_deriv
 
 _TINY = 1e-300
@@ -42,7 +42,8 @@ class PotentialValue:
     """A potential, its quadrature error estimate and whether refinement
     stopped before its depth limit (every panel met its share of
     rel_tol).  The flag is stricter than estimate <= rel_tol * |value|:
-    a row can pass that test with some panels still above their share."""
+    a row can pass that test with some panels still above their share.
+    Both cover the quadrature in r, not the ball masses it integrates."""
     value: float
     quad_error_estimate: float = 0.0
     converged: bool = True
@@ -101,18 +102,18 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
 
     radial components enter through their ball masses _radial_mass(d, r);
     atom j is a step mass at distance dist[i, j] from the point of row i.
-    resolution = (k, ppd, refine, ext_tol): the core runs on k-point Gauss
-    panels, ppd a decade, split at the ball-mass breakpoints and refined
-    panel by panel (globally adaptive, as in QUADPACK): the first round
-    bisects every panel, and each later one only the panels whose estimate
-    exceeds their share rel_tol * |row sum| / (panels in the row), so no
-    panel is bisected more than `refine` times.  A bisected panel's
-    estimate is |its halves' sum - its sum|, split evenly between the
-    halves; a row's estimate is the sum over its panels (inf without
-    refinement, 0 for rows without a core or with an infinite value), and
-    it converged when no panel is above its share after the last round.
-    The core ends where at most ext_tol min(1, p - 1) of the mass lies
-    beyond, as the integrand goes like the mass to the 1/(p - 1).
+    resolution = (k, ppd, refine, ext_tol): the core runs on panels, ppd a
+    decade, split at the ball-mass breakpoints.  Without refinement a panel
+    takes its k-point Gauss sum; else its (2k + 1)-point Kronrod sum with
+    the estimate |Kronrod - Gauss|, and each round bisects the panels whose
+    estimate exceeds their share rel_tol * |row sum| / (panels in the row),
+    each half with its own estimate (globally adaptive, as in QUADPACK), so
+    no panel is bisected more than `refine` times.  A row's estimate is the
+    sum over its panels (inf without refinement, 0 for rows without a core
+    or with an infinite value), and it converged when no panel is above its
+    share after the last round; both cover the quadrature in r, not the
+    ball masses.  The core ends where at most ext_tol min(1, p - 1) of the
+    mass lies beyond, as the integrand goes like the mass to the 1/(p - 1).
     """
     k, ppd, refine, ext_tol = resolution
     ipm1 = 1.0 / (params.p - 1.0)
@@ -159,9 +160,21 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
         horizon = np.maximum(horizon, np.maximum(quad.r_max, 10.0 * np.maximum(d, 1.0)))
     r_hi = horizon if R is None else np.minimum(horizon, R)
 
-    def sums(left, right, row):  # one Gauss sum per panel
-        nodes_row = np.repeat(row, k)
-        return panel_sum(lambda r: integrand(nodes_row, r), (left, right), k, rows=len(row))
+    def sums(left, right, row, f=integrand):  # per panel: its sum and estimate
+        nodes_row = np.repeat(row, 2 * k + 1 if refine else k)
+        if refine:  # the Kronrod sum and |Kronrod - Gauss|
+            return kronrod_sum(lambda r: f(nodes_row, r), (left, right), k)
+        return (panel_sum(lambda r: f(nodes_row, r), (left, right), k, rows=len(row)),
+                np.full(len(row), math.inf))  # a Gauss sum, without estimate
+
+    i_in, fit = np.flatnonzero(inside), None
+    fit_r = np.multiply.outer(_HEAD_FIT, r_lo[inside])
+
+    def with_fit(i, r):  # the head-fit radii of rows inside join the first call
+        nonlocal fit
+        vals = integrand(np.append(i, np.broadcast_to(i_in, fit_r.shape)), np.append(r, fit_r))
+        fit = vals[len(r):].reshape(fit_r.shape)
+        return vals[:len(r)]
 
     def above_share(est, row, core):  # panels whose estimate exceeds their share
         count = np.maximum(np.bincount(row, minlength=rows), 1)
@@ -172,9 +185,8 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
     if np.any(live):
         left, right, row = panelize(r_lo[live], r_hi[live], breaks[live], ppd)
         row = np.flatnonzero(live)[row]
-        s = sums(left, right, row)
+        s, est = sums(left, right, row, with_fit)
         core = np.bincount(row, weights=s, minlength=rows)
-        est = np.full(len(s), math.inf)
         for _ in range(refine):
             split = above_share(est, row, core)
             if not np.any(split):
@@ -184,20 +196,19 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
             left2 = np.stack([left[split], mid], axis=1).ravel()
             right2 = np.stack([mid, right[split]], axis=1).ravel()
             row2 = np.repeat(row[split], 2)
-            halves = sums(left2, right2, row2)
+            halves, est2 = sums(left2, right2, row2)
             change = halves.reshape(-1, 2).sum(axis=1) - s[split]
             core += np.bincount(row[split], weights=change, minlength=rows)
             left, right = np.append(left[keep], left2), np.append(right[keep], right2)
             s, row = np.append(s[keep], halves), np.append(row[keep], row2)
-            est = np.append(est[keep], np.repeat(0.5 * np.abs(change), 2))
+            est = np.append(est[keep], est2)
         err = np.bincount(row, weights=est, minlength=rows)
         converged = np.bincount(row, weights=above_share(est, row, core), minlength=rows) == 0
 
     head = np.zeros(rows)
     if np.any(inside):
-        i_in = np.flatnonzero(inside)
         head[inside] = power_law_head(lambda r, cols: integrand(i_in[cols], r),
-                                      r_lo[inside])
+                                      r_lo[inside], fit=fit)
 
     # beyond the horizon: constant ball mass in closed form, or decade by
     # decade for infinite mass

@@ -115,11 +115,12 @@ def test_cap_fraction_small_radius_stability():
         assert frac == pytest.approx(x ** a / (a * beta(a, a)), rel=1e-9)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 11])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 11])
 def test_closed_form_caps_match_betainc(n):
     # the whole range of x: the n = 4 series (phi < 0.7, x < 0.0302), the
     # switch to phi - sin(phi), x -> 1 and, for n >= 6, the hypergeometric
-    # series on both sides of its reflection at x = 1/2
+    # series (even n) or binomial sum (odd n) on both sides of their
+    # reflection at x = 1/2
     a = 0.5 * (n - 1)
     switch = math.sin(0.7 / 4.0) ** 2
     x = np.concatenate([np.geomspace(1e-300, 1.0, 601),
@@ -411,6 +412,9 @@ def _scipy_centered_mass(mu, fn, r):
 # a first piece from the origin, where the power law r^e of the table is
 # exact for a power-law density
 @example(n=3, log_lo=-1e-12, from_zero=True, kind="power", scales=[1.0] * 8, tail=None,
+         fracs=[0.0])
+# no mass below the tail: the mass at the last edge is exactly 0
+@example(n=5, log_lo=-1.0, from_zero=False, kind="family", scales=[0.0] * 8, tail=(0.5, 7.5),
          fracs=[0.0])
 def test_located_masses_match_centered_mass(n, log_lo, from_zero, kind, scales, tail, fracs):
     # below and beyond the edges, on them and inside pieces; a density

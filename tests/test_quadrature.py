@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wolfflab.quadrature import (decade_tail, gauss_partial_basis, gauss_partial_coeffs,
-                                 gauss_rule, panel_nodes, panel_sum, panelize,
-                                 power_law_head)
+                                 gauss_rule, kronrod_rule, kronrod_sum, panel_nodes,
+                                 panel_sum, panelize, power_law_head)
 
 
 # -- panel sum ---------------------------------------------------------------
@@ -39,6 +39,36 @@ def test_panel_nodes_accepts_edge_pairs():
     nodes, weights = panel_nodes((left, right), 7)
     assert nodes.shape == (2, 2, 7)
     assert np.array_equal(nodes.reshape(4, 7), panel_nodes(edges, 7)[0])
+
+
+@pytest.mark.parametrize("k", [12, 16])
+def test_kronrod_rule_extends_gauss(k):
+    x, w, g = kronrod_rule(k)
+    gx, gw = gauss_rule(k)
+    assert x.shape == w.shape == g.shape == (2 * k + 1,)
+    assert np.all(np.diff(x) > 0) and np.all(w > 0)
+    assert w.sum() == pytest.approx(2.0, rel=1e-15)
+    # the Gauss nodes are every other Kronrod node, with their own weights
+    np.testing.assert_allclose(x[1::2], gx, rtol=0, atol=1e-15)
+    assert np.array_equal(g[1::2], gw) and not np.any(g[::2])
+    # exact on Legendre polynomials through degree 3k + 1 (k even), not beyond
+    moments = np.polynomial.legendre.legvander(x, 3 * k + 2).T @ w
+    assert moments[0] == pytest.approx(2.0, rel=1e-15)
+    assert np.max(np.abs(moments[1:3 * k + 2])) < 1e-14
+    assert abs(moments[3 * k + 2]) > 1e-6
+
+
+def test_kronrod_sum_value_and_estimate():
+    # per panel: the Kronrod sum, and the error of the Gauss sum as estimate
+    left, right = np.array([0.0, 1.0, 2.5]), np.array([1.0, 2.5, 3.0])
+    value, est = kronrod_sum(np.exp, (left, right), 3)
+    exact = np.exp(right) - np.exp(left)
+    np.testing.assert_allclose(value, exact, rtol=1e-13)
+    gauss = panel_sum(np.exp, (left, right), 3, rows=3)
+    np.testing.assert_allclose(est, np.abs(gauss - exact), rtol=1e-6)
+    # degree 2k - 1: the Gauss sum is exact, and so the estimate is rounding
+    value, est = kronrod_sum(lambda r: r ** 31, (left, right), 16)
+    assert np.all(est <= 1e-14 * value)
 
 
 # -- batched panelization ------------------------------------------------------

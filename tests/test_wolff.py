@@ -158,35 +158,44 @@ def test_converged_flag(quad):
         assert not wolff(mu, d * np.eye(4)[0], params(4, 2.0, 0.5, 1.0), tight).converged
 
 
+# integrand nodes of the point below when the first refinement round
+# bisected every panel to form its estimate (a Gauss pass, then its halves)
+BLANKET_ROUND_NODES = 851
+
+
 def test_refinement_only_splits_unconverged_panels(quad, monkeypatch):
-    # n = 4, cut family at 64 ppd: uniform refinement would run all three
-    # rounds, evaluating 1 + 2 + 4 + 8 = 15 times the first rule's nodes;
-    # with exact ball masses two rounds converge
+    # n = 4, cut family at 64 ppd: a Kronrod pass gives every panel its
+    # estimate, so refinement bisects only the panels above their share
     wolff_module = sys.modules["wolfflab.wolff"]
-    panel_sum = wolff_module.panel_sum
-    calls = []
+    kronrod_sum, radial_mass = wolff_module.kronrod_sum, RadialDensity._radial_mass
+    widths, nodes = [], []
 
-    def counting(f, edges, k, rows=None):
-        calls.append((np.log(edges[1] / edges[0]), k))
-        return panel_sum(f, edges, k, rows)
+    def counting_sum(f, edges, k):
+        widths.append(np.log(edges[1] / edges[0]))
+        return kronrod_sum(f, edges, k)
 
-    monkeypatch.setattr(wolff_module, "panel_sum", counting)
+    def counting_mass(self, d, r):
+        nodes.append(len(r))
+        return radial_mass(self, d, r)
+
+    monkeypatch.setattr(wolff_module, "kronrod_sum", counting_sum)
+    monkeypatch.setattr(RadialDensity, "_radial_mass", counting_mass)
     fn = family_density_fn(1.3, 0.7, 2.8)
     mu = family_density(4, 1.3, 0.7, 2.8, quad, cut=1.5)
     pp = params(4, 2.0, 0.5, 1.0)
     x = [0.4, 0.3, 0.0, 0.2]
     counts = []
     for _ in range(2):
-        calls.clear()
+        widths.clear()
+        nodes.clear()
         got = wolff(mu, x, pp, quad)
-        counts.append([widths.size * k for widths, k in calls])
+        counts.append(sum(nodes))
     assert counts[0] == counts[1]
-    assert len(counts[0]) == 3  # the first rule and two rounds
     assert got.converged
-    assert sum(counts[0]) < 0.5 * 15 * counts[0][0]
+    assert counts[0] < BLANKET_ROUND_NODES
     # no panel is bisected more than three times
-    first = np.min(calls[0][0])
-    assert min(np.min(widths) for widths, _ in calls) >= first / 8 * (1 - 1e-12)
+    first = np.min(widths[0])
+    assert min(np.min(w) for w in widths) >= first / 8 * (1 - 1e-12)
     assert got.value == pytest.approx(_newton_wolff(fn, 4, float(np.linalg.norm(x)), 1.5),
                                       rel=1e-11)
 
@@ -227,6 +236,25 @@ def test_pointwise_matches_newton_at_default_quad(kind, n, quad):
         got = wolff(mu, x, pp, quad)
         assert got.converged
         assert got.value == pytest.approx(want(d), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_near_field_converged_points_are_within_rel_tol(n, quad):
+    # a ball, a shell and a family near their supports: the Kronrod estimate
+    # may flag a point, but a point it calls converged is within rel_tol
+    pp = params(n, 2.0, 0.5, 1.0)
+    mu_bs, exact_bs = _ball_and_shell(n, quad)
+    c = (n + 2) / 2.0
+    mu = Sum(list(mu_bs.components()) + [family_density(n, 1.0, 1.0, c, quad)])
+    fn = family_density_fn(1.0, 1.0, c)
+    converged = 0
+    for d in np.concatenate([BALL_SHELL_D[:-1], np.geomspace(0.02, 3.0, 12)]):
+        got = wolff(mu, d * np.eye(n)[0], pp, quad)
+        want = exact_bs(d) + _newton_wolff(fn, n, d, math.inf)
+        if got.converged:
+            converged += 1
+            assert abs(got.value / want - 1.0) <= quad.rel_tol, (d, got, want)
+    assert converged >= 5  # 8 of the 20 at n = 4
 
 
 def test_truncation_below_full_and_converging(pp3, quad, rng):
