@@ -4,8 +4,8 @@ One JSON config per run; outputs are CSV and JSON-lines files written to
 the output directory.  Identical config and seed give byte-identical
 outputs regardless of the worker count: instances are generated from
 (seed, check, index) and results are assembled in index order.  ``--threads
-N`` (fallback ``WOLFFLAB_THREADS``) runs verify/suite instances on N worker
-processes, capped at the number of instances and at the usable CPUs.
+N`` (fallback ``WOLFFLAB_THREADS``) runs verify/suite instances on N
+processes, this one included, capped at the instance count and usable CPUs.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 not converged (files still written), 5 verification failure (summary
@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -291,24 +291,12 @@ def cmd_checks(args) -> int:
             raise ConfigError(f"command.checks: unknown check {name!r}")
         canonical.append(name)
     tasks = [(name, idx) for name in canonical for idx in range(instances)]
-    run = functools.partial(_run_task, seed=cfg.seed, pp=cfg.params,
-                            quad=cfg.quad, bound=float(bound))
+    def run(task):  # ((check, index), report dicts)
+        reports = run_check_instance(*task, cfg.seed, cfg.params, cfg.quad,
+                                     float(bound))
+        return task, [r.as_dict() for r in reports]
 
-    workers = _workers(args, len(tasks))
-    if workers > 1:
-        # The instances spend most of their time in Python and hold the
-        # GIL, so threads do not overlap them.  Forked workers inherit the
-        # imported numpy and wolfflab and the parsed config; spawn or
-        # forkserver would import them again in every worker, which costs
-        # more than a small check.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
+    results = _run_striped(run, tasks, _workers(args, len(tasks)))
     results.sort(key=lambda kv: (canonical.index(kv[0][0]), kv[0][1]))
 
     report_path = _outpath(args, cfg.command.get("output", "reports.jsonl"))
@@ -345,12 +333,54 @@ def _tally(cells, key, rep):
         cell["max_ratio"] = r if cur is None else max(cur, r)
 
 
-def _run_task(task, seed, pp, quad, bound):
-    """One (check, index) task as ((check, index), report dicts); module
-    level so that worker processes can receive it."""
-    name, idx = task
-    reports = run_check_instance(name, idx, seed, pp, quad, bound)
-    return task, [r.as_dict() for r in reports]
+def _run_striped(run, tasks, workers):
+    """[run(t) for t in tasks] on `workers` processes.  The instances hold
+    the GIL, so this one runs tasks[0::workers] and forks a child (which has
+    the imports) per other stripe.  The lowest failing index's error wins."""
+    workers, kids = max(workers, 1), {}
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a child never returns into the caller's code
+                try:
+                    for fd in [r, *kids.values()]:
+                        os.close(fd)
+                    out = _stripe(run, tasks, k, workers)
+                    try:
+                        pickle.loads(pickle.dumps(out[-1:]))
+                    except Exception:
+                        out[-1] = out[-1][0], RuntimeError(repr(out[-1][1]))
+                    with open(w, "wb") as fh:
+                        pickle.dump(out, fh)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            kids[pid] = r
+        out = _stripe(run, tasks, 0, workers)
+        for fd in kids.values():
+            with open(fd, "rb", closefd=False) as fh:
+                out += pickle.load(fh)  # EOFError if the child died
+    finally:
+        for pid, fd in kids.items():
+            os.close(fd)  # before the wait: a child blocked on a full pipe
+            os.waitpid(pid, 0)  # gets EPIPE and exits
+    out.sort(key=lambda kv: kv[0])
+    for _, result in out:
+        if isinstance(result, Exception):
+            raise result
+    return [result for _, result in out]
+
+
+def _stripe(run, tasks, k, step):
+    """(i, run(tasks[i])) for i = k, k + step, ..., to the first (i, error)."""
+    out = []
+    for i in range(k, len(tasks), step):
+        try:
+            out.append((i, run(tasks[i])))
+        except Exception as e:
+            return out + [(i, e)]
+    return out
 
 
 def run_check_instance(name, idx, seed, pp: ProblemParams, quad,

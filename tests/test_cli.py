@@ -336,60 +336,143 @@ def test_verify_zero_instances_writes_empty_outputs(tmp_path):
 
 @pytest.mark.parametrize("instances, cpus, expected", [(2, 64, 2), (4, 3, 3)])
 def test_worker_count_capped(tmp_path, monkeypatch, instances, cpus, expected):
-    import concurrent.futures
+    # N working processes are this one and N - 1 forked children
+    import os
 
     import wolfflab.cli as cli
-    built = []
+    forks = []
+    real_fork = os.fork
 
-    class SerialExecutor:
-        def __init__(self, max_workers, mp_context=None):
-            built.append(max_workers)
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        SerialExecutor)
+    monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     doc = dict(VERIFY_DOC)
     doc["command"] = {"checks": ["picone"], "instances": instances}
     cfg = write_config(tmp_path, doc)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path),
                  "--threads", "64"]) == 0
-    assert built == [expected]
+    assert len(forks) == expected - 1
 
 
 def test_worker_errors_match_serial(tmp_path, monkeypatch, capsys):
+    # The error of the lowest failing index wins, whether it comes from a
+    # child's stripe or from this process's stripe 0, and no child is left
+    import os
+
     import wolfflab.cli as cli
     from wolfflab.errors import NotConverged, SubsolutionSearchFailed
 
-    def not_converged(*args):
-        raise NotConverged("picard: no convergence", solution=lambda: None)
+    def not_converged(msg):  # the solution does not pickle
+        return NotConverged(msg, solution=lambda: None)
 
-    def no_subsolution(*args):
-        raise SubsolutionSearchFailed("no admissible scale")
-
-    # forked workers inherit these patches
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    # (failing index -> error, code, kind).  This process runs indices 0
+    # and 2 at --threads 2 and indices 0 and 3 at --threads 3, children the
+    # rest: the first case fails first in a child, the second one here
+    cases = (({1: not_converged, 2: SubsolutionSearchFailed,
+               3: SubsolutionSearchFailed}, 4, "NotConverged"),
+             ({0: SubsolutionSearchFailed, 1: not_converged,
+               2: not_converged}, 3, "SubsolutionSearchFailed"))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     doc = dict(VERIFY_DOC)
-    doc["command"] = {"checks": ["picone"], "instances": 2}
+    doc["command"] = {"checks": ["picone"], "instances": 4}
     cfg = write_config(tmp_path, doc)
-    for fake, code, kind in ((not_converged, 4, "NotConverged"),
-                             (no_subsolution, 3, "SubsolutionSearchFailed")):
+    for failing, code, kind in cases:
+        def fake(name, idx, *args):
+            if idx in failing:
+                raise failing[idx](f"instance {idx} failed")
+            return []
+
+        # forked children inherit the patch
         monkeypatch.setattr(cli, "run_check_instance", fake)
         lines = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "3"):
             assert main(["verify", "--config", cfg, "--out", str(tmp_path),
                          "--threads", threads, "--json-errors"]) == code
             lines.append(capsys.readouterr().err)
-        assert lines[0] == lines[1]
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert lines[0] == lines[1] == lines[2]
         assert json.loads(lines[0])["error"] == kind
+
+
+def test_worker_error_that_does_not_pickle(tmp_path, monkeypatch):
+    import wolfflab.cli as cli
+    from wolfflab.errors import WolffLabError
+
+    class LocalError(WolffLabError):  # a local class does not pickle
+        pass
+
+    def fake(name, idx, *args):
+        if idx == 1:
+            raise LocalError("from a child")
+        return []
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "run_check_instance", fake)
+    doc = dict(VERIFY_DOC)
+    doc["command"] = {"checks": ["picone"], "instances": 2}
+    cfg = write_config(tmp_path, doc)
+    with pytest.raises(RuntimeError, match="LocalError.*from a child"):
+        main(["verify", "--config", cfg, "--out", str(tmp_path),
+              "--threads", "2"])
+
+
+_CALLER_FAILS = """
+import os, sys
+import wolfflab.cli as cli
+from wolfflab.errors import SubsolutionSearchFailed
+
+caller = os.getpid()
+
+
+class Big:  # one report larger than a pipe buffer
+    def as_dict(self):
+        return {"blob": "x" * 300_000}
+
+
+def fake(name, idx, *args):
+    if os.getpid() == caller:
+        raise failure
+    return [Big()]
+
+
+cli.run_check_instance = fake
+cli._usable_cpus = lambda: 2
+argv = ["verify", "--config", sys.argv[1], "--out", sys.argv[2], "--threads", "2"]
+failure = SubsolutionSearchFailed("stripe 0")
+assert cli.main(argv) == 3
+failure = KeyboardInterrupt()  # escapes before the child's pipe is read
+try:
+    cli.main(argv)
+    raise AssertionError("no interrupt")
+except KeyboardInterrupt:
+    pass
+try:
+    os.waitpid(-1, os.WNOHANG)
+    raise AssertionError("a child is left")
+except ChildProcessError:
+    pass
+"""
+
+
+def test_caller_stripe_failure_ends_with_a_full_child_pipe(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import wolfflab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wolfflab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    doc = dict(VERIFY_DOC)
+    doc["command"] = {"checks": ["picone"], "instances": 2}
+    cfg = write_config(tmp_path, doc)
+    proc = subprocess.run([sys.executable, "-c", _CALLER_FAILS, cfg, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_suite_command(tmp_path):
