@@ -28,8 +28,8 @@ from .config import RunConfig, load_config
 from .energy import (InequalityReport, check_mutual_energy_estimate,
                      check_picone_caccioppoli, check_quasi_triangle,
                      check_weighted_norm)
-from .errors import (ConfigError, NotConverged, UnboundedCondition,
-                     WolffLabError, ZeroMeasure)
+from .errors import (ConfigError, ExponentError, NotConverged,
+                     UnboundedCondition, WolffLabError, ZeroMeasure)
 from .families import (family_profile, random_density, random_pair,
                        random_test_profile)
 from .lorentz import check_density_conditions, check_lorentz_embedding, \
@@ -37,8 +37,8 @@ from .lorentz import check_density_conditions, check_lorentz_embedding, \
 from .measure import zero_measure
 from .params import Mode, ProblemParams, params as make_params
 from .radial_pde import solve_radial_p_laplace
-from .solver import (intrinsic_fixed_point, km_sandwich_ratio,
-                     solve_bounded_endpoint, solve_minimal, verify_solution)
+from .solver import (energy_identity_report, intrinsic_fixed_point,
+                     km_sandwich_ratio, solve_bounded_endpoint, solve_minimal)
 from .wolff import truncated_wolff, wolff
 
 EXIT_OK = 0
@@ -137,16 +137,14 @@ def cmd_wolff(args) -> int:
     cmd = cfg.command
     mu = cfg.measure(cmd.get("measure"))
     points = cmd.get("points", [])
-    truncs = [float(R) for R in cmd.get("truncations", [])]
+    truncs = [_number(R, "command.truncations") for R in cmd.get("truncations", [])]
     rows = []
     for pt in points:
-        x = np.zeros(cfg.params.n)
-        if isinstance(pt, (list, tuple)):
-            x[:len(pt)] = pt
-            label = "(" + " ".join(repr(float(v)) for v in pt) + ")"
-        else:
-            x[0] = float(pt)
-            label = repr(float(pt))
+        listed = isinstance(pt, (list, tuple))
+        coords = [_number(v, "command.points") for v in (pt if listed else [pt])]
+        # zeros pad a point to R^n; one with more coordinates makes wolff raise BadPoint
+        x = np.array(coords + [0.0] * (cfg.params.n - len(coords)))
+        label = "(" + " ".join(map(repr, coords)) + ")" if listed else repr(coords[0])
         try:
             pv = wolff(mu, x, cfg.params, cfg.quad)
             row = [label, repr(pv.value), repr(pv.quad_error_estimate), str(pv.converged)]
@@ -164,6 +162,14 @@ def cmd_wolff(args) -> int:
     return EXIT_OK
 
 
+def _number(value, where):
+    """A numeric config entry: what float() refuses is a ConfigError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: need a number, got {value!r}")
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -174,19 +180,13 @@ def _write_csv(path, header, rows):
 # -- solve ----------------------------------------------------------------
 
 def _sigma_terms(cfg):
-    cmd = cfg.command
-    entries = cmd.get("sigma", [])
-    if not isinstance(entries, list):
-        entries = [entries]
-    sigmas, qs = [], []
-    q_default = list(cfg.params.q_list)
-    for i, item in enumerate(entries):
-        if isinstance(item, dict):
-            sigmas.append(cfg.measure(item.get("measure")))
-            qs.append(float(item.get("q", q_default[min(i, len(q_default) - 1)])))
-        else:
-            sigmas.append(cfg.measure(item))
-            qs.append(q_default[min(i, len(q_default) - 1)])
+    entries = cfg.command.get("sigma", [])
+    terms = [t if isinstance(t, dict) else {"measure": t}
+             for t in (entries if isinstance(entries, list) else [entries])]
+    q_default = cfg.params.q_list
+    sigmas = [cfg.measure(t.get("measure")) for t in terms]
+    qs = [_number(t.get("q", q_default[min(i, len(q_default) - 1)]), f"command.sigma[{i}].q")
+          for i, t in enumerate(terms)]
     return sigmas, qs
 
 
@@ -211,6 +211,8 @@ def cmd_solve(args) -> int:
     except NotConverged as e:
         sol = e.solution
         status = EXIT_NOT_CONVERGED
+    except ExponentError as e:  # a per-term q outside (0, p - 1)
+        raise ConfigError(f"command.sigma: {e}")
     _write_solution(args, cfg, sol, sigmas, qs, mu)
     return status
 
@@ -460,13 +462,9 @@ def run_check_instance(name, idx, seed, pp: ProblemParams, quad,
         mu, d3 = random_density(rng, pl, quad)
         sol = solve_minimal([s1, s2], [q1, q2], mu, pl, quad,
                             check_conditions=False)
-        reports = verify_solution(sol, [s1, s2], [q1, q2], mu, pl, quad,
-                                  rng=np.random.default_rng([seed, 99, idx]),
-                                  km_samples=0)
-        out = [r for r in reports if r.name == "energy_identity"]
-        for r in out:
-            r.instance.update({"seed": idx, "sigma1": d1, "sigma2": d2, "mu": d3})
-        return out
+        rep = energy_identity_report(sol.u, sol.generalized_energy, pl, quad)
+        rep.instance.update({"seed": idx, "sigma1": d1, "sigma2": d2, "mu": d3})
+        return [rep]
 
     if name == "density_conditions":
         role = "sigma" if idx % 2 == 0 else "mu"

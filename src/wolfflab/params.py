@@ -168,9 +168,10 @@ class QuadratureConfig:
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
-    def radial_grid(self) -> np.ndarray:
+    def radial_grid(self, points_per_decade: int = None) -> np.ndarray:
+        """Log grid on [r_min, r_max], points_per_decade (default: quad's own) a decade."""
         decades = math.log10(self.r_max / self.r_min)
-        npts = int(round(decades * self.points_per_decade)) + 1
+        npts = int(round(decades * (points_per_decade or self.points_per_decade))) + 1
         return np.geomspace(self.r_min, self.r_max, npts)
 
     def refine(self, factor: int = 2) -> "QuadratureConfig":

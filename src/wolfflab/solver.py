@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -143,8 +143,9 @@ def iterate_once(u_prev: RadialFunction, sigma_list, q_list, mu,
 
 def _inputs(sigma_list, q_list, mu, params, quad, mode, mismatch):
     """Checked solver inputs: (sigma terms, mu, master grid).  A None
-    sigma term or mu is the zero measure."""
-    validate(params)
+    sigma term or mu is the zero measure, and each term's q_m must lie in
+    (0, p - 1) as params' own do (ExponentError)."""
+    validate(replace(params, q_list=params.q_list + tuple(q_list)))
     if params.mode is not mode:
         raise ModeMismatch(mismatch)
     sigma_list = [zero_measure(params.n) if s is None else s
@@ -345,9 +346,8 @@ def solve_with_exhaustion(sigma_list, q_list, mu, params: ProblemParams,
                                 "exhaustion needs finite gamma > 0")
     sols = []
     for k in range(1, k_max + 1):
-        sig_k = [cutoff_measure(s, k, params, quad) if s.total_mass() > 0 else s
-                 for s in sigma_list]
-        mu_k = cutoff_measure(mu, k, params, quad) if mu.total_mass() > 0 else mu
+        sig_k = [cutoff_measure(s, k, params, quad) for s in sigma_list]
+        mu_k = cutoff_measure(mu, k, params, quad)
         if all(s.total_mass() == 0 for s in sig_k) and mu_k.total_mass() == 0:
             u = zero_profile(quad)
             sol = Solution(u=u, riesz=zero_measure(params.n), residual_final=0.0,
@@ -472,12 +472,7 @@ def verify_solution(sol: Solution, sigma_list, q_list, mu,
 
         # (e) gamma = 1: energy identity against the Dirichlet integral
         if abs(g - 1.0) < 1e-12:
-            lhs = dirichlet_energy(u, params, weight_gamma=1.0, quad=quad)
-            rhs = decomp
-            gap = abs(lhs - rhs) / max(abs(rhs), _EPS)
-            reports.append(InequalityReport.build(
-                "energy_identity", gap, 1e-3, bound=1.0,
-                extra={"dirichlet": lhs, "measure_side": rhs}))
+            reports.append(energy_identity_report(u, decomp, params, quad))
 
         # (f) Lorentz norm finite at the solution-space indices
         reports.append(InequalityReport.build(
@@ -496,6 +491,17 @@ def verify_solution(sol: Solution, sigma_list, q_list, mu,
             "truncation_energy", e_tr, lvl * max(sol.riesz.total_mass(), _EPS),
             bound=_TRUNCATION_BOUND))
     return reports
+
+
+def energy_identity_report(u: RadialFunction, measure_side: float,
+                           params: ProblemParams,
+                           quad: QuadratureConfig = DEFAULT_QUAD) -> InequalityReport:
+    """gamma = 1: the Dirichlet integral of u against the measure side, the
+    generalized energy of its data."""
+    lhs = dirichlet_energy(u, params, weight_gamma=1.0, quad=quad)
+    gap = abs(lhs - measure_side) / max(abs(measure_side), _EPS)
+    return InequalityReport.build("energy_identity", gap, 1e-3, bound=1.0,
+                                  extra={"dirichlet": lhs, "measure_side": measure_side})
 
 
 def km_sandwich_ratio(nu: RadonMeasure, u: RadialFunction, samples,

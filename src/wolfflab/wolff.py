@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BadPoint, NonpositiveR, NonRadialMeasure, ZeroMeasure
 from .measure import (Atom, RadialDensity, RadonMeasure, SphericalShell, Sum,
-                      integrate_against, zero_measure)
+                      zero_measure)
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
 from .quadrature import (_HEAD_FIT, decade_tail, kronrod_sum, log_bisect, panel_sum,
                          panelize, power_law_head)
@@ -33,7 +33,8 @@ from .radial_pde import RadialFunction, monotone_deriv
 _TINY = 1e-300
 # head start on a support edge, relative to the usual one
 _EDGE_HEAD = 1e-3
-# sample radii shared by the densities of wolff_sup_on_support
+# sample radii on a density's support: shared by the densities of
+# wolff_sup_on_support, each its own in cutoff_measure
 _SUP_SAMPLES = 200
 
 
@@ -256,11 +257,8 @@ def wolff_profile(mu: RadonMeasure, params: ProblemParams,
     validate(params)
     if not mu.is_radial:
         raise NonRadialMeasure("wolff_profile needs a radial measure")
-    if d_grid is None:
-        decades = math.log10(quad.r_max / quad.r_min)
-        npts = int(round(decades * quad.profile_points_per_decade)) + 1
-        d_grid = np.geomspace(quad.r_min, quad.r_max, npts)
-    d_grid = np.asarray(d_grid, dtype=float)
+    d_grid = quad.radial_grid(quad.profile_points_per_decade) if d_grid is None \
+        else np.asarray(d_grid, dtype=float)
     radial, atoms = _split(mu)
 
     def rows(d, resolution):  # radial atoms sit at the origin
@@ -292,6 +290,22 @@ def wolff_profile(mu: RadonMeasure, params: ProblemParams,
     return RadialFunction(d_grid, vals, coeff, tau, center, monotone_deriv(d_grid, vals))
 
 
+def _support_profile(mu, radial, params, quad, count):
+    """count log-spaced radii on the support of each radial component of
+    mu (to r_max when it is unbounded, led by the origin when it reaches
+    it), the index of each radius's component and the profile of mu on
+    all of them."""
+    samples = []
+    for c in radial:  # a shell's samples all sit on its radius
+        lo, hi = _support_edges(c)
+        hi = quad.r_max if math.isinf(hi) else hi
+        s = np.geomspace(min(hi, max(lo, hi * 1e-8, quad.r_min * 1e-2)), hi, count)
+        samples.append(s if lo > 0 else np.append(0.0, s))
+    s = np.concatenate(samples)
+    comp = np.repeat(np.arange(len(samples)), [len(x) for x in samples])
+    return s, comp, wolff_profile(mu, params, quad, d_grid=np.unique(s[s > 0]))
+
+
 def wolff_sup_on_support(mu: RadonMeasure, params: ProblemParams,
                          quad: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Supremum of the potential over a deterministic sample of supp mu.
@@ -305,89 +319,51 @@ def wolff_sup_on_support(mu: RadonMeasure, params: ProblemParams,
         raise ZeroMeasure("sup over the support of the zero measure")
     if atoms:
         return math.inf  # the potential blows up at the atom itself
-    # sample radii on the supports of the radial components
-    radii = []
-    nd = max(1, sum(1 for c in radial if isinstance(c, RadialDensity)))
-    per = max(8, _SUP_SAMPLES // nd)
-    include_zero = False
-    for c in radial:
-        if isinstance(c, SphericalShell):
-            radii.append(np.array([c.radius]))
-        elif isinstance(c, RadialDensity):
-            hi = c.support_radius()
-            if math.isinf(hi):
-                hi = quad.r_max
-            lo = max(c.lo_cut, hi * 1e-8, quad.r_min * 1e-2)
-            if c.lo_cut == 0.0:
-                include_zero = True
-            radii.append(np.geomspace(lo, hi, per))
-    d = np.unique(np.concatenate(radii))
-    prof = wolff_profile(mu, params, quad, d_grid=d)
-    best = float(np.max(prof.values))
-    return max(best, prof.center_value) if include_zero else best
+    nd = sum(isinstance(c, RadialDensity) for c in radial)
+    s, _, prof = _support_profile(mu, radial, params, quad, max(8, _SUP_SAMPLES // max(1, nd)))
+    return float(np.max(prof.eval(s)))
 
 
 def cutoff_measure(mu: RadonMeasure, k: int, params: ProblemParams,
                    quad: QuadratureConfig = DEFAULT_QUAD) -> RadonMeasure:
     """Restriction of mu to {W mu <= k} intersected with the closed ball
-    of radius 2^k.
+    of radius 2^k; mu itself when nothing is cut.
 
-    Atoms never survive (the potential is infinite on them); radial
-    densities, products included, are restricted with interpolated crossing
-    radii so the admissible set grows with k.
+    W is the profile of the whole measure, origin atoms included (W is not
+    additive in mu unless p = 2), and atoms never survive.  Each shell or
+    density keeps every run of its sampled support where W <= k, between
+    crossing radii bisected all at once, so the admissible set grows with
+    k; densities, products included, are cut by RadialDensity.restricted.
     """
     validate(params)
     if k < 1:
         raise ValueError("k must be >= 1")
-    atom_free, atoms = _split(mu)
+    radial, atoms = _split(mu)
     if any(np.any(a.location) for a in atoms):
         raise NonRadialMeasure("cutoffs need a radial measure")
-
-    ball_cap = 2.0 ** k
-    kept = []
-    nontrivial = bool(atoms)  # atoms are always cut away
-    prof = wolff_profile(Sum(atom_free), params, quad) if atom_free else None
-
-    def w_at(s):
-        s = np.asarray(s, dtype=float)
-        vals = prof.eval(s) if prof is not None else np.zeros_like(s)
-        # prof covers the atom-free part; origin atoms contribute their
-        # closed-form potential on top
-        e = (params.n - params.p) / (params.p - 1.0)
-        return vals + sum(a.weight ** (1.0 / (params.p - 1.0)) / e * s ** (-e)
-                          for a in atoms)
-
-    for c in atom_free:
-        if isinstance(c, SphericalShell):
-            if c.radius <= ball_cap and float(np.atleast_1d(w_at(np.array([c.radius])))[0]) <= k:
-                kept.append(c)
-            else:
-                nontrivial = True
-            continue
-        # radial density: restrict to the contiguous admissible run
-        lo_edge = c.lo_cut
-        hi_edge = c.support_radius()
-        if math.isinf(hi_edge):
-            hi_edge = quad.r_max
-        s = np.geomspace(max(lo_edge, hi_edge * 1e-9, quad.r_min * 1e-3), hi_edge, 257)
-        ok = (w_at(s) <= k) & (s <= ball_cap)
-        if not np.any(ok):
-            nontrivial = True
-            continue
-        first, last = np.argmax(ok), len(ok) - 1 - np.argmax(ok[::-1])
-        if np.all(ok[first:last + 1]) and ok[-1] and first == 0 and hi_edge <= ball_cap \
-                and (lo_edge > 0 or float(np.atleast_1d(w_at(np.array([max(hi_edge * 1e-10, 1e-12)])))[0]) <= k):
-            kept.append(c)  # identity: cutoff does not bite
-            continue
-        nontrivial = True
-        lo_new = lo_edge if first == 0 else _crossing(s, w_at, k, first - 1, first)
-        hi_new = hi_edge if ok[-1] else _crossing(s, w_at, k, last, last + 1)
-        hi_new = min(hi_new, ball_cap, hi_edge)
-        if hi_new <= lo_new:
-            continue
-        kept.append(c.restricted(max(lo_new, c.lo_cut), hi_new))
-
-    if not nontrivial:
+    if not radial:
+        return zero_measure(mu.dim) if atoms else mu
+    cap = 2.0 ** k
+    s, comp, prof = _support_profile(mu, radial, params, quad, _SUP_SAMPLES)
+    admissible = lambda r: (prof.eval(r) <= k) & (r <= cap)
+    ok = admissible(s)
+    # W crosses k between neighbouring samples of a component that disagree
+    # (at the next one, next to the origin); a run ends on its admissible side
+    j = np.flatnonzero((ok[1:] != ok[:-1]) & (comp[1:] == comp[:-1]))
+    a, b = log_bisect(lambda m: admissible(m) != ok[j], np.where(s[j] > 0, s[j], s[j + 1]),
+                      s[j + 1], 1e-12)
+    crossings = np.where(ok[j], a, b)
+    kept, whole = [], not atoms
+    for i, c in enumerate(radial):
+        o, (lo_edge, hi_edge) = ok[comp == i], _support_edges(c)
+        ends = np.concatenate([[lo_edge] if o[0] else [], crossings[comp[j] == i],
+                               [min(hi_edge, cap)] if o[-1] else []])
+        if list(ends) == [lo_edge, hi_edge]:  # the cutoff does not bite
+            kept.append(c)
+        else:
+            whole = False
+            kept.extend(c.restricted(r0, r1) for r0, r1 in ends.reshape(-1, 2) if r1 > r0)
+    if whole:
         return mu
     if not kept:
         return zero_measure(mu.dim)
@@ -396,20 +372,9 @@ def cutoff_measure(mu: RadonMeasure, k: int, params: ProblemParams,
     return out
 
 
-def _crossing(s, w_at, k, i0, i1):
-    """Radius where W crosses k between samples i0 and i1."""
-    above = w_at(s[i0:i0 + 1]) > k
-    a, b = log_bisect(lambda m: (w_at(m) > k) != above, s[i0:i0 + 1], s[i1:i1 + 1], 1e-12)
-    return float(np.sqrt(a * b)[0])
-
-
 def _check_cutoff_energy(mu_k, k, params, quad):
-    total = mu_k.total_mass()
-    if total == 0:
-        return
-    prof = wolff_profile(mu_k, params, quad)
-    energy = integrate_against(mu_k, prof.eval, quad)
-    if energy > k * total * 1.02:
-        warnings.warn(
-            f"cutoff energy {energy:.4g} exceeds k*mass = {k * total:.4g}; "
-            "quadrature may be too coarse", stacklevel=2)
+    from .energy import wolff_energy  # energy builds on this module
+    energy, bound = wolff_energy(mu_k, 1, params, quad), k * mu_k.total_mass()
+    if energy > 1.02 * bound:
+        warnings.warn(f"cutoff energy {energy:.4g} exceeds k*mass = {bound:.4g}; "
+                      "quadrature may be too coarse", stacklevel=2)

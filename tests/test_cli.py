@@ -59,9 +59,13 @@ def test_wolff_without_measure_writes_zeros(tmp_path):
 
 @pytest.mark.parametrize("field, literal, error", [
     ("truncations", "[NaN]", "NonpositiveR"), ("points", "[[0.5, NaN, 0.0]]", "BadPoint"),
+    ("points", "[[1, 2, 3, 4]]", "BadPoint"), ("points", '["abc"]', "ConfigError"),
+    ("points", "[null]", "ConfigError"), ("truncations", '["x"]', "ConfigError"),
 ])
 def test_wolff_nonfinite_input_typed_error(tmp_path, capsys, field, literal, error):
-    # a NaN truncation radius gave 0.0 and a NaN coordinate a silent value
+    # a NaN truncation radius gave 0.0 and a NaN coordinate a silent value;
+    # a point of too many coordinates is numerical (exit 3), and an entry
+    # that is not a number a configuration error (exit 2)
     doc = {"params": BASE_PARAMS,
            "measures": {"d0": {"type": "atom", "location": [0, 0, 0], "weight": 1.0}},
            "command": {"measure": "d0", "points": [0.5], "truncations": [1.0],
@@ -70,7 +74,7 @@ def test_wolff_nonfinite_input_typed_error(tmp_path, capsys, field, literal, err
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc).replace('"@"', literal))
     assert main(["wolff", "--config", str(cfg), "--out", str(tmp_path),
-                 "--json-errors"]) == 3
+                 "--json-errors"]) == (2 if error == "ConfigError" else 3)
     assert json.loads(capsys.readouterr().err)["error"] == error
     assert not (tmp_path / "wolff.csv").exists()
 
@@ -176,6 +180,23 @@ def test_solve_malformed_number_exit_2(tmp_path, capsys, section, field, literal
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert field in err["message"]
+    assert not (tmp_path / "sol.json").exists()
+
+
+@pytest.mark.parametrize("literal", ['"abc"', "null", "5", "-1", "0", "1.0"])
+def test_solve_bad_term_q_exit_2(tmp_path, capsys, literal):
+    # a per-term q must be a number in (0, p - 1) = (0, 1), as params' own
+    doc = {"params": dict(BASE_PARAMS), "quad": {"points_per_decade": 16},
+           "measures": {"s": {"type": "radial_density",
+                              "profile": {"kind": "family", "a": 1.0, "b": 1.0, "c": 2.5}}},
+           "command": {"sigma": [{"measure": "s", "q": "@"}], "output": "sol"}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc).replace('"@"', literal))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path),
+                 "--json-errors"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "command.sigma" in err["message"]
     assert not (tmp_path / "sol.json").exists()
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wolfflab import (DivergentTail, ModeMismatch, MonotonicityViolated, NotConverged,
+from wolfflab import (DivergentTail, ExponentError, ModeMismatch, MonotonicityViolated, NotConverged,
                       QuadratureConfig, RadialDensity, SphericalShell,
                       UnboundedCondition,
                       ZeroMeasure, add, dirac, initial_subsolution,
@@ -192,6 +192,15 @@ def test_exhaustion_cuts_atomic_mu(pp3, suite_quad):
                         check_conditions=False)
     got = sols[-1].u.eval(np.array([1.0]))[0]
     assert got == pytest.approx(ref.u.eval(np.array([1.0]))[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0, 1.0, 5.0])
+def test_per_term_q_outside_range_raises(pp3, suite_quad, q):
+    # q = 0 gave a "converged" solve of q = 0.5, q = -1 a monotonicity
+    # failure and q = 5 a raw ValueError
+    sigma = family_density(3, 1.0, 1.0, 2.5, suite_quad)
+    with pytest.raises(ExponentError):
+        solve_minimal([sigma], [q], None, pp3, suite_quad, check_conditions=False)
 
 
 def test_bounded_endpoint_ball(quad):

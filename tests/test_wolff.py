@@ -481,6 +481,44 @@ def test_cutoff_removes_atoms(pp3, quad):
     assert m9 <= m12 < 4 * math.pi / 3
 
 
+def _w(mu, r, pp, quad):
+    return wolff(mu, [r, 0.0, 0.0], pp, quad).value
+
+
+def test_cutoff_keeps_every_admissible_run(suite_quad):
+    # W of an annulus peaks just inside its inner edge; scaled so that the
+    # peak tops k, the band where W > k splits it into two admissible runs
+    pp, k = params(3, 2.5, 0.5, 1.0), 26
+    unit = RadialDensity.from_function(3, np.ones_like, suite_quad, cut=2.0, lo_cut=1.0)
+    annulus = scale(unit, (1.001 * k / _w(unit, 1.08, pp, suite_quad)) ** (pp.p - 1.0))
+    pieces = cutoff_measure(annulus, k, pp, suite_quad).components()
+    assert len(pieces) == 2
+    (a0, a1), (b0, b1) = [(c.lo_cut, c.support_radius()) for c in pieces]
+    assert a0 == 1.0 and a1 < 1.08 < b0 and b1 == 2.0
+    for r in (a1, b0):
+        assert abs(_w(annulus, r, pp, suite_quad) - k) <= 1e-4
+
+
+@pytest.mark.parametrize("p, k", [(1.5, 40), (2.5, 13)])
+def test_cutoff_reads_w_of_the_whole_measure(p, k, suite_quad):
+    # W is not additive in mu unless p = 2: the ball around 2 delta_0 is
+    # cut where W of the sum, atom included, crosses k.  The crossing is
+    # that of the profile interpolant on the support samples (25 a decade
+    # here), good to about 2e-5 relative at p = 1.5.
+    pp = params(3, p, 0.25 * (p - 1.0), 1.0)
+    mixed = add(dirac(3, 2.0), RadialDensity.uniform_ball(3, 1.0, 1.0, suite_quad))
+    (piece,) = cutoff_measure(mixed, k, pp, suite_quad).components()
+    assert piece.support_radius() == 1.0
+    assert abs(_w(mixed, piece.lo_cut, pp, suite_quad) - k) <= 1e-4 * k
+
+
+def test_cutoff_keeps_a_shell_whole_or_drops_it(pp3, suite_quad):
+    shell = SphericalShell(3, 5.0, 20.0)  # W = 4 on it, inside B(0, 2^3)
+    assert _w(shell, 5.0, pp3, suite_quad) == pytest.approx(4.0, rel=1e-12)
+    assert cutoff_measure(shell, 3, pp3, suite_quad).total_mass() == 0.0
+    assert cutoff_measure(shell, 5, pp3, suite_quad) is shell
+
+
 def test_cutoff_exhaustion_monotone(pp3, quad):
     big = family_density(3, 8.0, 2.0, 2.0, quad)  # sup W ~ 200: cutoffs bite hard
     d_samples = np.array([0.05, 0.3, 1.0, 4.0, 100.0])
