@@ -28,7 +28,7 @@ from .errors import (
 )
 from .params import DEFAULT_QUAD, QuadratureConfig, unit_ball_volume
 from .quadrature import (_HEAD_FIT, decade_tail, gauss_partial_basis, gauss_partial_coeffs,
-                         panel_nodes, panel_sum, power_law_head)
+                         panel_nodes, power_law_head)
 
 _TINY = 1e-300
 # Gauss points of a table piece, and geometric panels of a first piece
@@ -288,12 +288,14 @@ class RadialDensity(RadonMeasure):
 
     The measure is f(s) dx restricted to {lo_cut <= |x| <= cut}.  The table
     holds the piece masses between the edges (the grid between the cuts,
-    from 0 when lo_cut is 0), per piece the partial-mass coefficients of
-    its Gauss-point shell values, a first piece's exponent and, without a
-    cut, a power-law tail coeff * s**(-exponent) past the last grid node.
+    from 0 when lo_cut is 0), the shell values n omega_n s^{n-1} f(s) at
+    its layout's points, per piece the partial-mass coefficients of its
+    Gauss-point shell values, a first piece's exponent and, without a cut,
+    a power-law tail coeff * s**(-exponent) past the last grid node.
     Centered masses read the table: whole pieces, then the integral of the
     interpolant through those shell values up to r (in a first piece from
-    the origin, its power law r^e).  Off-center masses integrate the
+    the origin, its power law r^e); integrate_against sums g times the
+    shell values like the piece masses.  Off-center masses integrate the
     density over each window with panels of window_order points.  The
     density is the exact callable density_fn when one is given, the grid
     then serving only as the quadrature backbone; otherwise the values
@@ -333,17 +335,19 @@ class RadialDensity(RadonMeasure):
                 "density has infinite total mass; pass allow_infinite_mass=True")
 
     @classmethod
-    def _table(cls, dim, edges, piece_mass, coef, e0, tail=None, density=None,
+    def _table(cls, dim, layout, shell, piece_mass, coef, e0, tail=None, density=None,
                hi=math.inf, window_k=None) -> "RadialDensity":
         """The density known by a table: products, scaled and restricted densities."""
         out = cls.__new__(cls)
-        out._fill(dim, edges, piece_mass, coef, e0, tail, density, hi, window_k)
+        out._fill(dim, layout, shell, piece_mass, coef, e0, tail, density, hi, window_k)
         return out
 
-    def _fill(self, dim, edges, piece_mass, coef, e0, tail, density, hi, window_k):
+    def _fill(self, dim, layout, shell, piece_mass, coef, e0, tail, density, hi, window_k):
+        edges = layout[0]
         self.dim, self.lo_cut, self._hi, self._density = int(dim), float(edges[0]), hi, density
         self._window_k = int(window_k or DEFAULT_QUAD.window_gauss_order)
         self._nwn = self.dim * unit_ball_volume(self.dim)
+        self._layout, self._shell = layout, shell  # see _table_layout, _piece_masses
         self._edges, self._piece_mass = edges, piece_mass
         self._coef, self._e0 = coef, e0  # see _piece_masses
         self._cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
@@ -431,8 +435,8 @@ class RadialDensity(RadonMeasure):
 
     def _scale(self, lam):
         tail = None if self.tail is None else (lam * self.tail[0], self.tail[1])
-        return RadialDensity._table(self.dim, self._edges, lam * self._piece_mass,
-                                    lam * self._coef, self._e0, tail,
+        return RadialDensity._table(self.dim, self._layout, lam * self._shell,
+                                    lam * self._piece_mass, lam * self._coef, self._e0, tail,
                                     lambda s, _d=self._density: lam * _d(s), self._hi,
                                     self._window_k)
 
@@ -573,17 +577,21 @@ def _table_layout(grid, lo_cut, hi):
         piece, head
 
 
-def _piece_masses(density, dim, layout, vals=None):
-    """Piece masses of a density on a _table_layout; per piece the
-    gauss_partial_coeffs of its Gauss-point shell values, scaled to the
-    piece, one row per basis term (unused for a first piece from 0); and
-    the exponent e of a first piece [0, b], whose mass grows like r^e,
-    e = b n omega_n b^{n-1} f(b) / its mass (1 without one).  vals, when
-    known, are the shell mass n omega_n s^{n-1} f(s) at the layout's points."""
-    edges, points, weights, piece, head = layout
+def _shell(density, dim):
+    """The shell mass s -> n omega_n s^{n-1} f(s) of a density f, callable
+    as power_law_head's integrand."""
     nwn = dim * unit_ball_volume(dim)
-    shell = lambda s, _=None: density(s) * nwn * s ** (dim - 1)
-    vals = shell(points) if vals is None else vals
+    return lambda s, _=None: density(s) * nwn * s ** (dim - 1)
+
+
+def _piece_masses(shell, layout, vals):
+    """Piece masses of the values vals of the function shell at a
+    _table_layout's points; per piece the gauss_partial_coeffs of its
+    Gauss-point values, scaled to the piece, one row per basis term (unused
+    for a first piece from 0); and the exponent e of a first piece [0, b],
+    whose mass grows like r^e, e = b shell(b) / its mass (1 without one).
+    shell itself is called only in the head's stub."""
+    edges, points, weights, piece, head = layout
     per_panel = vals[:weights.size].reshape(weights.shape)
     sums = (per_panel * weights).sum(axis=1)
     masses = np.bincount(piece, sums, minlength=len(edges) - 1)
@@ -597,10 +605,12 @@ def _piece_masses(density, dim, layout, vals=None):
 
 
 def _laid_out(density, dim, grid, lo_cut, hi):
-    """Edges, piece masses, partial-mass coefficients and first-piece
-    exponent of a density on the grid between lo_cut and hi."""
-    layout = _table_layout(grid, lo_cut, hi)
-    return (layout[0],) + _piece_masses(density, dim, layout)
+    """Layout, shell masses at its points, piece masses, partial-mass
+    coefficients and first-piece exponent of a density on the grid between
+    lo_cut and hi."""
+    layout, shell = _table_layout(grid, lo_cut, hi), _shell(density, dim)
+    vals = shell(layout[1])
+    return (layout, vals) + _piece_masses(shell, layout, vals)
 
 
 class Sum(RadonMeasure):
@@ -720,32 +730,31 @@ def _check_sign(val):
 
 
 def _integrate_density(comp: RadialDensity, g, quad) -> float:
+    """g against comp on its own table: g times the shell values at the
+    table's points, summed by _piece_masses like the piece masses, then g
+    against the tail law n omega_n A s^{n-1-tau} past the last edge."""
     if comp.total_mass() == 0.0:
         return 0.0
-    edges = comp._edges
-    work = edges[edges > 0]
-    if edges[0] == 0.0 and len(work):
-        head = work[0]
-        inner = np.geomspace(head * 1e-12, head, 25)
-        work = np.concatenate([inner[:-1], work])
-    if len(work) < 2:
-        return 0.0
-
-    def integrand(s):
-        gv = np.asarray(g(s), dtype=float)
-        _check_sign(np.min(gv))
-        f = comp.density_at(s)
-        with np.errstate(invalid="ignore", over="ignore"):
-            contrib = gv * f * comp._nwn * s ** (comp.dim - 1)
-        # infinite where g is infinite on mass; nothing where there is no mass
-        return np.where(f > 0, np.where(np.isfinite(contrib), contrib, math.inf), 0.0)
-
-    total = panel_sum(integrand, work, quad.gauss_order)
-    # remainder below the smallest panel edge via a local power-law fit
-    total += power_law_head(lambda r, _: integrand(r), work[0])
+    shell = _shell(comp._density, comp.dim)
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = float(np.sum(_piece_masses(lambda s, _=None: _weighed(g, s, shell(s)),
+                                           comp._layout,
+                                           _weighed(g, comp._layout[1], comp._shell))[0]))
     if comp._tail_total > 0 and math.isfinite(total):
-        total += decade_tail(integrand, float(work[-1]), quad.gauss_order, quad.rel_tol)
-    return float(total)
+        A, tau = comp.tail
+        law = lambda s: _weighed(g, s, comp._nwn * A * s ** (comp.dim - 1 - tau))
+        total += decade_tail(law, float(comp._edges[-1]), quad.gauss_order, quad.rel_tol)
+    return total
+
+
+def _weighed(g, s, shell):
+    """g(s) times shell values at s: infinite where g is infinite on mass,
+    nothing where there is no mass."""
+    gv = np.asarray(g(s), dtype=float)
+    _check_sign(np.min(gv))
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = gv * shell
+    return np.where(shell > 0, np.where(np.isfinite(out), out, math.inf), 0.0)
 
 
 def multiply_radial(mu: RadonMeasure, g) -> RadonMeasure:
@@ -781,9 +790,9 @@ def weighting(comp: RadonMeasure, wgrid, pts):
         if on_g[0] is None or not on_g[0].on(g.grid):
             on_g[0] = GridPoints(g, at)
         gf = np.maximum(f * np.maximum(g.eval_at(on_g[0]), 0.0), 0.0)
-        density = _product_density(comp, g)
-        m = RadialDensity._table(comp.dim, edges,
-                                 *_piece_masses(density, comp.dim, layout, gf * comp._nwn * pw),
+        density, vals = _product_density(comp, g), gf * comp._nwn * pw
+        m = RadialDensity._table(comp.dim, layout, vals,
+                                 *_piece_masses(_shell(density, comp.dim), layout, vals),
                                  _product_tail(comp, g), density, comp._hi, comp._window_k)
         return m, m.mass_at(at_pts)
     return table

@@ -237,6 +237,31 @@ def test_integrate_family_against_one_matches_mass(quad):
     assert val == pytest.approx(total_mass(fam), rel=1e-9)
 
 
+@pytest.mark.parametrize("case", ["tailed", "cut", "lo_cut"])
+def test_integration_reads_the_table_only(case, quad):
+    # integrate_against sums g against the table's own shell values and its
+    # tail law: the density callable is never called, and the integral of 1
+    # is the table's total mass, the same sums
+    calls = [0]
+    family = family_density_fn(2.0, 0.8, 2.5)
+
+    def fn(s):
+        calls[0] += 1
+        return family(s)
+
+    tail = None if case == "cut" else (2.0 * 0.8 ** 5, 5.0)
+    mu = RadialDensity.from_function(3, fn, quad, tail=tail, cut=1.7 if case == "cut" else None,
+                                     lo_cut=0.3 if case == "lo_cut" else 0.0)
+    g = next(_product_weights(quad))
+    one = lambda s: np.ones_like(np.asarray(s, float))
+    for m in (mu, scale(mu, 2.5), mu.restricted(mu.lo_cut, 1.2), multiply_radial(mu, g)):
+        calls[0] = 0
+        total = integrate_against(m, one, quad)
+        assert integrate_against(m, lambda s: 1.0 / (1.0 + np.asarray(s, float)), quad) > 0.0
+        assert calls[0] == 0
+        assert total == pytest.approx(m.total_mass(), rel=1e-9 if m.tail else 1e-14, abs=0.0)
+
+
 def test_tabulated_density_without_callable(quad):
     # table-only densities must keep exact node-level cumulative masses
     grid = np.geomspace(1e-3, 10.0, 200)
