@@ -136,8 +136,8 @@ def cmd_wolff(args) -> int:
     cfg = _load(args)
     cmd = cfg.command
     mu = cfg.measure(cmd.get("measure"))
-    points = cmd.get("points", [])
-    truncs = [_number(R, "command.truncations") for R in cmd.get("truncations", [])]
+    points = _listed(cmd, "points")
+    truncs = [_number(R, "command.truncations") for R in _listed(cmd, "truncations")]
     rows = []
     for pt in points:
         listed = isinstance(pt, (list, tuple))
@@ -160,6 +160,15 @@ def cmd_wolff(args) -> int:
     header = ["point", "value", "error_estimate", "converged"] + [f"trunc_{R:g}" for R in truncs]
     _write_csv(path, header, rows)
     return EXIT_OK
+
+
+def _listed(cmd, key, default=()):
+    """A list-valued command field, default when absent: anything but a
+    list is a ConfigError."""
+    value = cmd.get(key, list(default))
+    if not isinstance(value, list):
+        raise ConfigError(f"command.{key}: need a list, got {value!r}")
+    return value
 
 
 def _number(value, where):
@@ -276,7 +285,7 @@ def cmd_checks(args) -> int:
     """verify and suite: seeded check instances, 16 and 100 per check by
     default."""
     cfg = _load(args)
-    checks = cfg.command.get("checks", list(CHECK_NAMES))
+    checks = _listed(cfg.command, "checks", CHECK_NAMES)
     default = 16 if args.cmd == "verify" else 100
     instances = cfg.command.get("instances", default)
     if type(instances) is not int or instances < 0:
@@ -491,7 +500,7 @@ def cmd_report(args) -> int:
     inputs = list(getattr(args, "inputs", []) or [])
     if args.config:
         cfg = _load(args)
-        inputs.extend(cfg.command.get("inputs", []))
+        inputs.extend(_listed(cfg.command, "inputs"))
     files = []
     for item in inputs:
         if os.path.isdir(item):

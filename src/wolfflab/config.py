@@ -28,7 +28,6 @@ class RunConfig:
     measures: dict
     command: dict = field(default_factory=dict)
     seed: int = 0
-    raw: dict = field(default_factory=dict)
 
     def measure(self, name: str) -> RadonMeasure:
         if name is None:
@@ -61,7 +60,7 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(command, dict):
         raise ConfigError("command: must be an object")
     cfg = RunConfig(params=params, quad=quad, measures=measures, command=command,
-                    seed=_integer(doc.get("seed", 0), "seed"), raw=doc)
+                    seed=_integer(doc.get("seed", 0), "seed"))
     _check_references(cfg)
     return cfg
 

@@ -10,8 +10,7 @@ just below it certify it.  Convergence needs a small sup-relative change
 between iterates and agreement of the composed right-hand measure with
 the Riesz measure of the iterate.  Every iterate lives on one grid, so a
 step is array work on nodes fixed once per solve; the Riesz measure is
-the last step's composed measure, and per-step energies are computed
-only with track_energies.
+the last step's composed measure.
 
 Endpoints: the bounded variant tracks sup norms under sup-norm finiteness
 hypotheses; the intrinsic (gamma = 0) variant runs the same Picard map
@@ -32,8 +31,8 @@ from .errors import (ModeMismatch, MonotonicityViolated, NotConverged,
 from .energy import (InequalityReport, _has_atoms, generalized_energy,
                      sigma_energy, wolff_energy)
 from .lorentz import lorentz_norm
-from .measure import (RadonMeasure, Sum, integrate_against, multiply_radial,
-                      scale, weighting, zero_measure)
+from .measure import (RadonMeasure, Sum, integrate_against, scale, weighting,
+                      zero_measure)
 from .params import (DEFAULT_QUAD, Mode, ProblemParams, QuadratureConfig,
                      derive_exponents, validate)
 from .quadrature import log_bisect
@@ -158,8 +157,7 @@ def _inputs(sigma_list, q_list, mu, params, quad, mode, mismatch):
     return sigma_list, mu, marked_grid(quad.radial_grid(), sigma_list + [mu])
 
 
-def _picard(sigma_list, q_list, mu, params, quad, u0, grid,
-            track_energies=False) -> Solution:
+def _picard(sigma_list, q_list, mu, params, quad, u0, grid) -> Solution:
     """Picard iteration u_{j+1} = T(u_j), the potential of
     sum_m sigma^(m) u_j^{q_m} + mu, from u0 on the grid; one exact solve
     when every sigma vanishes.
@@ -225,8 +223,6 @@ def _picard(sigma_list, q_list, mu, params, quad, u0, grid,
         mass_residual = float(np.max(np.abs(m1 - m0) / np.maximum(m1, _EPS)))
         state = IterationState(j=j, residual=residual, mass_residual=mass_residual,
                                sup_norm=u.sup_norm)
-        if track_energies:
-            state.energies = _cheap_energies(u, sigma_list, q_list, params, quad)
         if sup_recursion and x.sup_norm > 0:
             state.energies["sup_recursion_constant"] = \
                 u.sup_norm / (x.sup_norm ** r + 1.0)
@@ -242,28 +238,10 @@ def _picard(sigma_list, q_list, mu, params, quad, u0, grid,
                     mode=params.mode, sup_norm=u.sup_norm, trace=trace)
 
 
-def _cheap_energies(u, sigma_list, q_list, params, quad):
-    out = {}
-    g = params.gamma if params.mode is Mode.FINITE_GAMMA else 0.0
-    for m, (sig, q) in enumerate(zip(sigma_list, q_list)):
-        if sig.total_mass() == 0:
-            continue
-        out[f"sigma{m}_integral"] = integrate_against(
-            sig, lambda s: np.maximum(u.eval(s), 0.0) ** (g + q), quad)
-        out[f"sigma{m}_wolff_energy"] = wolff_energy(multiply_radial(sig, u ** q),
-                                                     g, params, quad)
-    if params.mode is Mode.FINITE_GAMMA:
-        ex = derive_exponents(params)
-        out["lorentz_norm"] = lorentz_norm(u, ex.lorentz_r, ex.lorentz_rho,
-                                           params, quad)
-    return out
-
-
 def solve_minimal(sigma_list, q_list, mu, params: ProblemParams,
                   quad: QuadratureConfig = DEFAULT_QUAD, *,
                   start: RadialFunction = None,
-                  check_conditions: bool = True,
-                  track_energies: bool = False) -> Solution:
+                  check_conditions: bool = True) -> Solution:
     """Minimal solution for finite gamma; raises NotConverged (carrying the
     partial Solution) when the iteration cap is hit."""
     sigma_list, mu, grid = _inputs(sigma_list, q_list, mu, params, quad,
@@ -293,7 +271,7 @@ def solve_minimal(sigma_list, q_list, mu, params: ProblemParams,
 
     u0 = start if start is not None else _start(sigma_list, q_list, mu, params,
                                                 quad, grid)
-    sol = _picard(sigma_list, q_list, mu, params, quad, u0, grid, track_energies)
+    sol = _picard(sigma_list, q_list, mu, params, quad, u0, grid)
     _finalize(sol, sigma_list, q_list, mu, params, quad, sigma_prof, mu_prof)
     sol.extras["condition_energies"] = energies
     if not sol.converged:

@@ -61,11 +61,13 @@ def test_wolff_without_measure_writes_zeros(tmp_path):
     ("truncations", "[NaN]", "NonpositiveR"), ("points", "[[0.5, NaN, 0.0]]", "BadPoint"),
     ("points", "[[1, 2, 3, 4]]", "BadPoint"), ("points", '["abc"]', "ConfigError"),
     ("points", "[null]", "ConfigError"), ("truncations", '["x"]', "ConfigError"),
+    ("points", "5", "ConfigError"), ("truncations", "5", "ConfigError"),
 ])
 def test_wolff_nonfinite_input_typed_error(tmp_path, capsys, field, literal, error):
     # a NaN truncation radius gave 0.0 and a NaN coordinate a silent value;
     # a point of too many coordinates is numerical (exit 3), and an entry
-    # that is not a number a configuration error (exit 2)
+    # that is not a number, or a field that is not a list, a configuration
+    # error (exit 2)
     doc = {"params": BASE_PARAMS,
            "measures": {"d0": {"type": "atom", "location": [0, 0, 0], "weight": 1.0}},
            "command": {"measure": "d0", "points": [0.5], "truncations": [1.0],
@@ -332,13 +334,16 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
 @pytest.mark.parametrize("field, command", [
     ("instances", {"checks": ["picone"], "instances": "two"}),
     ("bound", {"checks": ["picone"], "instances": 1, "bound": "x"}),
+    ("checks", {"checks": 5, "instances": 1}),
+    ("inputs", {"inputs": 5}),
 ])
 def test_verify_bad_command_field_exit_2(tmp_path, capsys, field, command):
+    # inputs is the report command's field
     doc = dict(VERIFY_DOC)
     doc["command"] = command
     cfg = write_config(tmp_path, doc)
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path),
-                 "--json-errors"]) == 2
+    assert main(["report" if field == "inputs" else "verify", "--config", cfg,
+                 "--out", str(tmp_path), "--json-errors"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert f"command.{field}" in err["message"]

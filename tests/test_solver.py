@@ -309,17 +309,6 @@ def test_condition_warnings_for_atomic_sigma(pp3, quad):
     assert any("infinite" in str(w.message) for w in caught)
 
 
-def test_track_energies_records_wolff_energies(pp3, suite_quad):
-    sigma = family_density(3, 0.5, 0.8, 2.4, suite_quad, cut=4.0)
-    sol = solve_minimal([sigma], [0.5], None, pp3, suite_quad,
-                        check_conditions=False, track_energies=True)
-    st = sol.trace[-1]
-    assert "sigma0_integral" in st.energies
-    assert "sigma0_wolff_energy" in st.energies
-    assert "lorentz_norm" in st.energies
-    assert all(math.isfinite(st.energies[k]) for k in st.energies)
-
-
 # -- the Picard step on fixed node sets -------------------------------------
 
 def _step_case(case, n, quad):
@@ -426,8 +415,8 @@ def _unconverged_run(max_iter):
 
 
 def test_picard_steps_build_no_measures(monkeypatch):
-    # without track_energies a step builds no RadialDensity and calls
-    # neither multiply_radial nor integrate_against: 10 and 30 allowed
+    # a step builds no RadialDensity and calls neither multiply_radial
+    # nor integrate_against: 10 and 30 allowed
     # steps cost the same number of such calls.  Nor does the solve build
     # a product after the loop: the subsolution's scaled sigma is a table
     # too, so the solve builds no RadialDensity and never calls multiply_radial
