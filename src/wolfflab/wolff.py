@@ -28,7 +28,7 @@ from .measure import (Atom, RadialDensity, RadonMeasure, SphericalShell, Sum,
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
 from .quadrature import (_HEAD_FIT, decade_tail, kronrod_sum, log_bisect, panel_sum,
                          panelize, power_law_head)
-from .radial_pde import RadialFunction, monotone_deriv
+from .radial_pde import RadialFunction, marked_grid, monotone_deriv
 
 _TINY = 1e-300
 # head start on a support edge, relative to the usual one
@@ -248,8 +248,9 @@ def wolff_profile(mu: RadonMeasure, params: ProblemParams,
                   d_grid=None) -> RadialFunction:
     """Radial Wolff-potential profile of a radial measure.
 
-    Evaluates W at a log grid of center distances, batched (the potential
-    of a radial measure is radial), and at the center.  The tail
+    Evaluates W at center distances d_grid, by default a log grid with the
+    measure's support edges and shell radii as nodes, batched (the
+    potential of a radial measure is radial), and at the center.  The tail
     coefficient is the exact constant-mass asymptote, or for infinite mass
     the power law through the last two values.  Between the distances the
     profile interpolates with monotone log-log slopes (monotone_deriv).
@@ -257,8 +258,8 @@ def wolff_profile(mu: RadonMeasure, params: ProblemParams,
     validate(params)
     if not mu.is_radial:
         raise NonRadialMeasure("wolff_profile needs a radial measure")
-    d_grid = quad.radial_grid(quad.profile_points_per_decade) if d_grid is None \
-        else np.asarray(d_grid, dtype=float)
+    d_grid = marked_grid(quad.radial_grid(quad.profile_points_per_decade), [mu]) \
+        if d_grid is None else np.asarray(d_grid, dtype=float)
     radial, atoms = _split(mu)
 
     def rows(d, resolution):  # radial atoms sit at the origin

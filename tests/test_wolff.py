@@ -351,6 +351,19 @@ def test_profile_matches_pointwise(pp3, quad):
         assert prof.eval(d) == pytest.approx(pv, rel=5e-4)
 
 
+def test_profile_has_nodes_on_support_edges(suite_quad):
+    # the default grid carries the support edges, where W has kinks: the
+    # profile there is a node value, not an interpolant across the kink
+    pp = params(3, 2.5, 0.5, 1.0)
+    unit = RadialDensity.from_function(3, np.ones_like, suite_quad, cut=2.0, lo_cut=1.0)
+    annulus = scale(unit, 1.0074)
+    prof = wolff_profile(annulus, pp, suite_quad)
+    for r in (1.0, 2.0):
+        assert prof.eval(r) == pytest.approx(wolff(annulus, [r, 0.0, 0.0], pp, suite_quad).value,
+                                             rel=1e-9)
+    assert {1.0, 2.0} <= set(prof.grid)
+
+
 @pytest.mark.parametrize("n,a,b,c", [(3, 3.1706122577693834, 0.32663945235595077, 2.5),
                                      (5, 1.3158019520898276, 0.7849195647514375, 3.5)])
 def test_profile_and_pointwise_finite_near_p_one(n, a, b, c, suite_quad):
