@@ -33,7 +33,7 @@ from .quadrature import (_HEAD_FIT, decade_tail, gauss_partial_basis, gauss_part
 _TINY = 1e-300
 # Gauss points of a table piece, and geometric panels of a first piece
 # from the origin (12 decades above its power-law head)
-_TABLE_K = 8
+_TABLE_K = 10
 _HEAD_PANELS = 60
 # nodes per fused window pass, updated in place: bounds its temporaries
 _WINDOW_NODES = 8192

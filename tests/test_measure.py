@@ -441,6 +441,10 @@ def _scipy_centered_mass(mu, fn, r):
 # no mass below the tail: the mass at the last edge is exactly 0
 @example(n=5, log_lo=-1.0, from_zero=False, kind="family", scales=[0.0] * 8, tail=(0.5, 7.5),
          fracs=[0.0])
+# the first piece with mass, at n = 2 the steepest shell s^-4: an 8-point
+# interpolant was 1.9e-13 off scipy here
+@example(n=2, log_lo=0.0, from_zero=False, kind="family", scales=[0.0] * 4 + [1.0] + [0.0] * 3,
+         tail=None, fracs=[0.53125])
 def test_located_masses_match_centered_mass(n, log_lo, from_zero, kind, scales, tail, fracs):
     # below and beyond the edges, on them and inside pieces; a density
     # scaled by arbitrary factors, zero among them, in blocks of 13 pieces;
