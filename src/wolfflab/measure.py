@@ -37,46 +37,59 @@ _TABLE_K = 10
 _HEAD_PANELS = 60
 # nodes per fused window pass, updated in place: bounds its temporaries
 _WINDOW_NODES = 8192
-# phi - sin(phi) = phi^3 * sum_k (-1)^k phi^(2k) / (2k+3)!, for phi < 0.7
-_PHI_SERIES = [(-1) ** k / math.factorial(2 * k + 3) for k in range(6, -1, -1)]
+# even n = 2m + 2: the series below y = _EVEN_SWITCH[m] (y < 1/2 for m > 5)
+_EVEN_SWITCH = (0.0, 0.03, 0.12, 0.18, 0.23, 0.26)
+
+
+@lru_cache(maxsize=16)
+def _even_series(m: int, switch: float):
+    """2F1(2a, 1; a+1; y) / (a B(a, a)), a = m + 1/2, highest power first, to
+    1e-16 at y = switch: I_y(a, a) = (y(1-y))^a times it (DLMF 8.17.8)."""
+    a = m + 0.5
+    c = [math.exp(math.lgamma(2.0 * a) - 2.0 * math.lgamma(a)) / a]
+    while c[-1] * switch ** (len(c) - 1) > 1e-16 * c[0]:
+        c.append(c[-1] * (2.0 * a + len(c) - 1) / (a + len(c)))
+    return c[::-1]
+
+
+def _horner(coeffs, y):  # np.polyval(coeffs, y), in place
+    out = np.full_like(y, coeffs[0])
+    for c in coeffs[1:]:
+        out *= y
+        out += c
+    return out
 
 
 def _cap_area(n: int, x):
-    """I_x(a, a), a = (n-1)/2, at x clipped to [0, 1]; see cap_fraction."""
-    x = np.clip(x, 0.0, 1.0)
-    if n == 3:
-        return x
-    if n == 5:
-        return x * x * (3.0 - 2.0 * x)
-    if n not in (2, 4):
-        return _cap_series(0.5 * (n - 1), x)
-    phi = 4.0 * np.arcsin(np.sqrt(x))     # the cap's full angle
-    if n == 2:
-        return phi / (2.0 * math.pi)
-    out = np.asarray(phi - np.sin(phi))
-    small = phi < 0.7
-    out[small] = phi[small] ** 3 * np.polyval(_PHI_SERIES, phi[small] ** 2)
-    return out / (2.0 * math.pi)
+    """I_x(a, a), a = (n-1)/2, at x clipped to [0, 1]; see cap_fraction.
+    Even n = 2m + 2 reduces int_0^alpha sin^2m, alpha = 2 arcsin(sqrt(y)) at
+    y = min(x, 1-x) (reflected), to (alpha - sqrt(z) (1-2y) sum_j kappa_j
+    z^(j-1)) / pi, z = y(1-y), kappa_j = 2^(4j-2) / (j C(2j, j)) > 0; below
+    the switch, where that cancels to about 2e-15, _even_series."""
+    x, m = np.asarray(x, dtype=float), n // 2 - 1
+    if n % 2:
+        x = np.clip(x, 0.0, 1.0)
+        return x if n == 3 else x * x * (3.0 - 2.0 * x) if n == 5 else \
+            _cap_series((n - 1) // 2, x)
+    y = np.maximum(np.minimum(x, 1.0 - x), 0.0)
+    switch = _EVEN_SWITCH[m] if m < len(_EVEN_SWITCH) else 0.5
+    small = y < switch
+    out, ys, yb = np.empty_like(y), y[small], y[~small]
+    zs, zb = ys * (1.0 - ys), yb * (1.0 - yb)
+    out[small] = zs ** m * np.sqrt(zs) * _horner(_even_series(m, switch), ys)
+    kappa = [2.0 ** (4 * j - 2) / (j * math.comb(2 * j, j)) for j in range(m, 0, -1)]
+    out[~small] = (2.0 * np.arcsin(np.sqrt(yb)) - np.sqrt(zb) * (1.0 - 2.0 * yb)
+                   * _horner(kappa or [0.0], zb)) / math.pi
+    return np.where(x > 0.5, 1.0 - out, out)
 
 
-def _cap_series(a: float, x):
-    """I_y(a, a) at y = min(x, 1-x) <= 1/2, reflected by I_x(a, a) =
-    1 - I_{1-x}(a, a): for integer a (odd n) the binomial tail sum_{j=a}^{m}
-    C(m, j) y^j (1-y)^{m-j}, m = 2a - 1, in powers of y/(1-y) <= 1; else
-    y^a (1-y)^a / (a B(a, a)) * 2F1(2a, 1; a+1; y) (DLMF 8.17.8), positive
-    terms of ratio below 2y."""
-    y = np.minimum(x, 1.0 - x)
-    if a == int(a):
-        m = int(2 * a - 1)
-        tail = [math.comb(m, j) for j in range(m, int(a) - 1, -1)]
-        half = y ** a * (1.0 - y) ** (m - a) * np.polyval(tail, y / (1.0 - y))
-    else:
-        term, total, k = np.ones_like(y), np.ones_like(y), 0
-        while np.any(term > 1e-17 * total):
-            term = term * y * (2.0 * a + k) / (a + 1.0 + k)
-            total, k = total + term, k + 1
-        beta = math.exp(2.0 * math.lgamma(a) - math.lgamma(2.0 * a))
-        half = (y * (1.0 - y)) ** a * total / (a * beta)
+def _cap_series(a: int, x):
+    """I_x(a, a) for integer a (odd n): with y = min(x, 1-x) <= 1/2 the
+    binomial tail sum_{j=a}^{m} C(m, j) y^j (1-y)^{m-j}, m = 2a - 1, in
+    powers of y/(1-y) <= 1, reflected by I_x(a, a) = 1 - I_{1-x}(a, a)."""
+    y, m = np.minimum(x, 1.0 - x), 2 * a - 1
+    tail = [math.comb(m, j) for j in range(m, a - 1, -1)]
+    half = y ** a * (1.0 - y) ** (m - a) * np.polyval(tail, y / (1.0 - y))
     return np.where(x > 0.5, 1.0 - half, half)
 
 
@@ -105,9 +118,9 @@ def cap_fraction(n: int, s, d, r):
     The cap {cos(theta) > c} with c = (s^2 + d^2 - r^2) / (2 s d) has
     normalized area I_x(a, a), a = (n-1)/2, at the cancellation-free
     x = (1-c)/2 = (r^2 - (s-d)^2) / (4 s d).  Closed forms: x (n = 3),
-    x^2 (3 - 2x) (n = 5), phi/(2 pi) (n = 2) and (phi - sin phi)/(2 pi)
-    (n = 4, a series at small phi), phi = 4 arcsin(sqrt(x)); else a
-    binomial sum (odd n) or hypergeometric series (_cap_series).
+    x^2 (3 - 2x) (n = 5), a finite sum in the cap angle for even n (a
+    hypergeometric series near x = 0 and 1, _cap_area) and a binomial sum
+    for odd n >= 7 (_cap_series).
     """
     s = np.asarray(s, float)
     d = np.asarray(d, float)

@@ -5,9 +5,10 @@ geometric remainder.
 Every improper radial integral in the package runs through these helpers
 so there is a single tolerance story.  Integrands are piecewise smooth
 between known breakpoints (support edges, atom distances, grid knots);
-panels never straddle a breakpoint.  Integrands take an array of radii
-(1-D, except in a batched head, whose integrand also takes the columns it
-is evaluated on) and return values of the same shape.
+panels never straddle a breakpoint, and are graded toward an end where the
+integrand goes like a half-integer power (panel_nodes).  Integrands take an
+array of radii (1-D, except in a batched head, whose integrand also takes
+the columns it is evaluated on) and return values of the same shape.
 """
 
 from __future__ import annotations
@@ -136,12 +137,23 @@ def panelize(lo, hi, breakpoints=(), panels_per_decade: int = 4):
     return left, right, span_row[span]
 
 
-def panel_nodes(edges, k: int, kronrod: bool = False):
+@lru_cache(maxsize=16)
+def _graded_rule(k: int, kronrod: bool):
+    """Per end code (panel_nodes): the rule's nodes u(t) on [0, 1], weights * u'(t)."""
+    x, w = kronrod_rule(k)[:2] if kronrod else gauss_rule(k)
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    u = np.stack([t, t * t, t * (2.0 - t), t * t * (3.0 - 2.0 * t)])
+    return u, w * np.stack([np.ones_like(t), 2.0 * t, 2.0 - 2.0 * t, 6.0 * t * (1.0 - t)])
+
+
+def panel_nodes(edges, k: int, kronrod: bool = False, grade=None):
     """Gauss (Gauss-Kronrod with kronrod) nodes/weights for f(x) dx over panels.
 
     edges is either a 1-D array of consecutive panel edges or a pair
     (left, right) of equal-shape arrays of panel ends.  Returns arrays of
     shape (npanels, k), or left.shape + (k,); 2k + 1 nodes with kronrod.
+    grade codes per panel the ends (bit 1 left, 2 right) where the integrand
+    goes like (x - x_b)^(j + 1/2): the rule is graded quadratically there.
     """
     if isinstance(edges, tuple):
         lo, hi = (np.asarray(e, dtype=float) for e in edges)
@@ -153,29 +165,36 @@ def panel_nodes(edges, k: int, kronrod: bool = False):
     half = 0.5 * (hi - lo)
     nodes = mid[..., None] + half[..., None] * t
     weights = half[..., None] * w
+    if grade is not None and np.any(grade):
+        u, v = _graded_rule(k, kronrod)
+        g = grade > 0
+        width = (hi - lo)[g][:, None]
+        nodes[g] = lo[g][:, None] + width * u[grade[g]]
+        weights[g] = width * v[grade[g]]
     return nodes, weights
 
 
-def panel_sum(f, edges, k: int, rows: int = None):
+def panel_sum(f, edges, k: int, rows: int = None, grade=None):
     """k-point Gauss sum of f over the panels given by edges (as in
-    panel_nodes).
+    panel_nodes, with its end codes grade).
 
     Returns the total, or with rows given one sum for each of `rows` equal
     runs of consecutive panels (rows = the panel count: one sum per
     panel).  f sees the nodes panel by panel, k at a time, or is its
     values there.
     """
-    nodes, weights = panel_nodes(edges, k)
+    nodes, weights = panel_nodes(edges, k, grade=grade)
     vals = f(nodes.ravel()) if callable(f) else f
     vals = np.asarray(vals, dtype=float).reshape(nodes.shape) * weights
     return float(np.sum(vals)) if rows is None else vals.reshape(rows, -1).sum(axis=1)
 
 
-def kronrod_sum(f, edges, k: int):
-    """Per panel (edges a pair as in panel_nodes), the Kronrod sum of f and
-    |Kronrod - Gauss|, QUADPACK's error estimate of the k-point Gauss sum
-    without its rescaling.  f sees the nodes panel by panel, 2k + 1 at a time."""
-    nodes, weights = panel_nodes(edges, k, kronrod=True)
+def kronrod_sum(f, edges, k: int, grade=None):
+    """Per panel (edges a pair as in panel_nodes, with its end codes grade),
+    the Kronrod sum of f and |Kronrod - Gauss|, QUADPACK's error estimate of
+    the k-point Gauss sum without its rescaling.  f sees the nodes panel by
+    panel, 2k + 1 at a time."""
+    nodes, weights = panel_nodes(edges, k, kronrod=True, grade=grade)
     _, w, g = kronrod_rule(k)
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape) * weights
     return vals.sum(axis=1), np.abs(vals @ (1.0 - g / w))

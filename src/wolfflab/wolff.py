@@ -109,12 +109,15 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
     the estimate |Kronrod - Gauss|, and each round bisects the panels whose
     estimate exceeds their share rel_tol * |row sum| / (panels in the row),
     each half with its own estimate (globally adaptive, as in QUADPACK), so
-    no panel is bisected more than `refine` times.  A row's estimate is the
-    sum over its panels (inf without refinement, 0 for rows without a core
-    or with an infinite value), and it converged when no panel is above its
-    share after the last round; both cover the quadrature in r, not the
-    ball masses.  The core ends where at most ext_tol min(1, p - 1) of the
-    mass lies beyond, as the integrand goes like the mass to the 1/(p - 1).
+    no panel is bisected more than `refine` times.  At even n, where the
+    mass goes like (r - r_b)^(j + 1/2) from r_b = |d - mark| and d + mark
+    (first contacts included), panel ends there are graded (end codes, kept
+    by halves; quadrature.panel_nodes).  A row's estimate is the sum over
+    its panels (inf without refinement, 0 for rows without a core or with
+    an infinite value), and it converged when no panel is above its share
+    after the last round; both cover the quadrature in r, not the ball
+    masses.  The core ends where at most ext_tol min(1, p - 1) of the mass
+    lies beyond, as the integrand goes like the mass to the 1/(p - 1).
     """
     k, ppd, refine, ext_tol = resolution
     ipm1 = 1.0 / (params.p - 1.0)
@@ -161,11 +164,11 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
         horizon = np.maximum(horizon, np.maximum(quad.r_max, 10.0 * np.maximum(d, 1.0)))
     r_hi = horizon if R is None else np.minimum(horizon, R)
 
-    def sums(left, right, row, f=integrand):  # per panel: its sum and estimate
+    def sums(left, right, row, grade, f=integrand):  # per panel: its sum and estimate
         nodes_row = np.repeat(row, 2 * k + 1 if refine else k)
         if refine:  # the Kronrod sum and |Kronrod - Gauss|
-            return kronrod_sum(lambda r: f(nodes_row, r), (left, right), k)
-        return (panel_sum(lambda r: f(nodes_row, r), (left, right), k, rows=len(row)),
+            return kronrod_sum(lambda r: f(nodes_row, r), (left, right), k, grade)
+        return (panel_sum(lambda r: f(nodes_row, r), (left, right), k, len(row), grade),
                 np.full(len(row), math.inf))  # a Gauss sum, without estimate
 
     i_in, fit = np.flatnonzero(inside), None
@@ -186,7 +189,11 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
     if np.any(live):
         left, right, row = panelize(r_lo[live], r_hi[live], breaks[live], ppd)
         row = np.flatnonzero(live)[row]
-        s, est = sums(left, right, row, with_fit)
+        grade = np.zeros(len(row), dtype=int)  # end codes: ends on a support mark
+        if params.n % 2 == 0 and len(marks):
+            on_mark = lambda r: np.any(r[:, None] == breaks[row, :2 * len(marks)], axis=1)
+            grade = on_mark(left) + 2 * on_mark(right)
+        s, est = sums(left, right, row, grade, with_fit)
         core = np.bincount(row, weights=s, minlength=rows)
         for _ in range(refine):
             split = above_share(est, row, core)
@@ -197,12 +204,13 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
             left2 = np.stack([left[split], mid], axis=1).ravel()
             right2 = np.stack([mid, right[split]], axis=1).ravel()
             row2 = np.repeat(row[split], 2)
-            halves, est2 = sums(left2, right2, row2)
+            grade2 = (grade[split, None] & np.array([1, 2])).ravel()  # outer ends' codes
+            halves, est2 = sums(left2, right2, row2, grade2)
             change = halves.reshape(-1, 2).sum(axis=1) - s[split]
             core += np.bincount(row[split], weights=change, minlength=rows)
             left, right = np.append(left[keep], left2), np.append(right[keep], right2)
             s, row = np.append(s[keep], halves), np.append(row[keep], row2)
-            est = np.append(est[keep], est2)
+            est, grade = np.append(est[keep], est2), np.append(grade[keep], grade2)
         err = np.bincount(row, weights=est, minlength=rows)
         converged = np.bincount(row, weights=above_share(est, row, core), minlength=rows) == 0
 

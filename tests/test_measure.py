@@ -16,7 +16,8 @@ from wolfflab import (Atom, NegativeRadius, NegativeScale, QuadratureConfig,
                       riesz_measure_of, scale, solve_radial_p_laplace,
                       support_radius, total_mass, zero_measure)
 from wolfflab.families import family_density, family_density_fn
-from wolfflab.measure import TablePoints, _cap_area, cap_fraction, weighting
+from wolfflab.measure import (_EVEN_SWITCH, TablePoints, _cap_area, cap_fraction,
+                              weighting)
 from wolfflab.params import unit_ball_volume
 from wolfflab.radial_pde import RadialFunction
 
@@ -115,20 +116,23 @@ def test_cap_fraction_small_radius_stability():
         assert frac == pytest.approx(x ** a / (a * beta(a, a)), rel=1e-9)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 11])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 def test_closed_form_caps_match_betainc(n):
-    # the whole range of x: the n = 4 series (phi < 0.7, x < 0.0302), the
-    # switch to phi - sin(phi), x -> 1 and, for n >= 6, the hypergeometric
-    # series (even n) or binomial sum (odd n) on both sides of their
-    # reflection at x = 1/2
+    # the whole range of x: for even n both sides of the switch from the
+    # series to the finite sum in the cap angle, near x = 0 and x = 1, and
+    # for n >= 6 both sides of the reflection at x = 1/2.  betainc is taken
+    # at min(x, 1 - x) and reflected: at x = 1 - 2^-53 and n = 2,
+    # betainc(1/2, 1/2, x) itself is 2.8e-9 off (mpmath: 1 - 6.708e-9)
     a = 0.5 * (n - 1)
-    switch = math.sin(0.7 / 4.0) ** 2
-    x = np.concatenate([np.geomspace(1e-300, 1.0, 601),
-                        switch * (1.0 + np.linspace(-1e-6, 1e-6, 21)),
+    switch = _EVEN_SWITCH[n // 2 - 1] if n % 2 == 0 and n // 2 - 1 < len(_EVEN_SWITCH) else 0.3
+    near = switch * (1.0 + np.linspace(-1e-6, 1e-6, 21))
+    x = np.concatenate([np.geomspace(1e-300, 1.0, 601), near, 1.0 - near,
+                        np.linspace(0.0, 1.0, 1001),
                         1.0 - np.geomspace(1e-16, 1e-1, 31),
                         0.5 + np.linspace(-1e-3, 1e-3, 21)])
-    np.testing.assert_allclose(_cap_area(n, x), betainc(a, a, x),
-                               rtol=1e-14, atol=1e-300)
+    y = np.minimum(x, 1.0 - x)
+    want = np.where(x > 0.5, 1.0 - betainc(a, a, y), betainc(a, a, y))
+    np.testing.assert_allclose(_cap_area(n, x), want, rtol=1e-14, atol=1e-300)
 
 
 # -- algebra -------------------------------------------------------------------

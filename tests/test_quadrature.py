@@ -71,6 +71,27 @@ def test_kronrod_sum_value_and_estimate():
     assert np.all(est <= 1e-14 * value)
 
 
+def test_graded_ends_smooth_half_integer_powers():
+    # on [2, 3], (r - 2)^(3/2), (3 - r)^(1/2) and their product, graded
+    # toward the left end, the right end and both (end codes 1, 2, 3): the
+    # graded Gauss and Kronrod sums are within 1e-11 and the estimate is
+    # too, where the plain rule (code 0) is off and its estimate is 230x its
+    # Kronrod sum's error at code 1; the codes act per panel
+    left, right = np.full(4, 2.0), np.full(4, 3.0)
+    cases = [(lambda r: (r - 2.0) ** 1.5, 0.4), (lambda r: np.sqrt(3.0 - r), 2.0 / 3.0),
+             (lambda r: (r - 2.0) ** 1.5 * np.sqrt(3.0 - r), math.pi / 16.0)]
+    for code, (g, exact) in enumerate(cases, start=1):
+        grade = np.array([code, 0, code, 0])
+        value, est = kronrod_sum(g, (left, right), 10, grade)
+        gauss = panel_sum(g, (left, right), 10, rows=4, grade=grade)
+        for got in (value, gauss):
+            assert abs(got[0] / exact - 1.0) <= 1e-11 and got[0] == got[2]
+            assert abs(got[1] / exact - 1.0) > 1e-9
+        assert est[0] <= 1e-11 * exact < 1e-6 * exact < est[1]
+    np.testing.assert_array_equal(panel_nodes((left, right), 10, grade=np.zeros(4, int))[0],
+                                  panel_nodes((left, right), 10)[0])
+
+
 # -- batched panelization ------------------------------------------------------
 
 _row = st.tuples(

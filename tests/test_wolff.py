@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import betainc
 
 from wolfflab import (Atom, BadPoint, NonpositiveR, QuadratureConfig, RadialDensity,
                       SphericalShell, Sum, ZeroMeasure, add, cutoff_measure, dirac,
@@ -120,7 +121,7 @@ def _dirac_cases(n, p):
 
 
 @pytest.mark.parametrize("ppd", [32, 64])
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_error_estimate_is_honest(n, ppd):
     # the estimate is at least a tenth of the true error; a row-level
     # estimate (the last change of the row sum) is about 60x below it at
@@ -138,8 +139,77 @@ def test_error_estimate_is_honest(n, ppd):
             (x, R, got, ex)
 
 
+def _lens_volume(n, a, d, r):
+    """|B(0, a) cap B(x, r)|, |x| = d > 0: the caps of the two balls beyond
+    their common plane, each (1/2) V_n R^n I_q((n+1)/2, 1/2) at q = 1 -
+    c^2/R^2 for a plane at distance c >= 0 from its center, the rest of the
+    ball for c < 0; R - c and R + c are formed without cancellation."""
+    vn = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    if r >= d + a or a >= d + r or r <= d - a:
+        return vn * min(a, r) ** n if r > d - a else 0.0
+
+    def cap(R, R_minus_c, R_plus_c):
+        part = 0.5 * vn * R ** n * betainc(0.5 * (n + 1), 0.5, R_minus_c * R_plus_c / R ** 2)
+        return part if R_minus_c <= R else vn * R ** n - part
+
+    return (cap(a, (r - d + a) * (r + d - a) / (2 * d), (d + a - r) * (d + a + r) / (2 * d))
+            + cap(r, (a - d + r) * (a + d - r) / (2 * d), (d + r - a) * (d + r + a) / (2 * d)))
+
+
+def _quad_reference(n, d, p):
+    """W at distance d of _ball_and_shell's measure by scipy quad of the
+    Wolff integrand with closed-form ball masses (lens volumes and
+    betainc caps), split at the ball-mass breakpoints, plus the closed-form
+    tail beyond d + 1.6, where the ball mass is the total."""
+    a, rho, rs, ms = 1.6, 1.9, 0.7, 0.45
+    vn = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    e = (n - p) / (p - 1.0)
+
+    def f(r):
+        cap = min(max((r - rs + d) * (r + rs - d) / (4.0 * rs * d), 0.0), 1.0)
+        m = rho * _lens_volume(n, a, d, r) + ms * betainc(0.5 * (n - 1), 0.5 * (n - 1), cap)
+        return (m * r ** (p - n)) ** (1.0 / (p - 1.0)) / r
+
+    ends = sorted({0.0, d, abs(d - rs), d + rs, abs(d - a), d + a})
+    core = sum(integrate.quad(f, lo, hi, epsabs=1e-300, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(ends[:-1], ends[1:]) if hi > lo)
+    total = rho * vn * a ** n + ms
+    return core + total ** (1.0 / (p - 1.0)) * (d + a) ** -e / e
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 3.5])
+@pytest.mark.parametrize("n", [4, 6])
+def test_estimate_is_honest_at_even_n(n, p, quad):
+    # the ball masses grow like a half-integer power of r - r_b from every
+    # support edge and shell radius r_b at even n, which the graded panel
+    # ends resolve: every point converges, with an estimate that covers
+    # its error
+    mu, _ = _ball_and_shell(n, quad)
+    pp = params(n, p, 0.5 * (p - 1.0), 1.0)
+    for d in BALL_SHELL_D:
+        got = wolff(mu, d * np.eye(n)[0], pp, quad)
+        want = _quad_reference(n, d, p)
+        assert got.converged, (d, got)
+        assert abs(got.value - want) <= max(10.0 * got.quad_error_estimate, 1e-12 * want), \
+            (d, got, want)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_even_n_profile_rows_match_pointwise(p, suite_quad):
+    # n = 4: the Gauss-only profile rows are graded like the pointwise ones
+    mu, _ = _ball_and_shell(4, suite_quad)
+    pp = params(4, p, 0.5 * (p - 1.0), 1.0)
+    prof = wolff_profile(mu, pp, suite_quad)
+    point = [wolff(mu, d * np.eye(4)[0], pp, suite_quad).value for d in prof.grid]
+    np.testing.assert_allclose(prof.values, point, rtol=1e-8)
+
+
 def test_converged_flag(quad):
-    tight = QuadratureConfig(rel_tol=1e-15)
+    # at the default rel_tol every point converges, near the support too
+    # (at even n the panels ending on a ball-mass breakpoint are graded);
+    # at rel_tol 1e-17, below the double-precision floor of its error,
+    # none does
+    tight = QuadratureConfig(rel_tol=1e-17)
     for n, p in DIRAC_NP:
         pp = params(n, p, (p - 1) / 2, 1.0)
         assert all(wolff(dirac(n), x, pp, quad, R=R).converged
@@ -147,32 +217,23 @@ def test_converged_flag(quad):
     for n in (3, 4, 5):
         pp = params(n, 2.0, 0.5, 1.0)
         mu, _ = _ball_and_shell(n, quad)
-        # at n = 4 the cap area of a lens grows like a half-integer power
-        # from its edges, which depth-3 Gauss panels resolve only to about
-        # rel_tol near the support: those points are flagged, far ones not
-        for d in BALL_SHELL_D[-2:] if n == 4 else BALL_SHELL_D:
+        for d in BALL_SHELL_D:
             for R in (None, 1.5 * (d + 1.6)):
                 assert wolff(mu, d * np.eye(n)[0], pp, quad, R=R).converged
-    mu, _ = _ball_and_shell(4, tight)
-    for d in BALL_SHELL_D[-2:]:
-        assert not wolff(mu, d * np.eye(4)[0], params(4, 2.0, 0.5, 1.0), tight).converged
-
-
-# integrand nodes of the point below when the first refinement round
-# bisected every panel to form its estimate (a Gauss pass, then its halves)
-BLANKET_ROUND_NODES = 851
+                assert not wolff(mu, d * np.eye(n)[0], pp, tight, R=R).converged
 
 
 def test_refinement_only_splits_unconverged_panels(quad, monkeypatch):
-    # n = 4, cut family at 64 ppd: a Kronrod pass gives every panel its
-    # estimate, so refinement bisects only the panels above their share
+    # n = 3, the family's far field at |x| = 4, 64 ppd: a Kronrod pass gives
+    # every panel its estimate, so refinement bisects only the panels above
+    # their share
     wolff_module = sys.modules["wolfflab.wolff"]
     kronrod_sum, radial_mass = wolff_module.kronrod_sum, RadialDensity._radial_mass
     widths, nodes = [], []
 
-    def counting_sum(f, edges, k):
+    def counting_sum(f, edges, k, grade=None):
         widths.append(np.log(edges[1] / edges[0]))
-        return kronrod_sum(f, edges, k)
+        return kronrod_sum(f, edges, k, grade)
 
     def counting_mass(self, d, r):
         nodes.append(len(r))
@@ -181,23 +242,24 @@ def test_refinement_only_splits_unconverged_panels(quad, monkeypatch):
     monkeypatch.setattr(wolff_module, "kronrod_sum", counting_sum)
     monkeypatch.setattr(RadialDensity, "_radial_mass", counting_mass)
     fn = family_density_fn(1.3, 0.7, 2.8)
-    mu = family_density(4, 1.3, 0.7, 2.8, quad, cut=1.5)
-    pp = params(4, 2.0, 0.5, 1.0)
-    x = [0.4, 0.3, 0.0, 0.2]
+    mu = family_density(3, 1.3, 0.7, 2.8, quad)
+    pp = params(3, 2.0, 0.5, 1.0)
+    x = 4.0 * np.array([0.4, 0.3, 0.2]) / np.linalg.norm([0.4, 0.3, 0.2])
     counts = []
     for _ in range(2):
         widths.clear()
         nodes.clear()
         got = wolff(mu, x, pp, quad)
-        counts.append(sum(nodes))
+        counts.append(list(nodes))
     assert counts[0] == counts[1]
     assert got.converged
-    assert counts[0] < BLANKET_ROUND_NODES
+    assert len(widths) > 1  # the point refines
+    # fewer nodes than one round that bisects every panel of the first pass
+    assert sum(counts[0]) < counts[0][0] + 2 * (2 * quad.gauss_order + 1) * len(widths[0])
     # no panel is bisected more than three times
     first = np.min(widths[0])
     assert min(np.min(w) for w in widths) >= first / 8 * (1 - 1e-12)
-    assert got.value == pytest.approx(_newton_wolff(fn, 4, float(np.linalg.norm(x)), 1.5),
-                                      rel=1e-11)
+    assert got.value == pytest.approx(_newton_wolff(fn, 3, 4.0, math.inf), rel=1e-12)
 
 
 def _newton_wolff(fn, n, d, cut):
@@ -240,8 +302,9 @@ def test_pointwise_matches_newton_at_default_quad(kind, n, quad):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_near_field_converged_points_are_within_rel_tol(n, quad):
-    # a ball, a shell and a family near their supports: the Kronrod estimate
-    # may flag a point, but a point it calls converged is within rel_tol
+    # a ball, a shell and a family near their supports: every point
+    # converges (at n = 4 too, with graded panel ends; 8 of the 20 did
+    # before), and a point that converged is within rel_tol
     pp = params(n, 2.0, 0.5, 1.0)
     mu_bs, exact_bs = _ball_and_shell(n, quad)
     c = (n + 2) / 2.0
@@ -254,7 +317,7 @@ def test_near_field_converged_points_are_within_rel_tol(n, quad):
         if got.converged:
             converged += 1
             assert abs(got.value / want - 1.0) <= quad.rel_tol, (d, got, want)
-    assert converged >= 5  # 8 of the 20 at n = 4
+    assert converged == 20
 
 
 def test_truncation_below_full_and_converging(pp3, quad, rng):
