@@ -4,8 +4,9 @@ One JSON config per run; outputs are CSV and JSON-lines files written to
 the output directory.  Identical config and seed give byte-identical
 outputs regardless of the worker count: instances are generated from
 (seed, check, index) and results are assembled in index order.  ``--threads
-N`` (fallback ``WOLFFLAB_THREADS``) runs verify/suite instances on N
-processes, this one included, capped at the instance count and usable CPUs.
+N`` runs verify/suite instances on N processes, this one included, capped
+at the instance count and usable CPUs.  The config's command section is
+checked when it loads (``config.parse_config``); this module reads it.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 not converged (files still written), 5 verification failure (summary
@@ -24,12 +25,12 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import CHECK_NAMES, RunConfig, load_config
 from .energy import (InequalityReport, check_mutual_energy_estimate,
                      check_picone_caccioppoli, check_quasi_triangle,
                      check_weighted_norm)
-from .errors import (ConfigError, ExponentError, NotConverged,
-                     UnboundedCondition, WolffLabError, ZeroMeasure)
+from .errors import (ConfigError, NotConverged, UnboundedCondition,
+                     WolffLabError, ZeroMeasure)
 from .families import (family_profile, random_density, random_pair,
                        random_test_profile)
 from .lorentz import check_density_conditions, check_lorentz_embedding, \
@@ -46,11 +47,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_CHECK_FAILED = 5
-
-CHECK_NAMES = ("mutual_energy", "quasi_triangle", "picone", "weighted_norm",
-               "lorentz_embed", "km_sandwich", "lower_bound",
-               "energy_identity", "density_conditions")
-CHECK_ALIASES = {"thm31": "mutual_energy"}
 
 
 def main(argv=None) -> int:
@@ -82,7 +78,7 @@ def _build_parser():
         sp.add_argument("--config", required=(name != "report"))
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=".")
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--json-errors", action="store_true")
         if name == "report":
             sp.add_argument("inputs", nargs="*")
@@ -99,16 +95,9 @@ def _emit_error(args, kind, message):
 
 
 def _workers(args, ntasks) -> int:
-    """--threads (fallback WOLFFLAB_THREADS, default 1), capped at the
-    number of tasks and at the CPUs this process may run on."""
-    requested = args.threads
-    if requested is None:
-        env = os.environ.get("WOLFFLAB_THREADS")
-        try:
-            requested = int(env) if env else 1
-        except ValueError:
-            raise ConfigError(f"WOLFFLAB_THREADS: cannot parse {env!r}")
-    return min(requested, ntasks, _usable_cpus())
+    """--threads, capped at the number of tasks and at the CPUs this
+    process may run on."""
+    return min(args.threads, ntasks, _usable_cpus())
 
 
 def _usable_cpus() -> int:
@@ -136,15 +125,14 @@ def cmd_wolff(args) -> int:
     cfg = _load(args)
     cmd = cfg.command
     mu = cfg.measure(cmd.get("measure"))
-    points = _listed(cmd, "points")
-    truncs = [_number(R, "command.truncations") for R in _listed(cmd, "truncations")]
+    truncs = cmd.get("truncations", [])
     rows = []
-    for pt in points:
-        listed = isinstance(pt, (list, tuple))
-        coords = [_number(v, "command.points") for v in (pt if listed else [pt])]
+    for pt in cmd.get("points", []):
+        listed = isinstance(pt, list)
+        coords = pt if listed else [pt]
         # zeros pad a point to R^n; one with more coordinates makes wolff raise BadPoint
         x = np.array(coords + [0.0] * (cfg.params.n - len(coords)))
-        label = "(" + " ".join(map(repr, coords)) + ")" if listed else repr(coords[0])
+        label = "(" + " ".join(map(repr, coords)) + ")" if listed else repr(pt)
         try:
             pv = wolff(mu, x, cfg.params, cfg.quad)
             row = [label, repr(pv.value), repr(pv.quad_error_estimate), str(pv.converged)]
@@ -162,23 +150,6 @@ def cmd_wolff(args) -> int:
     return EXIT_OK
 
 
-def _listed(cmd, key, default=()):
-    """A list-valued command field, default when absent: anything but a
-    list is a ConfigError."""
-    value = cmd.get(key, list(default))
-    if not isinstance(value, list):
-        raise ConfigError(f"command.{key}: need a list, got {value!r}")
-    return value
-
-
-def _number(value, where):
-    """A numeric config entry: what float() refuses is a ConfigError."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: need a number, got {value!r}")
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -188,25 +159,12 @@ def _write_csv(path, header, rows):
 
 # -- solve ----------------------------------------------------------------
 
-def _sigma_terms(cfg):
-    entries = cfg.command.get("sigma", [])
-    terms = [t if isinstance(t, dict) else {"measure": t}
-             for t in (entries if isinstance(entries, list) else [entries])]
-    q_default = cfg.params.q_list
-    sigmas = [cfg.measure(t.get("measure")) for t in terms]
-    qs = [_number(t.get("q", q_default[min(i, len(q_default) - 1)]), f"command.sigma[{i}].q")
-          for i, t in enumerate(terms)]
-    return sigmas, qs
-
-
 def cmd_solve(args) -> int:
     cfg = _load(args)
-    cmd = cfg.command
-    sigmas, qs = _sigma_terms(cfg)
-    mu = cfg.measure(cmd.get("mu"))
+    terms = cfg.command.get("sigma", [])
+    sigmas, qs = [cfg.measure(name) for name, _ in terms], [q for _, q in terms]
+    mu = cfg.measure(cfg.command.get("mu"))
     mode = cfg.params.mode
-    if mode is Mode.GAMMA_ZERO and len(sigmas) > 1:
-        raise ConfigError(f"gamma = 0 solves one sigma term, got {len(sigmas)}")
     status = EXIT_OK
     try:
         if mode is Mode.FINITE_GAMMA:
@@ -220,13 +178,11 @@ def cmd_solve(args) -> int:
     except NotConverged as e:
         sol = e.solution
         status = EXIT_NOT_CONVERGED
-    except ExponentError as e:  # a per-term q outside (0, p - 1)
-        raise ConfigError(f"command.sigma: {e}")
-    _write_solution(args, cfg, sol, sigmas, qs, mu)
+    _write_solution(args, cfg, sol)
     return status
 
 
-def _write_solution(args, cfg, sol, sigmas, qs, mu):
+def _write_solution(args, cfg, sol):
     prefix = cfg.command.get("output", "solution")
     rows = [[repr(float(r)), repr(float(v))]
             for r, v in zip(sol.u.grid, sol.u.values)]
@@ -253,11 +209,9 @@ def _write_solution(args, cfg, sol, sigmas, qs, mu):
                    "energies": _jsonable(st.energies)} for st in sol.trace],
     }
     ref = cfg.command.get("reference")
-    if ref and ref.get("kind") == "family":
-        a, b, c = (float(ref[k]) for k in ("a", "b", "c"))
-        window = ref.get("window", [1e-2, 1e2])
-        rs = np.geomspace(window[0], window[1], 400)
-        u_ref = a * (1.0 + (rs / b) ** 2) ** (-c)
+    if ref:
+        rs = np.geomspace(*ref["window"], 400)
+        u_ref = ref["a"] * (1.0 + (rs / ref["b"]) ** 2) ** (-ref["c"])
         got = sol.u.eval(rs)
         diag["reference_sup_rel_err"] = float(np.max(np.abs(got - u_ref) / u_ref))
     with open(_outpath(args, f"{prefix}.json"), "w", encoding="utf-8") as fh:
@@ -285,30 +239,17 @@ def cmd_checks(args) -> int:
     """verify and suite: seeded check instances, 16 and 100 per check by
     default."""
     cfg = _load(args)
-    checks = _listed(cfg.command, "checks", CHECK_NAMES)
-    default = 16 if args.cmd == "verify" else 100
-    instances = cfg.command.get("instances", default)
-    if type(instances) is not int or instances < 0:
-        raise ConfigError(f"command.instances: need a non-negative integer, "
-                          f"got {instances!r}")
+    checks = cfg.command.get("checks", CHECK_NAMES)
+    instances = cfg.command.get("instances", 16 if args.cmd == "verify" else 100)
     bound = cfg.command.get("bound", 1e3)
-    if type(bound) not in (int, float) or not bound > 0:
-        raise ConfigError(f"command.bound: need a positive number, "
-                          f"got {bound!r}")
-    canonical = []
-    for name in checks:
-        name = CHECK_ALIASES.get(name, name)
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"command.checks: unknown check {name!r}")
-        canonical.append(name)
-    tasks = [(name, idx) for name in canonical for idx in range(instances)]
+    tasks = [(name, idx) for name in checks for idx in range(instances)]
     def run(task):  # ((check, index), report dicts)
         reports = run_check_instance(*task, cfg.seed, cfg.params, cfg.quad,
                                      float(bound))
         return task, [r.as_dict() for r in reports]
 
     results = _run_striped(run, tasks, _workers(args, len(tasks)))
-    results.sort(key=lambda kv: (canonical.index(kv[0][0]), kv[0][1]))
+    results.sort(key=lambda kv: (checks.index(kv[0][0]), kv[0][1]))
 
     report_path = _outpath(args, cfg.command.get("output", "reports.jsonl"))
     summary = {}
@@ -491,8 +432,6 @@ def run_check_instance(name, idx, seed, pp: ProblemParams, quad,
                                      instance={"seed": idx, **res, **desc})
         return [rep]
 
-    raise ConfigError(f"unknown check {name!r}")
-
 
 # -- report -----------------------------------------------------------------
 
@@ -500,7 +439,7 @@ def cmd_report(args) -> int:
     inputs = list(getattr(args, "inputs", []) or [])
     if args.config:
         cfg = _load(args)
-        inputs.extend(_listed(cfg.command, "inputs"))
+        inputs.extend(cfg.command.get("inputs", []))
     files = []
     for item in inputs:
         if os.path.isdir(item):

@@ -1,5 +1,6 @@
 """Run configuration: one self-contained JSON document per run with
-sections {params, quad, measures, command}.
+sections {params, quad, measures, command}, every field checked when it
+loads, before any work (ConfigError).
 
 Radial density profiles may be given inline (family coefficients or
 tables) or loaded from two-column CSV (s, f(s)).
@@ -10,15 +11,21 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ExponentError
 from .families import family_density_fn
 from .measure import (Atom, RadialDensity, RadonMeasure, SphericalShell, Sum,
                       zero_measure)
-from .params import ProblemParams, QuadratureConfig, validate
+from .params import Mode, ProblemParams, QuadratureConfig, validate
+
+# verify/suite check names; the index seeds each check's instances
+CHECK_NAMES = ("mutual_energy", "quasi_triangle", "picone", "weighted_norm",
+               "lorentz_embed", "km_sandwich", "lower_bound",
+               "energy_identity", "density_conditions")
+CHECK_ALIASES = {"thm31": "mutual_energy"}
 
 
 @dataclass
@@ -30,11 +37,8 @@ class RunConfig:
     seed: int = 0
 
     def measure(self, name: str) -> RadonMeasure:
-        if name is None:
-            return zero_measure(self.params.n)
-        if name not in self.measures:
-            raise ConfigError(f"measures.{name}: no such measure")
-        return self.measures[name]
+        """The measure a checked command field names; None is zero."""
+        return zero_measure(self.params.n) if name is None else self.measures[name]
 
 
 def load_config(path: str) -> RunConfig:
@@ -56,19 +60,13 @@ def parse_config(doc: dict) -> RunConfig:
     measures = {}
     for name, desc in (doc.get("measures") or {}).items():
         measures[name] = parse_measure(desc, params.n, quad, f"measures.{name}")
-    command = doc.get("command", {})
-    if not isinstance(command, dict):
-        raise ConfigError("command: must be an object")
-    cfg = RunConfig(params=params, quad=quad, measures=measures, command=command,
-                    seed=_integer(doc.get("seed", 0), "seed"))
-    _check_references(cfg)
-    return cfg
+    command = _parse_command(doc.get("command", {}), params, measures)
+    return RunConfig(params=params, quad=quad, measures=measures, command=command,
+                     seed=_integer(doc.get("seed", 0), "seed"))
 
 
 def _integer(value, where: str) -> int:
-    if type(value) is not int:
-        raise ConfigError(f"{where}: need an integer, got {value!r}")
-    return value
+    return _need(type(value) is int, value, where, "an integer")
 
 
 def _parse_params(section) -> ProblemParams:
@@ -100,11 +98,8 @@ def _parse_params(section) -> ProblemParams:
 def _parse_quad(section) -> QuadratureConfig:
     if not isinstance(section, dict):
         raise ConfigError("quad: must be an object")
-    known = {"r_min", "r_max", "points_per_decade", "rel_tol", "max_iter",
-             "conv_tol"}
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigError(f"quad.{sorted(unknown)[0]}: unknown key")
+    _known(section, "quad", ("r_min", "r_max", "points_per_decade", "rel_tol",
+                             "max_iter", "conv_tol"))
     try:
         return QuadratureConfig(**section)
     except (TypeError, ValueError) as e:
@@ -195,16 +190,87 @@ def _load_profile_csv(path, where):
     return s, f
 
 
-def _check_references(cfg: RunConfig):
-    cmd = cfg.command
-    for key in ("measure", "mu"):
-        name = cmd.get(key)
-        if name is not None and name not in cfg.measures:
-            raise ConfigError(f"command.{key}: unknown measure {name!r}")
-    sig = cmd.get("sigma")
-    if sig is not None:
-        names = sig if isinstance(sig, list) else [sig]
-        for nm in names:
-            label = nm.get("measure") if isinstance(nm, dict) else nm
-            if label not in cfg.measures:
-                raise ConfigError(f"command.sigma: unknown measure {label!r}")
+def _known(section: dict, where: str, keys):
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ConfigError(f"{where}.{sorted(unknown)[0]}: unknown key")
+
+
+def _need(ok: bool, value, where: str, what: str):
+    """value when ok, else a ConfigError saying what the field needs."""
+    if not ok:
+        raise ConfigError(f"{where}: need {what}, got {value!r}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    """float(value); what float() refuses is a ConfigError, while NaN is
+    left for the computation to refuse with its own error."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return _need(False, value, where, "a number")
+
+
+def _parse_command(cmd, pp: ProblemParams, measures: dict) -> dict:
+    """The command section, checked field by field before any work, each
+    field in the form the subcommands read.  A key that no subcommand reads
+    is refused; absent keys stay absent (their defaults differ by
+    subcommand)."""
+    _need(isinstance(cmd, dict), cmd, "command", "an object")
+
+    def listed(item):
+        return lambda v, w: [item(x, w) for x in _need(isinstance(v, list), v, w, "a list")]
+
+    def string(v, w):
+        return _need(isinstance(v, str), v, w, "a string")
+
+    def name(v, w, null=True):  # a declared measure; None where null is allowed
+        return None if v is None and null else \
+            _need(isinstance(v, str) and v in measures, v, w, "a declared measure's name")
+
+    def point(v, w):  # a distance, or coordinates
+        return [_number(c, w) for c in v] if isinstance(v, (list, tuple)) else _number(v, w)
+
+    def check(v, w):  # the canonical name
+        v = CHECK_ALIASES.get(v, v) if isinstance(v, str) else v
+        return _need(v in CHECK_NAMES, v, w, f"one of {CHECK_NAMES}")
+
+    def sigma(v, w):
+        # (measure name, q) pairs from names or {measure, q} objects, q by
+        # default params' q of the term's index (the last one beyond); a
+        # bare null is one zero term
+        terms = []
+        for i, t in enumerate(v if isinstance(v, list) else [v]):
+            t = t if isinstance(t, dict) else {"measure": t}
+            _known(t, f"{w}[{i}]", ("measure", "q"))
+            q = t.get("q", pp.q_list[min(i, len(pp.q_list) - 1)])
+            terms.append((name(t.get("measure"), f"{w}[{i}].measure", null=v is None),
+                          _number(q, f"{w}[{i}].q")))
+        try:  # each q in (0, p - 1) as params' own, the rule solver._inputs applies
+            validate(replace(pp, q_list=pp.q_list + tuple(q for _, q in terms)))
+        except ExponentError as e:
+            raise ConfigError(f"{w}: {e}")
+        return _need(pp.mode is not Mode.GAMMA_ZERO or len(terms) <= 1, terms, w,
+                     "at most one term at gamma = 0")
+
+    def reference(v, w):  # the family a (1 + (r/b)^2)^-c on a window of radii
+        if v is None:
+            return None
+        _need(isinstance(v, dict) and v.get("kind") == "family", v, w,
+              "null or an object of kind 'family'")
+        _known(v, w, ("kind", "a", "b", "c", "window"))
+        window = listed(_number)(v.get("window", [1e-2, 1e2]), f"{w}.window")
+        _need(len(window) == 2 and min(window) > 0, window, f"{w}.window", "two positive radii")
+        return dict({k: _number(v.get(k), f"{w}.{k}") for k in "abc"}, kind="family",
+                    window=window)
+
+    fields = {"measure": name, "mu": name, "sigma": sigma, "points": listed(point),
+              "truncations": listed(_number), "checks": listed(check),
+              "inputs": listed(string), "output": string, "reference": reference,
+              "instances": lambda v, w: _need(type(v) is int and v >= 0, v, w,
+                                              "a non-negative integer"),
+              "bound": lambda v, w: _need(type(v) in (int, float) and v > 0, v, w,
+                                          "a positive number")}
+    _known(cmd, "command", fields)
+    return {key: fields[key](value, f"command.{key}") for key, value in cmd.items()}

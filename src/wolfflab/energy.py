@@ -16,7 +16,7 @@ what the product bound supports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -67,17 +67,7 @@ class InequalityReport:
         return rep
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "empirical_constant": self.empirical_constant,
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-            "bound": self.bound,
-            "instance": self.instance,
-        }
+        return asdict(self)
 
 
 def _has_atoms(mu: RadonMeasure) -> bool:

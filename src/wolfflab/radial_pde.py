@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import legval
 
 from .errors import DivergentTail, NonMonotoneProfile, NonRadialMeasure
 from .measure import RadialDensity, RadonMeasure
@@ -33,12 +34,13 @@ class RadialFunction:
     du/dr at the nodes (exact for solver output, monotone_deriv's monotone
     estimate for potential profiles), the slopes of the log-log cubic
     Hermite interpolant between nodes; without it u is a power law there.
-    Solver output instead falls from a node by the integral of |u'|
-    interpolated at the segment's Gauss points (partial, per basis term).
+    Solver output instead carries its segment table (partial, slope_table):
+    between nodes it falls from a node by the integral of |u'| interpolated
+    at the segment's Gauss points, and its slope is that interpolant.
     """
 
     def __init__(self, grid, values, tail_coeff=0.0, tail_exp=0.0,
-                 center_value=None, deriv=None, mass_fn=None, mass_pow=None, partial=None):
+                 center_value=None, deriv=None, partial=None):
         self.grid = np.asarray(grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if self.grid.shape != self.values.shape or self.grid.ndim != 1:
@@ -49,9 +51,7 @@ class RadialFunction:
         self.tail_exp = float(tail_exp)
         self.center_value = float(values[0]) if center_value is None else float(center_value)
         self.deriv = None if deriv is None else np.asarray(deriv, dtype=float)
-        # solver output: exact |u'|(s) = (mass_fn(s)/(n w_n s^{n-1}))^{1/(p-1)},
-        # mass_pow = (n, p, n*omega_n)
-        self._mass_fn, self._mass_pow, self._partial = mass_fn, mass_pow, partial
+        self._partial = partial
         with np.errstate(divide="ignore"):
             self._lng = np.log(self.grid)
             self._lnv = np.where(self.values > 0, np.log(np.maximum(self.values, _TINY)), -np.inf)
@@ -138,16 +138,18 @@ class RadialFunction:
         return self.center_value * (1 - t) + v[0] * t
 
     def deriv_at(self, r):
-        """du/dr; exact for solver output (ball-mass formula), otherwise
-        minus abs_deriv at r."""
-        if self._mass_fn is None:
-            return -self.abs_deriv.eval(r)
-        r_in = np.asarray(r, dtype=float)
-        r1 = np.atleast_1d(r_in).ravel().astype(float)
-        n, p, nwn = self._mass_pow
-        m = np.maximum(self._mass_fn(r1), 0.0)
-        out = -((m / (nwn * r1 ** (n - 1))) ** (1.0 / (p - 1.0)))
-        return float(out[0]) if r_in.ndim == 0 else out.reshape(r_in.shape)
+        """du/dr at radii r (or a GridPoints on this grid): minus abs_deriv,
+        except between the nodes of solver output, where it is minus the
+        slope eval integrates, sum_m a_m (2m + 1) P_m(y) / half."""
+        loc = r if isinstance(r, GridPoints) else GridPoints(self, r)
+        out = np.ravel(-self.abs_deriv.eval_at(loc))
+        if self._partial is not None and len(loc.idx):
+            i, odd = loc.idx, 2.0 * np.arange(len(self._partial))[:, None] + 1.0
+            mid = legval(2.0 * loc.t_lin - 1.0, odd * self._partial[:, i], tensor=False)
+            mid *= -2.0 / (self.grid[i + 1] - self.grid[i])
+            mid[loc.on_node] = self.deriv[loc.hit]
+            out[loc.mid] = mid
+        return float(out[0]) if loc.shape == () else out.reshape(loc.shape)
 
     @property
     def abs_deriv(self) -> RadialFunction:
@@ -334,9 +336,13 @@ def _solve_on_grid(nu: RadonMeasure, pts, masses, params: ProblemParams,
     deriv = -hv[:len(grid)]
 
     center = u[0] + power_law_head(lambda r, _: h(r), grid[0], hv[[-2, -1, 0]])
-    partial = ((0.5 * np.diff(grid))[:, None] * gauss_partial_coeffs(hseg)).T
-    return RadialFunction(grid, u, tail_coeff, tail_exp, center, deriv, mass_fn=nu.centered_mass,
-                          mass_pow=(n, p, nwn), partial=np.ascontiguousarray(partial))
+    return RadialFunction(grid, u, tail_coeff, tail_exp, center, deriv, slope_table(grid, hseg))
+
+
+def slope_table(grid, slopes):
+    """Per basis term and segment the partial-integral coefficients of |u'|
+    given at each segment's Gauss points, slopes[segment, node]."""
+    return np.ascontiguousarray(((0.5 * np.diff(grid))[:, None] * gauss_partial_coeffs(slopes)).T)
 
 
 def _divergent_mass_tail(h, params, quad, r_end):
@@ -403,10 +409,7 @@ def riesz_ball_mass(u: RadialFunction, params: ProblemParams, r=None):
     (or given radii) without building a measure."""
     validate(params)
     g = u.grid if r is None else np.asarray(r, dtype=float)
-    if u.deriv is not None and r is None:
-        slope = np.maximum(-u.deriv, 0.0)
-    else:
-        slope = np.maximum(-u.deriv_at(g), 0.0)
+    slope = np.maximum(-u.deriv_at(g), 0.0)
     return params.sphere_area * g ** (params.n - 1) * slope ** (params.p - 1.0)
 
 
@@ -425,12 +428,9 @@ def dirichlet_energy(u: RadialFunction, params: ProblemParams,
     if not np.any(u.values > 0):
         return 0.0
 
-    exact = u._mass_fn is not None  # solver output: |u'| from ball masses
-
     def integrand(s):
-        loc = GridPoints(u, s)  # one location for u and |u'|
-        du = np.abs(u.deriv_at(s)) if exact else u.abs_deriv.eval_at(loc)
-        uv = u.eval_at(loc)
+        loc = GridPoints(u, s)  # one location for u and u'
+        du, uv = -u.deriv_at(loc), u.eval_at(loc)
         out = np.zeros_like(s)
         live = du > 0
         if gam == 1.0:

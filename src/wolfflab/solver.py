@@ -35,9 +35,9 @@ from .measure import (RadonMeasure, Sum, integrate_against, scale, weighting,
                       zero_measure)
 from .params import (DEFAULT_QUAD, Mode, ProblemParams, QuadratureConfig,
                      derive_exponents, validate)
-from .quadrature import log_bisect
+from .quadrature import log_bisect, panel_nodes
 from .radial_pde import (RadialFunction, dirichlet_energy, marked_grid,
-                         _solve_on_grid, nodewise_max, riesz_ball_mass,
+                         _solve_on_grid, nodewise_max, riesz_ball_mass, slope_table,
                          solve_points, solve_radial_p_laplace, zero_profile)
 from .wolff import (cutoff_measure, truncated_wolff, wolff_profile,
                     wolff_sup_on_support)
@@ -506,9 +506,10 @@ def km_sandwich_ratio(nu: RadonMeasure, u: RadialFunction, samples,
 
 def _truncated_profile(u: RadialFunction, level: float) -> RadialFunction:
     """min(u, level).  For solver output the kink radius, where u falls
-    through level, is a node, with u's exact |u'| beyond it and 0 inside."""
+    through level, is a node, and the segment table holds u's slope at each
+    segment's Gauss points beyond it and 0 inside."""
     above = u.values >= level
-    if u._mass_fn is None or above.all() or not above.any():
+    if u._partial is None or above.all() or not above.any():
         deriv = None if u.deriv is None else np.where(above, 0.0, u.deriv)
         return RadialFunction(u.grid, np.minimum(u.values, level), u.tail_coeff,
                               u.tail_exp, min(u.center_value, level), deriv)
@@ -518,6 +519,6 @@ def _truncated_profile(u: RadialFunction, level: float) -> RadialFunction:
     g = np.union1d(u.grid, [kink])
     inside = g < kink
     vals, deriv = np.where(inside, level, np.minimum(u.eval(g), level)), u.deriv_at(g)
-    return RadialFunction(g, vals, u.tail_coeff, u.tail_exp, level,
-                          np.where(inside, 0.0, deriv), mass_pow=u._mass_pow,
-                          mass_fn=lambda s: np.where(s > kink, u._mass_fn(s), 0.0))
+    nodes = panel_nodes(g, len(u._partial))[0]
+    return RadialFunction(g, vals, u.tail_coeff, u.tail_exp, level, np.where(inside, 0.0, deriv),
+                          partial=slope_table(g, np.where(nodes > kink, -u.deriv_at(nodes), 0.0)))

@@ -62,12 +62,14 @@ def test_wolff_without_measure_writes_zeros(tmp_path):
     ("points", "[[1, 2, 3, 4]]", "BadPoint"), ("points", '["abc"]', "ConfigError"),
     ("points", "[null]", "ConfigError"), ("truncations", '["x"]', "ConfigError"),
     ("points", "5", "ConfigError"), ("truncations", "5", "ConfigError"),
+    ("measure", '{"x": 1}', "ConfigError"), ("output", "5", "ConfigError"),
 ])
 def test_wolff_nonfinite_input_typed_error(tmp_path, capsys, field, literal, error):
     # a NaN truncation radius gave 0.0 and a NaN coordinate a silent value;
     # a point of too many coordinates is numerical (exit 3), and an entry
-    # that is not a number, or a field that is not a list, a configuration
-    # error (exit 2)
+    # that is not a number, a field that is not a list, a measure that is
+    # not a name or an output that is not a string a configuration error
+    # (exit 2), the last after every point had run
     doc = {"params": BASE_PARAMS,
            "measures": {"d0": {"type": "atom", "location": [0, 0, 0], "weight": 1.0}},
            "command": {"measure": "d0", "points": [0.5], "truncations": [1.0],
@@ -77,7 +79,8 @@ def test_wolff_nonfinite_input_typed_error(tmp_path, capsys, field, literal, err
     cfg.write_text(json.dumps(doc).replace('"@"', literal))
     assert main(["wolff", "--config", str(cfg), "--out", str(tmp_path),
                  "--json-errors"]) == (2 if error == "ConfigError" else 3)
-    assert json.loads(capsys.readouterr().err)["error"] == error
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == error
     assert not (tmp_path / "wolff.csv").exists()
 
 
@@ -202,6 +205,34 @@ def test_solve_bad_term_q_exit_2(tmp_path, capsys, literal):
     assert not (tmp_path / "sol.json").exists()
 
 
+@pytest.mark.parametrize("field, literal", [
+    ("reference", '{"kind": "family", "a": 1}'), ("reference", "5"),
+    ("reference", '{"kind": "family", "a": 1, "b": 1, "c": 0.5, "window": [1]}'),
+    ("mu", '["sigma"]'), ("sigma", '[["sigma"]]'), ("sigma", '{"measure": ["s"]}'),
+    ("sigmas", '["sigma"]'),
+])
+def test_solve_bad_command_field_exit_2(tmp_path, capsys, field, literal):
+    # the config load refuses each before the solve: a malformed reference
+    # failed after it, with sol.csv written, a list as a measure name with
+    # "unhashable type", and a key no subcommand reads is refused
+    doc = {"params": dict(BASE_PARAMS), "quad": {"points_per_decade": 16},
+           "measures": {"sigma": {"type": "radial_density",
+                                  "profile": {"kind": "family", "a": 3.0,
+                                              "b": 1.0, "c": 2.25}}},
+           "command": {"sigma": ["sigma"], "mu": None, "output": "sol"}}
+    doc["command"][field] = "@"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc).replace('"@"', literal))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path),
+                 "--json-errors"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ConfigError"
+    assert f"command.{field}" in err["message"]
+    assert not (tmp_path / "sol.csv").exists()
+    assert not (tmp_path / "sol.json").exists()
+
+
 @pytest.mark.parametrize("where, literal", [
     ("params.n", "3.7"), ("params.n", "true"), ("seed", "2.5"), ("seed", "true"),
     ("sigma.lo_cut", "NaN"), ("sigma.lo_cut", "-0.5"), ("sigma.cut", "NaN"),
@@ -307,7 +338,6 @@ def test_verify_module_run_deterministic_across_workers(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(wolfflab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("WOLFFLAB_THREADS", None)
     doc = dict(VERIFY_DOC)
     doc["command"] = {"checks": ["picone", "density_conditions"],
                       "instances": 2}
@@ -324,29 +354,29 @@ def test_verify_module_run_deterministic_across_workers(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, VERIFY_DOC)
-    monkeypatch.setenv("WOLFFLAB_THREADS", "2")
-    out = tmp_path / "env"
-    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
-
-
 @pytest.mark.parametrize("field, command", [
     ("instances", {"checks": ["picone"], "instances": "two"}),
     ("bound", {"checks": ["picone"], "instances": 1, "bound": "x"}),
     ("checks", {"checks": 5, "instances": 1}),
     ("inputs", {"inputs": 5}),
+    ("checks", {"checks": [["picone"]], "instances": 1}),
+    ("output", {"checks": ["picone"], "instances": 1, "output": ["x"]}),
+    ("inputs", {"inputs": [None]}),
 ])
 def test_verify_bad_command_field_exit_2(tmp_path, capsys, field, command):
-    # inputs is the report command's field
+    # inputs is the report command's field; a nested check name failed with
+    # "unhashable type", and a list as output or a null input with a
+    # TypeError, the output after every instance had run
     doc = dict(VERIFY_DOC)
     doc["command"] = command
     cfg = write_config(tmp_path, doc)
     assert main(["report" if field == "inputs" else "verify", "--config", cfg,
                  "--out", str(tmp_path), "--json-errors"]) == 2
-    err = json.loads(capsys.readouterr().err)
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
     assert err["error"] == "ConfigError"
     assert f"command.{field}" in err["message"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_verify_zero_instances_writes_empty_outputs(tmp_path):

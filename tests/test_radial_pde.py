@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wolfflab import (DivergentTail, NonMonotoneProfile, NonRadialMeasure,
                       QuadratureConfig, RadialDensity, RadialFunction, Sum, dirac,
                       dirichlet_energy, integrate_against, params,
-                      riesz_measure_of, scale, solve_radial_p_laplace,
+                      riesz_measure_of, scale, solve_minimal, solve_radial_p_laplace,
                       truncated_wolff, Atom)
 from wolfflab.families import family_density, random_density
 from wolfflab.radial_pde import riesz_ball_mass
@@ -201,8 +201,8 @@ def test_infinite_mass_power_density_closed_form(pp3, suite_quad, tau):
     assert u.tail_exp == pytest.approx(tau - 2, rel=1e-10)
 
 
-def test_deriv_at_power_law_without_mass_fn(quad):
-    # without a mass function |u'| is the log-log interpolant of the node
+def test_deriv_at_power_law_without_segment_table(quad):
+    # without a segment table |u'| is the log-log interpolant of the node
     # slopes, continued by their power law below the grid and by the
     # tail's derivative beyond it: exact for a power law everywhere
     C, b = 2.5, 0.7
@@ -212,6 +212,28 @@ def test_deriv_at_power_law_without_mass_fn(quad):
                         g[0] * np.array([0.5, 1e-3]), g[-1] * np.array([2.0, 1e3])])
     assert np.allclose(u.deriv_at(r), -C * b * r ** (-b - 1.0), rtol=1e-13, atol=0.0)
     assert u.deriv_at(1.0) == pytest.approx(-C * b, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("edge", ["low", "high"])
+@pytest.mark.parametrize("with_mu", [False, True])
+def test_solver_slope_matches_ball_mass_formula(suite_quad, n, edge, with_mu):
+    # between nodes solver output's slope is the Gauss-point interpolant
+    # that eval integrates; it stays within 1e-13 of the ball-mass formula
+    # -(nu(B(0, s)) / (n w_n s^{n-1}))^{1/(p-1)} at random in-grid radii.
+    # sol.u lies one Picard step (2.5e-10) from sol.riesz, so sol.riesz is
+    # solved once more.  At p = 1.1, n = 6 the slope falls like s^-50 past
+    # the support and the interpolant is 2.6e-12 off, hence p = 1.15
+    p = 1.15 if edge == "low" else n - 0.1
+    pp = params(n, p, 0.5 * (p - 1.0), 1.0)
+    sigma = family_density(n, 1.0, 1.0, n / 2.0 + 1.0, suite_quad)
+    mu = RadialDensity.uniform_ball(n, 1.0, 0.3, suite_quad) if with_mu else None
+    sol = solve_minimal([sigma], [pp.q], mu, pp, suite_quad)
+    u = solve_radial_p_laplace(sol.riesz, pp, suite_quad, grid=sol.u.grid)
+    g = u.grid
+    s = np.exp(np.random.default_rng(n).uniform(np.log(g[0]), np.log(g[-1]), 2000))
+    want = -(sol.riesz.centered_mass(s) / (pp.sphere_area * s ** (n - 1))) ** (1.0 / (p - 1.0))
+    np.testing.assert_allclose(u.deriv_at(s), want, rtol=1e-13, atol=0.0)
 
 
 def test_stored_derivative_matches_mass_formula(pp3, quad):
