@@ -455,11 +455,16 @@ def cmd_report(args) -> int:
     ratios = {}
     for path in files:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for num, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                rep = json.loads(line)
+                try:
+                    rep = json.loads(line)
+                except ValueError:
+                    rep = None
+                if not isinstance(rep, dict):
+                    raise ConfigError(f"report: {path} line {num}: need a JSON object")
                 par = rep.get("params", {})
                 key = (rep.get("check", rep.get("name")), par.get("n"),
                        par.get("p"), str(par.get("gamma")),

@@ -267,7 +267,9 @@ def _parse_command(cmd, pp: ProblemParams, measures: dict) -> dict:
 
     fields = {"measure": name, "mu": name, "sigma": sigma, "points": listed(point),
               "truncations": listed(_number), "checks": listed(check),
-              "inputs": listed(string), "output": string, "reference": reference,
+              "inputs": listed(string), "reference": reference,
+              "output": lambda v, w: _need(string(v, w) not in ("", ".", "..") and "/" not in v,
+                                           v, w, "a plain file name"),
               "instances": lambda v, w: _need(type(v) is int and v >= 0, v, w,
                                               "a non-negative integer"),
               "bound": lambda v, w: _need(type(v) in (int, float) and v > 0, v, w,

@@ -27,8 +27,8 @@ from .errors import (
     SignError,
 )
 from .params import DEFAULT_QUAD, QuadratureConfig, unit_ball_volume
-from .quadrature import (_HEAD_FIT, decade_tail, gauss_partial_basis, gauss_partial_coeffs,
-                         panel_nodes, power_law_head)
+from .quadrature import (_HEAD_FIT, Located, decade_tail, panel_nodes, power_law_head,
+                         segment_integral, segment_table)
 
 _TINY = 1e-300
 # Gauss points of a table piece, and geometric panels of a first piece
@@ -475,27 +475,26 @@ class RadialDensity(RadonMeasure):
 
     def _centered_mass(self, r):
         # a pass at a time: bounds the located basis
-        return np.concatenate([self.mass_at(TablePoints(self._edges, r[j:j + _WINDOW_NODES]))
+        return np.concatenate([self.mass_at(Located(self._edges, r[j:j + _WINDOW_NODES]))
                                for j in range(0, len(r), _WINDOW_NODES)] or [np.zeros(0)])
 
-    def mass_at(self, loc: TablePoints):
+    def mass_at(self, loc: Located):
         """Centered ball masses at radii located on this table's edges."""
         edges, cum = self._edges, self._cum
-        if not (loc.edges is edges or np.array_equal(loc.edges, edges)):
+        if not loc.on(edges):
             raise ValueError("radii located on other edges")
         out = np.zeros(loc.size)  # the mass below the first edge
         if len(loc.r_beyond):
             out[loc.beyond] = cum[-1] + self._tail_mass_to(np.maximum(loc.r_beyond, edges[-1]))
         i = loc.idx
         if len(i):
-            part = self._coef[0][i] * loc.basis[0]
-            for m in range(1, len(self._coef)):
-                part += self._coef[m][i] * loc.basis[m]
+            part = segment_integral(self._coef, loc)
             full = self._piece_mass[i]
             np.clip(part, 0.0, full, out=part)
-            if len(loc.origin):
-                frac = (loc.r_origin / edges[1]) ** self._e0
-                part[loc.origin] = np.clip(frac, 0.0, 1.0) * full[loc.origin]
+            origin = np.flatnonzero((i == 0) & (loc.r > 0.0)) if edges[0] == 0.0 else ()
+            if len(origin):  # a first piece from 0 grows like r^e0
+                frac = (loc.r[origin] / edges[1]) ** self._e0
+                part[origin] = np.clip(frac, 0.0, 1.0) * full[origin]
             out[loc.mid] = cum[i] + part
         return out
 
@@ -553,23 +552,6 @@ class RadialDensity(RadonMeasure):
         return out
 
 
-class TablePoints:
-    """Radii r located on a mass table's edges: the part of mass_at free of masses."""
-
-    def __init__(self, edges, r):
-        idx = np.searchsorted(edges, r, side="right") - 1
-        self.edges, self.size = edges, len(r)
-        self.beyond = idx >= len(edges) - 1
-        self.mid = ~self.beyond & (idx >= 0)
-        self.r_beyond, r = r[self.beyond], r[self.mid]
-        i = self.idx = idx[self.mid]
-        a, b = edges[i], edges[i + 1]
-        # r's place in its piece, -1 exactly on the left edge
-        self.basis = gauss_partial_basis(((r - a) - (b - r)) / (b - a), _TABLE_K)
-        self.origin = np.flatnonzero((a == 0.0) & (r > 0.0))
-        self.r_origin = r[self.origin]
-
-
 def _table_layout(grid, lo_cut, hi):
     """Mass table on the grid between lo_cut and hi: edges, the points where
     it reads the shell mass (each panel's _TABLE_K Gauss points, then for a
@@ -599,11 +581,10 @@ def _shell(density, dim):
 
 def _piece_masses(shell, layout, vals):
     """Piece masses of the values vals of the function shell at a
-    _table_layout's points; per piece the gauss_partial_coeffs of its
-    Gauss-point values, scaled to the piece, one row per basis term (unused
-    for a first piece from 0); and the exponent e of a first piece [0, b],
-    whose mass grows like r^e, e = b shell(b) / its mass (1 without one).
-    shell itself is called only in the head's stub."""
+    _table_layout's points; the segment_table of the pieces' Gauss-point
+    values (unused for a first piece from 0); and the exponent e of a first
+    piece [0, b], whose mass grows like r^e, e = b shell(b) / its mass (1
+    without one).  shell itself is called only in the head's stub."""
     edges, points, weights, piece, head = layout
     per_panel = vals[:weights.size].reshape(weights.shape)
     sums = (per_panel * weights).sum(axis=1)
@@ -612,9 +593,7 @@ def _piece_masses(shell, layout, vals):
     if head is not None:  # the head's fit points, then the piece's end
         masses[0] += power_law_head(shell, head, vals[-4:-1])
         e0 = edges[1] * vals[-1] / masses[0] if masses[0] > 0 else 1.0
-    half = 0.5 * np.diff(edges)
-    last = gauss_partial_coeffs(per_panel[len(per_panel) - len(masses):])
-    return masses, np.ascontiguousarray((half[:, None] * last).T), e0
+    return masses, segment_table(edges, per_panel[len(per_panel) - len(masses):]), e0
 
 
 def _laid_out(density, dim, grid, lo_cut, hi):
@@ -773,9 +752,9 @@ def _weighed(g, s, shell):
 def multiply_radial(mu: RadonMeasure, g) -> RadonMeasure:
     """Measure with density multiplied by a radial weight function g.
 
-    g must expose grid, eval_at(GridPoints) and eval (RadialFunction does),
-    plus tail_coeff/tail_exp and center_value; the tail attributes drive
-    the product's power-law tail.
+    g must expose grid and eval of radii or of a quadrature.Located on its
+    grid (RadialFunction does), plus tail_coeff/tail_exp and center_value;
+    the tail attributes drive the product's power-law tail.
     """
     out = [weighting(c, g.grid, np.empty(0))(g)[0] for c in mu.components()]
     return Sum(out) if len(out) > 1 else out[0]
@@ -788,7 +767,6 @@ def weighting(comp: RadonMeasure, wgrid, pts):
     over the shell values it forms.  These are formed in RadialDensity's
     order, so the table equals that of the RadialDensity with the product
     as its density_fn."""
-    from .radial_pde import GridPoints
     if not isinstance(comp, RadialDensity):
         def point(g):
             m = _weigh_point(comp, g)
@@ -797,12 +775,12 @@ def weighting(comp: RadonMeasure, wgrid, pts):
     layout = _table_layout(np.union1d(comp._edges, wgrid), comp.lo_cut, comp._hi)
     edges, at = layout[0], layout[1]
     f, pw = comp.density_at(at), at ** (comp.dim - 1)
-    at_pts, on_g = TablePoints(edges, pts), [None]
+    at_pts, on_g = Located(edges, pts), [None]
 
     def table(g):
         if on_g[0] is None or not on_g[0].on(g.grid):
-            on_g[0] = GridPoints(g, at)
-        gf = np.maximum(f * np.maximum(g.eval_at(on_g[0]), 0.0), 0.0)
+            on_g[0] = Located(g.grid, at)
+        gf = np.maximum(f * np.maximum(g.eval(on_g[0]), 0.0), 0.0)
         density, vals = _product_density(comp, g), gf * comp._nwn * pw
         m = RadialDensity._table(comp.dim, layout, vals,
                                  *_piece_masses(_shell(density, comp.dim), layout, vals),

@@ -72,16 +72,6 @@ def _lagrange_in_legendre(k: int):
     return 0.5 * w * np.polynomial.legendre.legvander(x, k - 1).T
 
 
-def gauss_partial_coeffs(vals):
-    """Coefficients a[..., m] of the interpolant through vals[..., j] at the
-    k-point Gauss nodes on [-1, 1], k the last axis: its integral from -1 to
-    y is sum_m a_m B_m(y) (gauss_partial_basis), that is sum_j W_j(y) vals_j
-    with W_j(y) the integral of node j's Lagrange polynomial (at y = 1 the
-    Gauss weights).  einsum, as a first BLAS product sets up MBs of buffers."""
-    vals = np.asarray(vals, dtype=float)
-    return np.einsum("...j,mj->...m", vals, _lagrange_in_legendre(vals.shape[-1]))
-
-
 def gauss_partial_basis(y, k: int):
     """B_m(y), m < k, the integral from -1 to y of (2m + 1) P_m: y + 1, then
     P_{m+1}(y) - P_{m-1}(y); shape (k,) + shape(y), all 0 at y = -1."""
@@ -96,6 +86,69 @@ def gauss_partial_basis(y, k: int):
         nxt /= m + 1
         np.subtract(nxt, prev, out=out[m])
         prev, cur = cur, nxt
+    return out
+
+
+class Located:
+    """Radii located on increasing edges, free of values: a radius in
+    [edges[0], edges[-1]) lies in segment idx (an edge starts its segment)
+    at y in [-1, 1); the others lie below the edges or beyond them (NaN
+    beyond)."""
+
+    def __init__(self, edges, r):
+        r_in = np.asarray(r, dtype=float)
+        self.radii = r_in.reshape(-1)
+        seg = self._seg = np.searchsorted(edges, self.radii, side="right") - 1
+        self.edges, self.shape, self.size = edges, r_in.shape, len(self.radii)
+        self.beyond = seg >= len(edges) - 1
+        self.mid = ~self.beyond & (seg >= 0)
+        self.r_beyond, r = self.radii[self.beyond], self.radii[self.mid]
+        i = self.idx = seg[self.mid]
+        a, b, self.r = edges[i], edges[i + 1], r
+        self.y = ((r - a) - (b - r)) / (b - a)  # -1 exactly on the left edge
+        self.basis = self.log = None  # formed once, by segment_integral and eval
+
+    def on(self, edges) -> bool:
+        return edges is self.edges or np.array_equal(edges, self.edges)
+
+    def on_edge(self):
+        """Positions of the radii that lie on an edge, and each one's edge."""
+        seg = np.maximum(self._seg, 0)
+        at = np.flatnonzero(self.edges[seg] == self.radii)
+        return at, seg[at]
+
+
+def segment_table(edges, vals):
+    """Partial-integral table of the interpolants through vals[s, j], the
+    values at segment s's k Gauss points: per basis term m a row over the
+    segments of half * a_m, where the interpolant's integral from -1 to y on
+    [-1, 1] is sum_m a_m B_m(y) (gauss_partial_basis), that is sum_j W_j(y)
+    vals_j with W_j(y) the integral of node j's Lagrange polynomial (at
+    y = 1 the Gauss weights).  einsum, as a first BLAS product sets up MBs
+    of buffers."""
+    vals = np.asarray(vals, dtype=float)
+    a = np.einsum("...j,mj->...m", vals, _lagrange_in_legendre(vals.shape[-1]))
+    return np.ascontiguousarray(((0.5 * np.diff(edges))[:, None] * a).T)
+
+
+def segment_integral(table, loc: Located):
+    """The interpolant's integral from the left edge to each located segment
+    radius, sum_m table[m, idx] B_m(y); a location read at every step forms
+    B_m(y) once."""
+    if loc.basis is None or len(loc.basis) != len(table):
+        loc.basis = gauss_partial_basis(loc.y, len(table))
+    out = table[0][loc.idx] * loc.basis[0]
+    for m in range(1, len(table)):
+        out += table[m][loc.idx] * loc.basis[m]
+    return out
+
+
+def segment_integrand(table, loc: Located):
+    """The interpolant at each located segment radius, the derivative of
+    segment_integral: sum_m table[m, idx] (2m + 1) P_m(y) / half."""
+    i, odd = loc.idx, 2.0 * np.arange(len(table))[:, None] + 1.0
+    out = np.polynomial.legendre.legval(loc.y, odd * table[:, i], tensor=False)
+    out *= 2.0 / (loc.edges[i + 1] - loc.edges[i])
     return out
 
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import legval
 
 from .errors import DivergentTail, NonMonotoneProfile, NonRadialMeasure
 from .measure import RadialDensity, RadonMeasure
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
-from .quadrature import (_HEAD_FIT, decade_tail, gauss_partial_basis, gauss_partial_coeffs,
-                         gauss_rule, panel_nodes, panel_sum, power_law_head)
+from .quadrature import (_HEAD_FIT, Located, decade_tail, gauss_rule, log_bisect, panel_nodes,
+                         panel_sum, power_law_head, segment_integral, segment_integrand,
+                         segment_table)
 
 _TINY = 1e-300
 
@@ -34,9 +34,10 @@ class RadialFunction:
     du/dr at the nodes (exact for solver output, monotone_deriv's monotone
     estimate for potential profiles), the slopes of the log-log cubic
     Hermite interpolant between nodes; without it u is a power law there.
-    Solver output instead carries its segment table (partial, slope_table):
-    between nodes it falls from a node by the integral of |u'| interpolated
-    at the segment's Gauss points, and its slope is that interpolant.
+    Solver output instead carries its segment table (partial, a
+    quadrature.segment_table of |u'| at each segment's Gauss points):
+    between nodes it falls from a node by the table's integral, and its
+    slope is the table's integrand.
     """
 
     def __init__(self, grid, values, tail_coeff=0.0, tail_exp=0.0,
@@ -66,56 +67,52 @@ class RadialFunction:
 
     # -- evaluation ------------------------------------------------------
     def eval(self, r):
-        """Monotone log-log interpolation on the grid, analytic tail beyond,
-        center value at 0."""
-        return self.eval_at(GridPoints(self, r))
-
-    def eval_at(self, loc: GridPoints):
-        """eval at radii located on this profile's grid."""
+        """u at radii r (or located on this grid): monotone log-log
+        interpolation on the grid, analytic tail beyond, center value at 0."""
+        loc = r if isinstance(r, Located) else Located(self.grid, r)
         if not loc.on(self.grid):
             raise ValueError("radii located on another grid")
         out = np.full(loc.size, self.center_value)  # the value at r = 0
-        if len(loc.r_low):
-            out[loc.low] = self._eval_below(loc.r_low)
-        if len(loc.r_high):
-            out[loc.high] = self.tail_coeff * loc.r_high ** (-self.tail_exp) \
-                if self.tail_coeff else 0.0
-        if len(loc.idx):
-            out[loc.mid] = self._eval_grid(loc)
+        low = (loc.radii > 0) & (loc.radii < self.grid[0])
+        out[low] = self._eval_below(loc.radii[low])
+        out[loc.beyond] = self.tail_coeff * loc.r_beyond ** (-self.tail_exp) \
+            if self.tail_coeff else 0.0
+        out[loc.mid] = self._eval_grid(loc)
+        at, node = loc.on_edge()
+        out[at] = self.values[node]  # stored node values verbatim, grid[-1] too
+        out[~(loc.radii >= 0)] = np.nan  # a NaN or negative r is no radius
         return float(out[0]) if loc.shape == () else out.reshape(loc.shape)
 
     def _eval_grid(self, loc):
         v, idx = self.values, loc.idx
         v0, v1 = v[idx], v[idx + 1]
         if self._partial is not None:  # solver output
-            c = self._partial
-            basis = gauss_partial_basis(2.0 * loc.t_lin - 1.0, len(c))
-            out = np.clip(v0 - sum(c[m][idx] * basis[m] for m in range(len(c))), v1, v0)
-            out[loc.on_node] = v[loc.hit]
-            return out
+            return np.clip(v0 - segment_integral(self._partial, loc), v1, v0)
         out = np.empty_like(v0)
         pos = (v0 > 0) & (v1 > 0)
         sel = slice(None) if np.all(pos) else pos  # views when all positive
-        if np.any(pos):
-            i = idx[sel]
-            y0, y1 = self._lnv[i], self._lnv[i + 1]
-            if self._slope is not None:
-                # cubic Hermite in log-log with the node slopes
-                s0, s1 = self._slope[i] * loc.h[sel], self._slope[i + 1] * loc.h[sel]
-                b00, b10, b01, b11 = (b[sel] for b in loc.hermite)
-                val = b00 * y0 + b10 * s0 + b01 * y1 + b11 * s1
-                # keep the interpolant between the node values
-                val = np.clip(val, np.minimum(y0, y1), np.maximum(y0, y1))
-                out[sel] = np.exp(val)
-            else:
-                t = loc.t[sel]
-                out[sel] = np.exp(y0 * (1 - t) + y1 * t)
+        if loc.log is None:  # r's place t in log r, h the segment's width there
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h = self._lng[idx + 1] - self._lng[idx]
+                t = (np.log(loc.r) - self._lng[idx]) / h
+                t2, t3 = t * t, t * t * t
+                loc.log = t, h, (2 * t3 - 3 * t2 + 1, t3 - 2 * t2 + t, -2 * t3 + 3 * t2, t3 - t2)
+        i, t, h = idx[sel], loc.log[0][sel], loc.log[1][sel]
+        y0, y1 = self._lnv[i], self._lnv[i + 1]
+        if self._slope is not None:
+            # cubic Hermite in log-log with the node slopes
+            s0, s1 = self._slope[i] * h, self._slope[i + 1] * h
+            b00, b10, b01, b11 = (b[sel] for b in loc.log[2])
+            val = b00 * y0 + b10 * s0 + b01 * y1 + b11 * s1
+            # keep the interpolant between the node values
+            val = np.clip(val, np.minimum(y0, y1), np.maximum(y0, y1))
+            out[sel] = np.exp(val)
+        else:
+            out[sel] = np.exp(y0 * (1 - t) + y1 * t)
         lin = ~pos
-        if np.any(lin):
-            t = loc.t_lin[lin]
-            out[lin] = v0[lin] * (1 - t) + v1[lin] * t
-        # stored node values verbatim
-        out[loc.on_node] = v[loc.hit]
+        g, i = self.grid, idx[lin]
+        t = (loc.r[lin] - g[i]) / (g[i + 1] - g[i])
+        out[lin] = v0[lin] * (1 - t) + v1[lin] * t
         return out
 
     @property
@@ -138,17 +135,15 @@ class RadialFunction:
         return self.center_value * (1 - t) + v[0] * t
 
     def deriv_at(self, r):
-        """du/dr at radii r (or a GridPoints on this grid): minus abs_deriv,
-        except between the nodes of solver output, where it is minus the
-        slope eval integrates, sum_m a_m (2m + 1) P_m(y) / half."""
-        loc = r if isinstance(r, GridPoints) else GridPoints(self, r)
-        out = np.ravel(-self.abs_deriv.eval_at(loc))
-        if self._partial is not None and len(loc.idx):
-            i, odd = loc.idx, 2.0 * np.arange(len(self._partial))[:, None] + 1.0
-            mid = legval(2.0 * loc.t_lin - 1.0, odd * self._partial[:, i], tensor=False)
-            mid *= -2.0 / (self.grid[i + 1] - self.grid[i])
-            mid[loc.on_node] = self.deriv[loc.hit]
-            out[loc.mid] = mid
+        """du/dr at radii r (or located on this grid): minus abs_deriv,
+        except on the grid of solver output, where it is minus the integrand
+        of the segment table eval integrates, and the stored slope at nodes."""
+        loc = r if isinstance(r, Located) else Located(self.grid, r)
+        out = np.ravel(-self.abs_deriv.eval(loc))
+        if self._partial is not None:
+            out[loc.mid] = -segment_integrand(self._partial, loc)
+            at, node = loc.on_edge()
+            out[at] = self.deriv[node]
         return float(out[0]) if loc.shape == () else out.reshape(loc.shape)
 
     @property
@@ -195,32 +190,25 @@ class RadialFunction:
         rise = np.diff(self.values)
         return bool(np.all(rise <= 1e-9 * np.maximum(self.values[:-1], _TINY) + 1e-300))
 
-
-class GridPoints:
-    """Radii r located on a profile's grid: the part of eval free of values."""
-
-    def __init__(self, f: RadialFunction, r):
-        r_in = np.asarray(r, dtype=float)
-        r1 = np.atleast_1d(r_in).ravel().astype(float)
-        g = self.grid = f.grid
-        self.shape, self.size = r_in.shape, len(r1)
-        self.low, self.high = (r1 > 0) & (r1 < g[0]), r1 > g[-1]
-        self.mid = ~((r1 == 0.0) | self.low | self.high)
-        self.r_low, self.r_high, r = r1[self.low], r1[self.high], r1[self.mid]
-        k = np.searchsorted(g, r)
-        i = self.idx = np.clip(k - 1, 0, len(g) - 2)
-        hit = np.clip(k, 0, len(g) - 1)
-        self.on_node = g[hit] == r
-        self.hit = hit[self.on_node]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.h = f._lng[i + 1] - f._lng[i]
-            t = self.t = (np.log(r) - f._lng[i]) / self.h
-            self.t_lin = (r - g[i]) / (g[i + 1] - g[i])
-            t2, t3 = t * t, t * t * t
-            self.hermite = (2 * t3 - 3 * t2 + 1, t3 - 2 * t2 + t, -2 * t3 + 3 * t2, t3 - t2)
-
-    def on(self, grid) -> bool:
-        return grid is self.grid or np.array_equal(grid, self.grid)
+    def truncated(self, level: float) -> RadialFunction:
+        """min(u, level).  For solver output the kink radius, where u falls
+        through level, is a node, and the segment table holds u's slope at
+        each segment's Gauss points beyond it and 0 inside."""
+        above = self.values >= level
+        if self._partial is None or above.all() or not above.any():
+            deriv = None if self.deriv is None else np.where(above, 0.0, self.deriv)
+            return RadialFunction(self.grid, np.minimum(self.values, level), self.tail_coeff,
+                                  self.tail_exp, min(self.center_value, level), deriv)
+        i = int(np.argmin(above)) - 1  # the last node at or above level
+        kink = log_bisect(lambda r: self.eval(r) < level, self.grid[i:i + 1],
+                          self.grid[i + 1:i + 2], 1e-15)[1][0]
+        g = np.union1d(self.grid, [kink])
+        inside = g < kink
+        vals, deriv = np.where(inside, level, np.minimum(self.eval(g), level)), self.deriv_at(g)
+        nodes = panel_nodes(g, len(self._partial))[0]
+        slopes = np.where(nodes > kink, -self.deriv_at(nodes), 0.0)
+        return RadialFunction(g, vals, self.tail_coeff, self.tail_exp, level,
+                              np.where(inside, 0.0, deriv), segment_table(g, slopes))
 
 
 def nodewise_max(funcs) -> RadialFunction:
@@ -336,13 +324,7 @@ def _solve_on_grid(nu: RadonMeasure, pts, masses, params: ProblemParams,
     deriv = -hv[:len(grid)]
 
     center = u[0] + power_law_head(lambda r, _: h(r), grid[0], hv[[-2, -1, 0]])
-    return RadialFunction(grid, u, tail_coeff, tail_exp, center, deriv, slope_table(grid, hseg))
-
-
-def slope_table(grid, slopes):
-    """Per basis term and segment the partial-integral coefficients of |u'|
-    given at each segment's Gauss points, slopes[segment, node]."""
-    return np.ascontiguousarray(((0.5 * np.diff(grid))[:, None] * gauss_partial_coeffs(slopes)).T)
+    return RadialFunction(grid, u, tail_coeff, tail_exp, center, deriv, segment_table(grid, hseg))
 
 
 def _divergent_mass_tail(h, params, quad, r_end):
@@ -429,8 +411,8 @@ def dirichlet_energy(u: RadialFunction, params: ProblemParams,
         return 0.0
 
     def integrand(s):
-        loc = GridPoints(u, s)  # one location for u and u'
-        du, uv = -u.deriv_at(loc), u.eval_at(loc)
+        loc = Located(g, s)  # one location for u and u'
+        du, uv = -u.deriv_at(loc), u.eval(loc)
         out = np.zeros_like(s)
         live = du > 0
         if gam == 1.0:

@@ -35,10 +35,9 @@ from .measure import (RadonMeasure, Sum, integrate_against, scale, weighting,
                       zero_measure)
 from .params import (DEFAULT_QUAD, Mode, ProblemParams, QuadratureConfig,
                      derive_exponents, validate)
-from .quadrature import log_bisect, panel_nodes
 from .radial_pde import (RadialFunction, dirichlet_energy, marked_grid,
-                         _solve_on_grid, nodewise_max, riesz_ball_mass, slope_table,
-                         solve_points, solve_radial_p_laplace, zero_profile)
+                         _solve_on_grid, nodewise_max, riesz_ball_mass, solve_points,
+                         solve_radial_p_laplace, zero_profile)
 from .wolff import (cutoff_measure, truncated_wolff, wolff_profile,
                     wolff_sup_on_support)
 
@@ -463,7 +462,7 @@ def verify_solution(sol: Solution, sigma_list, q_list, mu,
     lvl = 0.5 * (u.sup_norm if math.isfinite(u.sup_norm) else
                  float(np.max(u.values)))
     if lvl > 0:
-        trunc = _truncated_profile(u, lvl)
+        trunc = u.truncated(lvl)
         e_tr = dirichlet_energy(trunc, params, weight_gamma=1.0, quad=quad)
         reports.append(InequalityReport.build(
             "truncation_energy", e_tr, lvl * max(sol.riesz.total_mass(), _EPS),
@@ -502,23 +501,3 @@ def km_sandwich_ratio(nu: RadonMeasure, u: RadialFunction, samples,
         if u_x > 0 and inf_b + w_2r > 0:
             worst = max(worst, u_x / (inf_b + w_2r))
     return worst
-
-
-def _truncated_profile(u: RadialFunction, level: float) -> RadialFunction:
-    """min(u, level).  For solver output the kink radius, where u falls
-    through level, is a node, and the segment table holds u's slope at each
-    segment's Gauss points beyond it and 0 inside."""
-    above = u.values >= level
-    if u._partial is None or above.all() or not above.any():
-        deriv = None if u.deriv is None else np.where(above, 0.0, u.deriv)
-        return RadialFunction(u.grid, np.minimum(u.values, level), u.tail_coeff,
-                              u.tail_exp, min(u.center_value, level), deriv)
-    i = int(np.argmin(above)) - 1  # the last node at or above level
-    kink = log_bisect(lambda r: u.eval(r) < level, u.grid[i:i + 1], u.grid[i + 1:i + 2],
-                      1e-15)[1][0]
-    g = np.union1d(u.grid, [kink])
-    inside = g < kink
-    vals, deriv = np.where(inside, level, np.minimum(u.eval(g), level)), u.deriv_at(g)
-    nodes = panel_nodes(g, len(u._partial))[0]
-    return RadialFunction(g, vals, u.tail_coeff, u.tail_exp, level, np.where(inside, 0.0, deriv),
-                          partial=slope_table(g, np.where(nodes > kink, -u.deriv_at(nodes), 0.0)))

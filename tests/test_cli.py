@@ -63,13 +63,16 @@ def test_wolff_without_measure_writes_zeros(tmp_path):
     ("points", "[null]", "ConfigError"), ("truncations", '["x"]', "ConfigError"),
     ("points", "5", "ConfigError"), ("truncations", "5", "ConfigError"),
     ("measure", '{"x": 1}', "ConfigError"), ("output", "5", "ConfigError"),
+    ("output", '""', "ConfigError"), ("output", '"sub/w.csv"', "ConfigError"),
 ])
 def test_wolff_nonfinite_input_typed_error(tmp_path, capsys, field, literal, error):
     # a NaN truncation radius gave 0.0 and a NaN coordinate a silent value;
     # a point of too many coordinates is numerical (exit 3), and an entry
     # that is not a number, a field that is not a list, a measure that is
-    # not a name or an output that is not a string a configuration error
-    # (exit 2), the last after every point had run
+    # not a name or an output that is not a plain file name a configuration
+    # error (exit 2), the last after every point had run (an empty output
+    # with an IsADirectoryError, one in a missing directory with a
+    # FileNotFoundError)
     doc = {"params": BASE_PARAMS,
            "measures": {"d0": {"type": "atom", "location": [0, 0, 0], "weight": 1.0}},
            "command": {"measure": "d0", "points": [0.5], "truncations": [1.0],
@@ -574,6 +577,21 @@ def test_report_empty_inputs_exit_2(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["report", "--out", str(tmp_path), str(empty)]) == 2
+
+
+@pytest.mark.parametrize("bad", ["not json", "[1, 2]"])
+def test_report_bad_line_exit_2(tmp_path, capsys, bad):
+    # a line that is not JSON ended in a JSONDecodeError, and one that is
+    # not an object in an AttributeError
+    src = tmp_path / "in.jsonl"
+    src.write_text('{"check": "picone", "ratio": 0.5}\n\n' + bad + "\n")
+    out = tmp_path / "rep"
+    assert main(["report", "--out", str(out), "--json-errors", str(src)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ConfigError"
+    assert f"{src} line 3" in err["message"]
+    assert not out.exists()
 
 
 def test_csv_profile_loading(tmp_path):

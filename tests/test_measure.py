@@ -16,9 +16,9 @@ from wolfflab import (Atom, NegativeRadius, NegativeScale, QuadratureConfig,
                       riesz_measure_of, scale, solve_radial_p_laplace,
                       support_radius, total_mass, zero_measure)
 from wolfflab.families import family_density, family_density_fn
-from wolfflab.measure import (_EVEN_SWITCH, TablePoints, _cap_area, cap_fraction,
-                              weighting)
+from wolfflab.measure import _EVEN_SWITCH, _cap_area, cap_fraction, weighting
 from wolfflab.params import unit_ball_volume
+from wolfflab.quadrature import Located
 from wolfflab.radial_pde import RadialFunction
 
 from oracles import MC_LENS_VOLUME, mc_lens_volume, sphere_intersection_volume
@@ -468,7 +468,7 @@ def test_located_masses_match_centered_mass(n, log_lo, from_zero, kind, scales, 
     r = np.concatenate([[0.0, grid[0] * 1e-3], edges, inside,
                         0.5 * (edges[1:] + edges[:-1]), edges[-1] * np.array([1.5, 1e3])])
     got = mu.centered_mass(r)
-    assert np.array_equal(mu.mass_at(TablePoints(edges, r)), got)
+    assert np.array_equal(mu.mass_at(Located(edges, r)), got)
     checked = (r >= grid[0]) | (kind == "power" or not from_zero)
     np.testing.assert_allclose(got[checked], _scipy_centered_mass(mu, fn, r[checked]),
                                rtol=1e-13, atol=0.0)
@@ -548,10 +548,10 @@ def test_table_location_is_tied_to_its_edges():
     t = RadialDensity(3, grid, fn(grid), density_fn=fn)
     r = np.array([0.05, 3.0, 300.0])
     twice = RadialDensity(3, grid.copy(), 2.0 * fn(grid), density_fn=lambda s: 2.0 * fn(s))
-    assert np.array_equal(twice.mass_at(TablePoints(t._edges, r)), 2.0 * t.centered_mass(r))
+    assert np.array_equal(twice.mass_at(Located(t._edges, r)), 2.0 * t.centered_mass(r))
     with pytest.raises(ValueError, match="other edges"):
         RadialDensity(3, grid * 2.0, fn(grid), density_fn=fn).mass_at(
-            TablePoints(t._edges, r))
+            Located(t._edges, r))
 
 
 def test_weighting_locates_a_weight_on_another_grid_afresh(quad):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wolfflab.quadrature import (decade_tail, gauss_partial_basis, gauss_partial_coeffs,
-                                 gauss_rule, kronrod_rule, kronrod_sum, panel_nodes,
-                                 panel_sum, panelize, power_law_head)
+from wolfflab.quadrature import (Located, decade_tail, gauss_partial_basis, gauss_rule,
+                                 kronrod_rule, kronrod_sum, panel_nodes, panel_sum, panelize,
+                                 power_law_head, segment_integral, segment_integrand,
+                                 segment_table)
 
 
 # -- panel sum ---------------------------------------------------------------
@@ -253,14 +254,45 @@ def test_partial_gauss_integrates_the_interpolant():
     # sum_m coeffs_m B_m(y) is the integral from -1 to y of the interpolant
     # through the Gauss nodes: exact for polynomials of degree < k, zero at
     # y = -1 and the Gauss rule at y = 1
+    # (a table on segments of half width 1 holds the coefficients themselves)
     k = 8
     x, w = gauss_rule(k)
     y = np.linspace(-1.0, 1.0, 9)
     basis = gauss_partial_basis(y, k)
     for deg in range(k):
         want = (y ** (deg + 1) - (-1.0) ** (deg + 1)) / (deg + 1)
-        np.testing.assert_allclose(gauss_partial_coeffs(x ** deg) @ basis, want,
-                                   rtol=0.0, atol=4e-15)
+        coeffs = segment_table(np.array([-1.0, 1.0]), [x ** deg])[:, 0]
+        np.testing.assert_allclose(coeffs @ basis, want, rtol=0.0, atol=4e-15)
     assert np.array_equal(basis[:, 0], np.zeros(k))
-    weights = gauss_partial_coeffs(np.eye(k)) @ gauss_partial_basis(np.ones(1), k)
+    unit = segment_table(2.0 * np.arange(k + 1.0), np.eye(k))  # node j's polynomial
+    weights = unit.T @ gauss_partial_basis(np.ones(1), k)
     np.testing.assert_allclose(weights.ravel(), w, rtol=1e-14, atol=0.0)
+    # a segment table on uneven edges, at the mass tables' k = 10 and the
+    # solve's k = 16: at located radii its integral from the left edge and
+    # its interpolant are exact; on an edge the integral is exactly 0 and
+    # the last edge lies beyond the segments, where the whole last segment
+    # is the Gauss rule
+    edges = np.array([0.0, 0.07, 0.2, 0.21, 0.55, 1.0])
+    r = np.concatenate([edges, edges[:-1] + 0.37 * np.diff(edges), [0.999999, 0.2000001]])
+    rng = np.random.default_rng(5)
+    for k in (10, 16):
+        loc = Located(edges, r)
+        assert np.array_equal(loc.on_edge()[1], np.arange(len(edges)))
+        assert np.array_equal(loc.r_beyond, [1.0]) and len(loc.idx) == len(r) - 1
+        for deg in range(k):
+            poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, deg + 1))
+            prim, scale = poly.integ(), np.sum(np.abs(poly.coef))
+            table = segment_table(edges, poly(panel_nodes(edges, k)[0]))
+            part = segment_integral(table, loc)
+            np.testing.assert_allclose(part, prim(loc.r) - prim(edges[loc.idx]),
+                                       rtol=0.0, atol=1e-14 * scale)
+            assert np.all(part[loc.y == -1.0] == 0.0)
+            np.testing.assert_allclose(np.cumsum(2.0 * table[0]), prim(edges[1:]) - prim(0.0),
+                                       rtol=0.0, atol=1e-14 * scale)
+            # the interpolant: on an edge and within 1e-6 of a segment's end
+            # the Legendre form carries its coefficients' rounding times
+            # sum (2m + 1) = k^2 (1.2e-14 here at k = 16)
+            err = np.abs(segment_integrand(table, loc) - poly(loc.r))
+            near_end = np.abs(loc.y) > 0.99
+            assert np.all(err[~near_end] <= 1e-14 * scale)
+            assert np.all(err[near_end] <= k * k * np.finfo(float).eps * scale)

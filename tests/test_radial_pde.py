@@ -11,6 +11,7 @@ from wolfflab import (DivergentTail, NonMonotoneProfile, NonRadialMeasure,
                       riesz_measure_of, scale, solve_minimal, solve_radial_p_laplace,
                       truncated_wolff, Atom)
 from wolfflab.families import family_density, random_density
+from wolfflab.quadrature import Located
 from wolfflab.radial_pde import riesz_ball_mass
 
 
@@ -320,7 +321,7 @@ def test_located_eval_matches_eval(log_lo, width, vals, slopes, monotone, center
     # node, for profiles with zero values, with and without node slopes,
     # with the monotone slopes of potential profiles (positive values) and
     # an infinite center value
-    from wolfflab.radial_pde import GridPoints, monotone_deriv
+    from wolfflab.radial_pde import monotone_deriv
     grid = np.geomspace(10.0 ** log_lo, 10.0 ** (log_lo + width), 12)
     deriv = None if slopes is None else -np.array(slopes)
     vals = [np.array(v) + 1.0 if monotone else np.array(v) for v in vals]
@@ -330,21 +331,23 @@ def test_located_eval_matches_eval(log_lo, width, vals, slopes, monotone, center
     between = grid[0] * (grid[-1] / grid[0]) ** np.array(fracs)
     r = np.concatenate([[0.0], grid[0] * np.array([1e-3, 0.5]), grid, between,
                         np.sqrt(grid[1:] * grid[:-1]), grid[-1] * np.array([1.5, 1e3])])
-    loc = GridPoints(f, r)
+    loc = Located(f.grid, r)
     for h in (f, f2):
         want = _reference_eval(h, r)
         assert np.array_equal(h.eval(r), want, equal_nan=True)
-        assert np.array_equal(h.eval_at(loc), want, equal_nan=True)
+        assert np.array_equal(h.eval(loc), want, equal_nan=True)
     assert f.eval(float(grid[3])) == f.values[3]
+    # a NaN or negative r is no radius: NaN, not the tail or the center value
+    assert np.all(np.isnan(f.eval([math.nan, -grid[3]])))
+    assert np.all(np.isnan(f.deriv_at([math.nan, -grid[3]])))
 
 
 def test_location_is_tied_to_its_grid():
-    from wolfflab.radial_pde import GridPoints
     grid = np.geomspace(1e-2, 1e2, 9)
     f = RadialFunction(grid, 1.0 / grid)
     other = RadialFunction(grid * 1.5, 1.0 / grid)
     same = RadialFunction(grid.copy(), 2.0 / grid)
-    loc = GridPoints(f, [0.3, 3.0])
-    assert np.array_equal(same.eval_at(loc), same.eval([0.3, 3.0]))
+    loc = Located(f.grid, [0.3, 3.0])
+    assert np.array_equal(same.eval(loc), same.eval([0.3, 3.0]))
     with pytest.raises(ValueError, match="another grid"):
-        other.eval_at(loc)
+        other.eval(loc)

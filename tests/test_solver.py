@@ -443,14 +443,13 @@ def test_picard_locates_fixed_sets_once_per_solve(monkeypatch):
     # the solve reads its head fit from the composed masses: on this
     # atom-free problem 10 and 30 allowed steps build the same number of
     # locations
-    from wolfflab.measure import TablePoints
-    from wolfflab.radial_pde import GridPoints
+    from wolfflab.quadrature import Located
     sizes = []
-    for cls in (GridPoints, TablePoints):
-        def counted(self, owner, r, _init=cls.__init__):
-            sizes.append(np.size(r))
-            _init(self, owner, r)
-        monkeypatch.setattr(cls, "__init__", counted)
+
+    def counted(self, edges, r, _init=Located.__init__):
+        sizes.append(np.size(r))
+        _init(self, edges, r)
+    monkeypatch.setattr(Located, "__init__", counted)
     seen = []
     for max_iter in (10, 30):
         sigma, q, pp, quad = _unconverged_run(max_iter)
