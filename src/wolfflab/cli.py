@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -49,11 +50,16 @@ EXIT_NOT_CONVERGED = 4
 EXIT_CHECK_FAILED = 5
 
 
+# the command names and, by name, the functions they run: looked up per
+# call, so a function patched on this module is the one called
+_COMMANDS = {"wolff": "cmd_wolff", "solve": "cmd_solve", "verify": "cmd_checks",
+             "suite": "cmd_checks", "report": "cmd_report"}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[_COMMANDS[args.cmd]](args)
     except (ConfigError, ZeroMeasure, UnboundedCondition) as e:
         _emit_error(args, type(e).__name__, str(e))
         return EXIT_CONFIG
@@ -65,15 +71,15 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built once a process."""
     parser = argparse.ArgumentParser(
         prog="wolfflab",
         description="Nonlinear-potential laboratory: Wolff potentials, radial "
                     "p-Laplace solves and inequality verification.")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, fn in (("wolff", cmd_wolff), ("solve", cmd_solve),
-                     ("verify", cmd_checks), ("suite", cmd_checks),
-                     ("report", cmd_report)):
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=(name != "report"))
         sp.add_argument("--seed", type=int, default=None)
@@ -82,7 +88,6 @@ def _build_parser():
         sp.add_argument("--json-errors", action="store_true")
         if name == "report":
             sp.add_argument("inputs", nargs="*")
-        sp.set_defaults(func=fn)
     return parser
 
 

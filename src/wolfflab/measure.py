@@ -145,9 +145,10 @@ class RadonMeasure:
         return _shape_like(self._ball_mass(center, r), radius)
 
     def centered_mass(self, r):
-        """mu(B(0, r)); exact for every supported class."""
+        """mu(B(0, r)); exact for every supported class, NaN at a NaN r."""
         r = np.asarray(r, dtype=float)
-        out = self._centered_mass(np.atleast_1d(r).ravel().astype(float))
+        flat = np.atleast_1d(r).ravel()
+        out = np.where(np.isnan(flat), np.nan, self._centered_mass(flat))
         return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
     def total_mass(self) -> float:
@@ -360,9 +361,9 @@ class RadialDensity(RadonMeasure):
         self.dim, self.lo_cut, self._hi, self._density = int(dim), float(edges[0]), hi, density
         self._window_k = int(window_k or DEFAULT_QUAD.window_gauss_order)
         self._nwn = self.dim * unit_ball_volume(self.dim)
-        self._layout, self._shell = layout, shell  # see _table_layout, _piece_masses
+        self._layout, self._shell = layout, shell  # see _table_layout, _pieces
         self._edges, self._piece_mass = edges, piece_mass
-        self._coef, self._e0 = coef, e0  # see _piece_masses
+        self._coef, self._e0 = coef, e0  # see _pieces
         self._cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
         self.tail = tail if tail is not None and tail[0] > 0 and math.isinf(hi) else None
         self._tail_total = 0.0
@@ -581,18 +582,26 @@ def _shell(density, dim):
 
 def _piece_masses(shell, layout, vals):
     """Piece masses of the values vals of the function shell at a
-    _table_layout's points; the segment_table of the pieces' Gauss-point
-    values (unused for a first piece from 0); and the exponent e of a first
-    piece [0, b], whose mass grows like r^e, e = b shell(b) / its mass (1
-    without one).  shell itself is called only in the head's stub."""
+    _table_layout's points and the exponent e of a first piece [0, b],
+    whose mass grows like r^e, e = b shell(b) / its mass (1 without one).
+    shell itself is called only in the head's stub."""
     edges, points, weights, piece, head = layout
-    per_panel = vals[:weights.size].reshape(weights.shape)
-    sums = (per_panel * weights).sum(axis=1)
+    sums = (vals[:weights.size].reshape(weights.shape) * weights).sum(axis=1)
     masses = np.bincount(piece, sums, minlength=len(edges) - 1)
     e0 = 1.0
     if head is not None:  # the head's fit points, then the piece's end
         masses[0] += power_law_head(shell, head, vals[-4:-1])
         e0 = edges[1] * vals[-1] / masses[0] if masses[0] > 0 else 1.0
+    return masses, e0
+
+
+def _pieces(shell, layout, vals):
+    """Piece masses, their partial-mass table and the first-piece exponent:
+    _piece_masses with the segment_table of the pieces' Gauss-point values
+    (unused for a first piece from 0), which a density keeps."""
+    edges, weights = layout[0], layout[2]
+    per_panel = vals[:weights.size].reshape(weights.shape)
+    masses, e0 = _piece_masses(shell, layout, vals)
     return masses, segment_table(edges, per_panel[len(per_panel) - len(masses):]), e0
 
 
@@ -602,7 +611,7 @@ def _laid_out(density, dim, grid, lo_cut, hi):
     lo_cut and hi."""
     layout, shell = _table_layout(grid, lo_cut, hi), _shell(density, dim)
     vals = shell(layout[1])
-    return (layout, vals) + _piece_masses(shell, layout, vals)
+    return (layout, vals) + _pieces(shell, layout, vals)
 
 
 class Sum(RadonMeasure):
@@ -783,7 +792,7 @@ def weighting(comp: RadonMeasure, wgrid, pts):
         gf = np.maximum(f * np.maximum(g.eval(on_g[0]), 0.0), 0.0)
         density, vals = _product_density(comp, g), gf * comp._nwn * pw
         m = RadialDensity._table(comp.dim, layout, vals,
-                                 *_piece_masses(_shell(density, comp.dim), layout, vals),
+                                 *_pieces(_shell(density, comp.dim), layout, vals),
                                  _product_tail(comp, g), density, comp._hi, comp._window_k)
         return m, m.mass_at(at_pts)
     return table

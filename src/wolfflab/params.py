@@ -179,10 +179,12 @@ class QuadratureConfig:
         return replace(self, points_per_decade=self.points_per_decade * factor)
 
     # resolutions derived from points_per_decade so a single knob
-    # refines every quadrature consistently
+    # refines every quadrature consistently; panels_per_decade is the
+    # start of pointwise rows, the one resolution the Kronrod estimate
+    # refines (bisected up to 4 times, wolff._point_resolution)
     @property
     def panels_per_decade(self) -> int:
-        return max(2, self.points_per_decade // 16)
+        return max(2, self.points_per_decade // 32)
 
     @property
     def gauss_order(self) -> int:

@@ -139,8 +139,12 @@ class RadialFunction:
         except on the grid of solver output, where it is minus the integrand
         of the segment table eval integrates, and the stored slope at nodes."""
         loc = r if isinstance(r, Located) else Located(self.grid, r)
-        out = np.ravel(-self.abs_deriv.eval(loc))
-        if self._partial is not None:
+        if self._partial is None:
+            out = np.ravel(-self.abs_deriv.eval(loc))
+        else:  # abs_deriv only off the table
+            out = np.empty(loc.size)
+            off = ~loc.mid
+            out[off] = -np.ravel(self.abs_deriv.eval(loc.radii[off]))
             out[loc.mid] = -segment_integrand(self._partial, loc)
             at, node = loc.on_edge()
             out[at] = self.deriv[node]

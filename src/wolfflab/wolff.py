@@ -86,8 +86,9 @@ def truncated_wolff(mu: RadonMeasure, x, R: float, params: ProblemParams,
 
 def _point_resolution(quad):
     """(Gauss order, panels per decade, bisection depth, extent tolerance)
-    of a pointwise value."""
-    return quad.gauss_order, quad.panels_per_decade, 3, quad.rel_tol * 1e-2
+    of a pointwise value: a coarse start that the Kronrod estimate refines
+    where it needs to, down to 2^4 times the starting panels a decade."""
+    return quad.gauss_order, quad.panels_per_decade, 4, quad.rel_tol * 1e-2
 
 
 def _split(mu):

@@ -34,6 +34,20 @@ def test_wolff_dirac_csv(tmp_path):
     assert vals == pytest.approx([2.0, 1.0, 0.5], rel=1e-9)
 
 
+def test_parser_built_once_and_commands_dispatched_by_name(tmp_path, monkeypatch):
+    # one parser a process; main looks the command's function up when it
+    # runs, so a function patched on the module is the one called
+    from wolfflab import cli
+    parser = cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_checks", lambda args: seen.append(args.cmd) or 0)
+    cfg = write_config(tmp_path, {"params": BASE_PARAMS})
+    for name in ("verify", "suite"):
+        assert main([name, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert seen == ["verify", "suite"]
+    assert cli._parser() is parser
+
+
 def test_wolff_empty_points(tmp_path):
     cfg = write_config(tmp_path, {
         "params": BASE_PARAMS,

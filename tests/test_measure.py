@@ -84,6 +84,21 @@ def test_monte_carlo_oracle_consistency():
 
 # -- shells -------------------------------------------------------------------
 
+@pytest.mark.parametrize("kind", ["tailed", "no_tail", "shell", "atom"])
+def test_centered_mass_of_nan_radius_is_nan(kind):
+    # a NaN is no radius: not the total mass (a density's table puts it past
+    # the last edge) and not 0 (a shell's or atom's comparison is False)
+    g = np.geomspace(1e-2, 1e2, 9)
+    mu = {"tailed": lambda: RadialDensity(3, g, np.exp(-g), tail=(1.0, 5.0)),
+          "no_tail": lambda: RadialDensity(3, g, np.exp(-g)),
+          "shell": lambda: SphericalShell(3, 1.0, 2.0),
+          "atom": lambda: Atom([0.5, 0.0, 0.0], 1.5)}[kind]()
+    assert math.isnan(mu.centered_mass(math.nan))
+    got = mu.centered_mass([0.7, math.nan, 50.0])
+    assert math.isnan(got[1]) and not np.any(np.isnan(got[[0, 2]]))
+    assert got[2] == mu.centered_mass(50.0)
+
+
 def test_shell_centered_and_offcenter():
     sh = SphericalShell(3, 1.0, 2.0)
     assert sh.centered_mass(0.5) == 0.0

@@ -262,6 +262,35 @@ def test_refinement_only_splits_unconverged_panels(quad, monkeypatch):
     assert got.value == pytest.approx(_newton_wolff(fn, 3, 4.0, math.inf), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_pointwise_value_does_not_depend_on_the_start(n, quad, monkeypatch):
+    # pointwise rows start at panels_per_decade and the Kronrod estimate
+    # refines them: a start 4x finer moves no value by more than 1e-13 and
+    # no converged flag, from p near 1 to p near n, on a tailed family, a
+    # cut one, a shell and an off-center atom seen from near and far points
+    wolff_module = sys.modules["wolfflab.wolff"]
+    start = wolff_module._point_resolution
+
+    def finer(q):
+        k, ppd, refine, ext_tol = start(q)
+        return k, 4 * ppd, refine, ext_tol
+
+    e = np.eye(n)
+    mu = Sum([family_density(n, 1.3, 0.8, n / 2.0 + 0.7, quad),
+              family_density(n, 0.6, 1.5, n / 2.0 + 0.4, quad, cut=2.2),
+              SphericalShell(n, 1.1, 0.4), Atom(0.9 * e[1], 0.3)])
+    points = [0.35 * e[0], 1.05 * (e[0] + e[2]) / math.sqrt(2.0), 2.9 * e[0]]
+    for p in (1.05, 2.0, n - 0.1):
+        pp = params(n, p, 0.5 * (p - 1.0), 1.0)
+        got = [wolff(mu, x, pp, quad) for x in points]
+        monkeypatch.setattr(wolff_module, "_point_resolution", finer)
+        want = [wolff(mu, x, pp, quad) for x in points]
+        monkeypatch.setattr(wolff_module, "_point_resolution", start)
+        for a, b in zip(got, want):
+            assert a.value == pytest.approx(b.value, rel=1e-13, abs=0.0)
+            assert a.converged == b.converged
+
+
 def _newton_wolff(fn, n, d, cut):
     """W_{1,2} of the radial density fn on B(0, cut) at |x| = d by Newton's
     theorem, (d^{2-n} mu(B(0, d)) + int_{|y| > d} |y|^{2-n} dmu) / (n - 2),
