@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ExponentError
+from .errors import ConfigError, ExponentError, WolffLabError
 from .families import family_density_fn
 from .measure import (Atom, RadialDensity, RadonMeasure, SphericalShell, Sum,
                       zero_measure)
@@ -88,7 +88,6 @@ def _parse_params(section) -> ProblemParams:
             raise ConfigError(f"params.gamma: cannot parse {gamma!r}")
     q_list = tuple(float(x) for x in q) if isinstance(q, (list, tuple)) else (float(q),)
     pp = ProblemParams(n=n, p=p, q_list=q_list, gamma=float(gamma))
-    from .errors import WolffLabError
     try:
         return validate(pp)
     except WolffLabError as e:

@@ -21,11 +21,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ExponentError, InfiniteEnergy
-from .measure import (Atom, RadonMeasure, Sum, add, integrate_against,
+from .measure import (RadonMeasure, Sum, _split, add, integrate_against,
                       multiply_radial)
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
 from .radial_pde import RadialFunction, dirichlet_energy
-from .wolff import _split, wolff, wolff_profile
+from .wolff import wolff, wolff_profile
 
 DEFAULT_BOUND = 1e3
 _PICONE_SLACK = 1e-6  # relative quadrature slack of the Picone bound
@@ -70,10 +70,6 @@ class InequalityReport:
         return asdict(self)
 
 
-def _has_atoms(mu: RadonMeasure) -> bool:
-    return any(isinstance(c, Atom) and c.weight > 0 for c in mu.components())
-
-
 def wolff_energy(mu: RadonMeasure, gamma: float, params: ProblemParams,
                  quad: QuadratureConfig = DEFAULT_QUAD,
                  profile: RadialFunction = None) -> float:
@@ -89,7 +85,7 @@ def wolff_energy(mu: RadonMeasure, gamma: float, params: ProblemParams,
         return mu.total_mass()
     if mu.total_mass() == 0.0:
         return 0.0
-    if _has_atoms(mu):
+    if _split(mu)[1]:
         return math.inf
     prof = profile if profile is not None else wolff_profile(mu, params, quad)
     return integrate_against(mu, lambda s: prof.eval(s) ** gamma, quad)
@@ -141,7 +137,7 @@ def check_mutual_energy_estimate(sigma: RadonMeasure, mu: RadonMeasure,
     validate(params)
     p, g = params.p, gamma
     mu_prof = None
-    if mu.total_mass() > 0 and not _has_atoms(mu) and mu.is_radial:
+    if mu.total_mass() > 0 and not _split(mu)[1] and mu.is_radial:
         mu_prof = wolff_profile(mu, params, quad)
     lhs = mutual_energy(sigma, mu, g, q, params, quad, mu_profile=mu_prof)
     e_mu = wolff_energy(mu, g, params, quad, profile=mu_prof)

@@ -13,12 +13,14 @@ import math
 
 import numpy as np
 
+from .energy import InequalityReport, sigma_energy, wolff_energy
 from .errors import ModeMismatch
 from .measure import RadonMeasure
 from .params import (DEFAULT_QUAD, Mode, ProblemParams, QuadratureConfig,
                      derive_exponents, unit_ball_volume, validate)
-from .quadrature import panel_sum
+from .quadrature import panel_sum, power_integral
 from .radial_pde import RadialFunction
+from .wolff import wolff_profile
 
 
 def rearrange(u: RadialFunction, params: ProblemParams) -> RadialFunction:
@@ -87,24 +89,15 @@ def lorentz_norm(u: RadialFunction, r_idx: float, rho_idx: float,
 
 def _ends(f: RadialFunction, e_head: float, rho_idx: float, last: int) -> float:
     """Closed-form power-law parts of int (t^{1/r} f*(t))^rho dt/t below
-    the first node and past the last positive node; inf when either
-    diverges."""
+    the first node, where f* = v (t/t[0])^a (v = f*(t[0]) and its head
+    slope for an infinite center, else the center value and a = 0), and
+    past the last positive node; inf when either diverges."""
     t = f.grid
-    total = 0.0
-    if math.isinf(f.center_value):
-        a = f.head_slope
-        if a is not None:
-            e = e_head + rho_idx * a
-            if e <= -1.0:
-                return math.inf
-            total += f.values[0] ** rho_idx * t[0] ** (e_head + 1.0) / (e + 1.0)
-    elif f.center_value > 0:
-        total += f.center_value ** rho_idx * t[0] ** (e_head + 1.0) / (e_head + 1.0)
+    v, a = (f.values[0], f.head_slope) if math.isinf(f.center_value) else (f.center_value, 0.0)
+    total = 0.0 if a is None or not v > 0 else power_integral(
+        v ** rho_idx * t[0] ** (e_head + 1.0), e_head + rho_idx * a, 0.0, 1.0)
     if f.tail_coeff > 0:
-        e = e_head - rho_idx * f.tail_exp
-        if e >= -1.0:
-            return math.inf
-        total += f.tail_coeff ** rho_idx * t[last] ** (e + 1.0) / (-e - 1.0)
+        total += power_integral(f.tail_coeff ** rho_idx, e_head - rho_idx * f.tail_exp, t[last])
     return total
 
 
@@ -136,9 +129,6 @@ def check_lorentz_embedding(mu: RadonMeasure, gamma: float,
                             quad: QuadratureConfig = DEFAULT_QUAD,
                             bound: float = 1e3):
     """Lorentz norm of the potential profile against the gamma-energy."""
-    from .energy import InequalityReport, wolff_energy
-    from .wolff import wolff_profile
-
     validate(params)
     if params.mode is not Mode.FINITE_GAMMA:
         raise ModeMismatch("embedding check needs finite gamma")
@@ -180,8 +170,6 @@ def check_density_conditions(f_exponents, role: str, params: ProblemParams,
     Lorentz spaces over different first indices are not nested on R^n, so
     (s, t) dominates the target only when s matches and t is no larger.
     """
-    from .energy import InequalityReport, wolff_energy, sigma_energy
-
     s, t = f_exponents
     s_star, t_star = density_condition_exponents(params, role)
     dominates = (abs(s - s_star) <= 1e-12 * max(1.0, abs(s_star))) and t <= t_star + 1e-12

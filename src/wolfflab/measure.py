@@ -27,8 +27,8 @@ from .errors import (
     SignError,
 )
 from .params import DEFAULT_QUAD, QuadratureConfig, unit_ball_volume
-from .quadrature import (_HEAD_FIT, Located, decade_tail, panel_nodes, power_law_head,
-                         segment_integral, segment_table)
+from .quadrature import (_HEAD_FIT, Located, decade_tail, panel_nodes, power_integral,
+                         power_law_head, power_tail_radius, segment_integral, segment_table)
 
 _TINY = 1e-300
 # Gauss points of a table piece, and geometric panels of a first piece
@@ -366,12 +366,10 @@ class RadialDensity(RadonMeasure):
         self._coef, self._e0 = coef, e0  # see _pieces
         self._cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
         self.tail = tail if tail is not None and tail[0] > 0 and math.isinf(hi) else None
-        self._tail_total = 0.0
-        if self.tail is not None:
-            A, tau = self.tail
-            e = self.dim - 1 - tau
-            self._tail_total = math.inf if e >= -1.0 else \
-                self._nwn * A * edges[-1] ** (e + 1.0) / (-e - 1.0)
+        # the tail's shell mass n omega_n A s^{n-1-tau} past the last edge, as (c, e): c s^e
+        self._law = None if self.tail is None else \
+            (self._nwn * self.tail[0], self.dim - 1 - self.tail[1])
+        self._tail_total = power_integral(*self._law, edges[-1]) if self.tail else 0.0
         self._total = float(self._cum[-1] + self._tail_total)
 
     @classmethod
@@ -443,9 +441,7 @@ class RadialDensity(RadonMeasure):
         ok = np.flatnonzero(self._total - self._cum[1:] <= target)
         if len(ok):
             return float(self._edges[ok[0] + 1])
-        A, tau = self.tail  # the tail alone holds more: its own radius
-        e = self.dim - 1 - tau
-        return (target * (-e - 1.0) / (self._nwn * A)) ** (1.0 / (e + 1.0))
+        return power_tail_radius(*self._law, target)  # the tail alone holds more
 
     def _scale(self, lam):
         tail = None if self.tail is None else (lam * self.tail[0], self.tail[1])
@@ -461,19 +457,6 @@ class RadialDensity(RadonMeasure):
             self.dim, *_laid_out(self._density, self.dim, self.grid, lo_cut, hi),
             self.tail, self._density, hi, self._window_k)
 
-    def _tail_mass_to(self, r):
-        """Mass between the last edge and radii r >= last edge."""
-        if self._tail_total == 0.0:
-            return np.zeros_like(np.asarray(r, dtype=float))
-        A, tau = self.tail
-        e = self.dim - 1 - tau
-        a = self._edges[-1]
-        r = np.asarray(r, dtype=float)
-        if e == -1.0:
-            return self._nwn * A * np.log(r / a)
-        # expm1 is exactly 0 at r = a, where array and scalar powers may differ
-        return self._nwn * A * a ** (e + 1.0) * np.expm1((e + 1.0) * np.log(r / a)) / (e + 1.0)
-
     def _centered_mass(self, r):
         # a pass at a time: bounds the located basis
         return np.concatenate([self.mass_at(Located(self._edges, r[j:j + _WINDOW_NODES]))
@@ -486,7 +469,8 @@ class RadialDensity(RadonMeasure):
             raise ValueError("radii located on other edges")
         out = np.zeros(loc.size)  # the mass below the first edge
         if len(loc.r_beyond):
-            out[loc.beyond] = cum[-1] + self._tail_mass_to(np.maximum(loc.r_beyond, edges[-1]))
+            out[loc.beyond] = cum[-1] + (power_integral(
+                *self._law, edges[-1], np.maximum(loc.r_beyond, edges[-1])) if self.tail else 0.0)
         i = loc.idx
         if len(i):
             part = segment_integral(self._coef, loc)
@@ -690,6 +674,13 @@ def add(mu: RadonMeasure, nu: RadonMeasure) -> RadonMeasure:
     return Sum([mu, nu])
 
 
+def _split(mu: RadonMeasure):
+    """The components of mu with mass: (radial ones, atoms)."""
+    live = [c for c in mu.components() if c.total_mass() > 0]
+    atoms = [c for c in live if isinstance(c, Atom)]
+    return [c for c in live if not isinstance(c, Atom)], atoms
+
+
 def zero_measure(dim: int) -> RadonMeasure:
     return Atom(np.zeros(dim), 0.0)
 
@@ -742,8 +733,8 @@ def _integrate_density(comp: RadialDensity, g, quad) -> float:
                                            comp._layout,
                                            _weighed(g, comp._layout[1], comp._shell))[0]))
     if comp._tail_total > 0 and math.isfinite(total):
-        A, tau = comp.tail
-        law = lambda s: _weighed(g, s, comp._nwn * A * s ** (comp.dim - 1 - tau))
+        c, e = comp._law
+        law = lambda s: _weighed(g, s, c * s ** e)
         total += decade_tail(law, float(comp._edges[-1]), quad.gauss_order, quad.rel_tol)
     return total
 

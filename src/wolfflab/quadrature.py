@@ -1,6 +1,6 @@
-"""Shared 1-D quadrature kernel: geometric Gauss panels, a closed-form
-power-law head below the first node and a decade-by-decade tail with a
-geometric remainder.
+"""Shared 1-D quadrature kernel: geometric Gauss panels, closed-form power
+laws (heads below the first node, tails, tail radii) and a decade-by-decade
+tail with a geometric remainder.
 
 Every improper radial integral in the package runs through these helpers
 so there is a single tolerance story.  Integrands are piecewise smooth
@@ -253,15 +253,76 @@ def kronrod_sum(f, edges, k: int, grade=None):
     return vals.sum(axis=1), np.abs(vals @ (1.0 - g / w))
 
 
+def power_integral(c, e, a, b=math.inf):
+    """The integral of c s^e over (a, b), elementwise, for c >= 0 and
+    0 <= a <= b <= inf: every closed-form power-law head and tail.
+
+    It is inf where it diverges, which e and the ends alone decide: b = inf
+    with e >= -1, or a = 0 with e <= -1 (a NaN e diverges at either end).
+    It is 0 at a = b and c log(b/a) at e = -1; otherwise it is anchored at
+    a through expm1, exactly 0 at b = a, or at b when a = 0.  Scalars (a
+    float back) and size-1 arrays (an array back) take a math path, inf on
+    overflow; longer arrays compute only the branches they need.
+    """
+    x, ndim = [], -1
+    try:  # .item() of a longer array raises
+        for v in (c, e, a, b):
+            if isinstance(v, np.ndarray):
+                x.append(v.item())
+                ndim = max(ndim, v.ndim)
+            else:
+                x.append(float(v))
+    except ValueError:
+        x = None
+    if x is not None:
+        c1, e1, a1, b1 = x[0], x[1] + 1.0, x[2], x[3]
+        try:
+            if a1 == b1:
+                out = 0.0
+            elif not e1 > 0.0 and a1 == 0.0 or not e1 < 0.0 and b1 == math.inf:
+                out = math.inf
+            elif a1 == 0.0:  # anchored at b
+                out = c1 * b1 ** e1 / e1
+            else:  # anchored at a
+                out = c1 * math.log(b1 / a1) if e1 == 0.0 else \
+                    c1 * a1 ** e1 * math.expm1(e1 * math.log(b1 / a1)) / e1
+        except OverflowError:
+            out = math.inf
+        return out if ndim < 0 else np.array(out, ndmin=ndim)
+    e1, at0, same = np.add(e, 1.0), np.equal(a, 0.0), np.equal(a, b)
+    n0 = np.count_nonzero(at0)  # count_nonzero: cheaper than any()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.where(e1 > 0.0, c * b ** e1 / e1, math.inf) if n0 else 0.0  # anchored at b
+        if n0 < at0.size:  # anchored at a
+            log_ratio = np.log(b / a)
+            at_a = c * a ** e1 * np.expm1(e1 * log_ratio) / e1
+            at_a = np.where(e1 == 0.0, c * log_ratio, at_a) if np.count_nonzero(e1 == 0.0) else at_a
+            if np.count_nonzero(~(e1 < 0.0)):  # diverges at b = inf
+                at_a = np.where(np.isinf(b) & ~(e1 < 0.0), math.inf, at_a)
+            out = np.where(at0, out, at_a) if n0 else at_a
+    return np.where(same, 0.0, out) if np.count_nonzero(same) else out
+
+
+def power_tail_radius(c: float, e: float, m: float) -> float:
+    """The radius R with power_integral(c, e, R) = m, for c > 0, formed as
+    the exp of a log: inf past the double range, and where no tail is that
+    light (e >= -1 or m <= 0)."""
+    try:
+        return math.exp((math.log(m) + math.log(-e - 1.0) - math.log(c)) / (e + 1.0)) \
+            if e < -1.0 and m > 0.0 else math.inf
+    except OverflowError:
+        return math.inf
+
+
 def power_law_head(f, r0, fit=None):
     """Integral of f over (0, r0) for f ~ C r^kappa below r0, elementwise
     over an array of r0.  fit, when known, is f at r0 * (1/4, 1/2, 1), of
     shape (3,) + shape(r0), and f is then called only for a stub.
 
-    kappa is fitted from f(r0/4) and f(r0/2) and the power law is anchored
-    at f(r0).  The head is 0 where f(r0/2) = 0, inf where kappa <= -1 or a
-    fit value is not finite, and where f(r0/4) = 0 < f(r0/2) (a support edge
-    inside (r0/4, r0/2)) the stub is integrated on either side of the edge.
+    kappa is fitted from f(r0/4) and f(r0/2), and the head, in units of r0,
+    is power_integral(f(r0) r0, kappa, 0, 1).  It is 0 where f(r0/2) = 0, inf
+    where a fit value is not finite, and where f(r0/4) = 0 < f(r0/2) (a
+    support edge inside (r0/4, r0/2)) the stub is integrated on either side.
 
     f is called as f(r, cols) with radii r of shape (j,) + shape(r0[cols]),
     column i of a 2-D call belonging to r0[cols][i]: cols is Ellipsis for
@@ -274,8 +335,7 @@ def power_law_head(f, r0, fit=None):
     y_q, y_h, y_0 = y
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kappa = np.log2(y_h / y_q)
-        head = np.where(kappa > -1.0, y_0 * r0 / (kappa + 1.0), math.inf)
-    head = np.where(y_h > 0, head, 0.0)
+        head = np.where(y_h > 0, power_integral(y_0 * r0, kappa, 0.0, 1.0), 0.0)
     stub = (y_q <= 0) & (y_h > 0)
     if np.any(stub):
         cols = np.flatnonzero(stub) if r0.ndim else ...

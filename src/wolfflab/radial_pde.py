@@ -20,8 +20,8 @@ from .errors import DivergentTail, NonMonotoneProfile, NonRadialMeasure
 from .measure import RadialDensity, RadonMeasure
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
 from .quadrature import (_HEAD_FIT, Located, decade_tail, gauss_rule, log_bisect, panel_nodes,
-                         panel_sum, power_law_head, segment_integral, segment_integrand,
-                         segment_table)
+                         panel_sum, power_integral, power_law_head, segment_integral,
+                         segment_integrand, segment_table)
 
 _TINY = 1e-300
 
@@ -437,9 +437,6 @@ def dirichlet_energy(u: RadialFunction, params: ProblemParams,
     # tail: closed form from the analytic profile tail
     if u.tail_coeff > 0:
         A, tau = u.tail_coeff, u.tail_exp
-        coeff = (A * tau) ** p * (A ** (gam - 1.0)) * nwn
-        e = -p * (tau + 1.0) - tau * (gam - 1.0) + (n - 1)
-        if e >= -1.0:
-            return math.inf
-        total += coeff * g[-1] ** (e + 1.0) / (-e - 1.0)
+        total += power_integral((A * tau) ** p * (A ** (gam - 1.0)) * nwn,
+                                -p * (tau + 1.0) - tau * (gam - 1.0) + (n - 1), g[-1])
     return total

@@ -28,10 +28,9 @@ import numpy as np
 
 from .errors import (ModeMismatch, MonotonicityViolated, NotConverged,
                      SubsolutionSearchFailed, UnboundedCondition, ZeroMeasure)
-from .energy import (InequalityReport, _has_atoms, generalized_energy,
-                     sigma_energy, wolff_energy)
+from .energy import InequalityReport, generalized_energy, sigma_energy, wolff_energy
 from .lorentz import lorentz_norm
-from .measure import (RadonMeasure, Sum, integrate_against, scale, weighting,
+from .measure import (RadonMeasure, Sum, _split, integrate_against, scale, weighting,
                       zero_measure)
 from .params import (DEFAULT_QUAD, Mode, ProblemParams, QuadratureConfig,
                      derive_exponents, validate)
@@ -251,7 +250,7 @@ def solve_minimal(sigma_list, q_list, mu, params: ProblemParams,
     sigma_prof = [wolff_profile(s, params, quad) if s.total_mass() > 0 else None
                   for s in sigma_list]
     mu_prof = wolff_profile(mu, params, quad) if (
-        mu.total_mass() > 0 and mu.is_radial and not _has_atoms(mu)) else None
+        mu.total_mass() > 0 and mu.is_radial and not _split(mu)[1]) else None
     energies = {}
     if check_conditions:
         g = params.gamma

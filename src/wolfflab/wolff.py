@@ -9,9 +9,8 @@ distances, and a radial profile is one row per grid distance plus the
 center.  The integrand is piecewise smooth between ball-mass breakpoints
 (atom distances, support edges relative to x), the integral below the
 smallest resolved radius is a local power law handled in closed form, and
-beyond the support the ball mass is constant so the tail integrates
-analytically: ((p-1)/(n-p)) * M^{1/(p-1)} * r0^{-(n-p)/(p-1)}; infinite
-mass is summed decade by decade instead.
+beyond the support the ball mass is constant, so the tail is a power law
+too (quadrature.power_integral); infinite mass is summed decade by decade.
 """
 
 from __future__ import annotations
@@ -23,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadPoint, NonpositiveR, NonRadialMeasure, ZeroMeasure
-from .measure import (Atom, RadialDensity, RadonMeasure, SphericalShell, Sum,
+from .measure import (RadialDensity, RadonMeasure, SphericalShell, Sum, _split,
                       zero_measure)
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
 from .quadrature import (_HEAD_FIT, decade_tail, kronrod_sum, log_bisect, panel_sum,
-                         panelize, power_law_head)
+                         panelize, power_integral, power_law_head)
 from .radial_pde import RadialFunction, marked_grid, monotone_deriv
 
 _TINY = 1e-300
@@ -89,13 +88,6 @@ def _point_resolution(quad):
     of a pointwise value: a coarse start that the Kronrod estimate refines
     where it needs to, down to 2^4 times the starting panels a decade."""
     return quad.gauss_order, quad.panels_per_decade, 4, quad.rel_tol * 1e-2
-
-
-def _split(mu):
-    """The components of mu with mass: (radial ones, atoms)."""
-    live = [c for c in mu.components() if c.total_mass() > 0]
-    atoms = [c for c in live if isinstance(c, Atom)]
-    return [c for c in live if not isinstance(c, Atom)], atoms
 
 
 def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
@@ -230,8 +222,7 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
                                   quad.rel_tol, upper)
     else:
         total = sum(c.total_mass() for c in radial) + float(np.sum(weights))
-        tail = np.where(upper > horizon, total ** ipm1 / e
-                        * (horizon ** (-e) - upper ** (-e)), 0.0)
+        tail = power_integral(total ** ipm1, -e - 1.0, horizon, np.maximum(upper, horizon))
     val = head + core + tail
     val[np.any(dist == 0.0, axis=1)] = math.inf
     exact = np.isinf(val)

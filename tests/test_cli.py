@@ -1,9 +1,13 @@
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
+from wolfflab import Atom, RadialDensity, SphericalShell, Sum
 from wolfflab.cli import main
+from wolfflab.config import load_config
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -149,6 +153,59 @@ def test_solve_manufactured(tmp_path):
     rows = read_csv(tmp_path / "sol.csv")
     assert rows[0] == ["r", "u"]
     assert len(rows) > 100
+
+
+def test_solve_gamma_zero_manufactured(tmp_path):
+    # the intrinsic endpoint on the manufactured sigma: with mu = 0 its
+    # fixed point is the same (1 + r^2)^(-1/2), whose Riesz measure carries
+    # the mass 4 pi of its 1/r tail
+    cfg = write_config(tmp_path, {
+        "params": dict(BASE_PARAMS, gamma=0.0),
+        "measures": {"sigma": {"type": "radial_density",
+                               "profile": {"kind": "family", "a": 3.0,
+                                           "b": 1.0, "c": 2.25}}},
+        "command": {"sigma": ["sigma"], "mu": None,
+                    "reference": {"kind": "family", "a": 1.0, "b": 1.0,
+                                  "c": 0.5},
+                    "output": "sol"},
+    })
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    diag = json.loads((tmp_path / "sol.json").read_text())
+    assert diag["converged"] and diag["mode"] == "gamma_zero"
+    assert diag["params"]["gamma"] == 0.0 and diag["generalized_energy"] is None
+    assert diag["reference_sup_rel_err"] < 1e-4
+    assert diag["extras"]["riesz_mass"] == pytest.approx(4.0 * math.pi, rel=1e-6)
+    rows = np.array(read_csv(tmp_path / "sol.csv")[1:], dtype=float)
+    assert len(rows) > 100
+    np.testing.assert_allclose(rows[:, 1], (1.0 + rows[:, 0] ** 2) ** -0.5, rtol=1e-4)
+
+
+def test_config_measure_types_match_direct_builds(tmp_path):
+    # shell, sum, scaled and an inline table load to the measures built
+    # from the same numbers directly
+    s, f = [0.1, 0.5, 1.0, 2.0], [2.0, 1.5, 1.0, 0.25]
+    shell = {"type": "shell", "radius": 0.7, "mass": 0.45}
+    table = {"type": "radial_density", "profile": {"kind": "table", "s": s, "f": f},
+             "tail": [2.0, 3.5]}
+    cfg = load_config(write_config(tmp_path, {
+        "params": BASE_PARAMS,
+        "measures": {"shell": shell, "table": table,
+                     "sum": {"type": "sum", "terms": [
+                         shell, {"type": "atom", "location": [0.2, 0.0, 0.0], "weight": 0.3}]},
+                     "scaled": {"type": "scaled", "factor": 2.5, "term": table}}}))
+    density = RadialDensity(3, s, f, tail=(2.0, 3.5),
+                            window_order=cfg.quad.window_gauss_order)
+    direct = {"shell": SphericalShell(3, 0.7, 0.45), "table": density,
+              "sum": Sum([SphericalShell(3, 0.7, 0.45), Atom([0.2, 0.0, 0.0], 0.3)]),
+              "scaled": density.scale(2.5)}
+    r = np.array([0.05, 0.3, 0.7, 0.71, 1.5, 3.0, 40.0])
+    for name, want in direct.items():
+        got = cfg.measures[name]
+        assert type(got) is type(want), name
+        assert got.total_mass() == want.total_mass() > 0.0
+        assert np.array_equal(got.centered_mass(r), want.centered_mass(r))
+        assert np.array_equal(got.ball_mass([0.4, 0.1, 0.0], r),
+                              want.ball_mass([0.4, 0.1, 0.0], r))
 
 
 def test_solve_zero_data_exit_2(tmp_path):

@@ -1,14 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad as scipy_quad
 
 from wolfflab.quadrature import (Located, decade_tail, gauss_partial_basis, gauss_rule,
                                  kronrod_rule, kronrod_sum, panel_nodes, panel_sum, panelize,
-                                 power_law_head, segment_integral, segment_integrand,
-                                 segment_table)
+                                 power_integral, power_law_head, power_tail_radius,
+                                 segment_integral, segment_integrand, segment_table)
 
 
 # -- panel sum ---------------------------------------------------------------
@@ -148,6 +150,90 @@ def test_panelize_rejects_bad_rows():
         panelize(0.0, 1.0)
     with pytest.raises(ValueError):
         panelize([1.0, 2.0], [3.0, 2.0])
+
+
+# -- closed-form power integrals -------------------------------------------------
+
+@pytest.mark.parametrize("e", [-3.5, -1.7, -1.0, -0.5, 0.0, 2.3])
+@pytest.mark.parametrize("a, b", [(0.3, 4.0), (1e-3, 0.5), (0.0, 1.5), (0.7, math.inf),
+                                  (2.0, 2.0), (0.0, 0.0)])
+def test_power_integral_matches_quad(e, a, b):
+    c = 1.7
+    got = power_integral(c, e, a, b)
+    if a == b:
+        assert got == 0.0
+    elif (b == math.inf and e >= -1.0) or (a == 0.0 and e <= -1.0):
+        assert got == math.inf
+    else:
+        want = scipy_quad(lambda s: c * s ** e, a, b, epsabs=0.0, epsrel=1e-13,
+                          limit=200)[0]
+        assert got == pytest.approx(want, rel=1e-10)
+        if e == -1.0:
+            assert got == c * math.log(b / a)
+        elif a > 0.0 and b < math.inf:
+            assert got == pytest.approx(c * (b ** (e + 1.0) - a ** (e + 1.0)) / (e + 1.0),
+                                        rel=1e-14)
+
+
+@pytest.mark.parametrize("de", [-1e-9, -1e-13, 1e-13, 1e-9])
+def test_power_integral_next_to_the_log(de):
+    # anchored at a through expm1: no cancellation as e -> -1, where the
+    # difference of powers would keep only a few digits
+    a, b, x = 0.4, 30.0, de * math.log(30.0 / 0.4)
+    want = 2.0 * a ** de * math.log(b / a) * (1.0 + x / 2.0 + x * x / 6.0)
+    assert power_integral(2.0, -1.0 + de, a, b) == pytest.approx(want, rel=1e-15)
+    assert power_integral(2.0, -1.0 + de, a, np.array([b]))[0] == pytest.approx(want,
+                                                                                 rel=1e-15)
+
+
+def test_power_integral_scalar_and_array_agree():
+    rng = np.random.default_rng(7)
+    e = np.concatenate([rng.uniform(-4.0, 2.0, 40), [-1.0, -1.0, 0.0, np.nan, np.nan]])
+    a = np.concatenate([rng.uniform(0.0, 3.0, 40), [0.5, 0.0, 0.0, 0.0, 0.5]])
+    b = a + np.concatenate([rng.uniform(0.0, 5.0, 40), [2.0, 1.0, 1.0, 1.0, np.inf]])
+    a[:5], b[5:10], b[10:15] = 0.0, np.inf, a[10:15]
+    c = rng.uniform(0.1, 5.0, len(e))
+    got = power_integral(c, e, a, b)
+    want = np.array([power_integral(*args) for args in zip(c, e, a, b)])
+    assert all(isinstance(w, float) for w in want)
+    assert np.array_equal(np.isinf(got), np.isinf(want)) and not np.any(np.isnan(got))
+    assert np.array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)  # libm vs SIMD: last bit
+    # a NaN exponent diverges at either improper end; every a = b gives 0
+    assert np.all(np.isinf(got[-2:])) and np.all(got[10:15] == 0.0)
+    # scalar ends broadcast against array coefficients and exponents
+    np.testing.assert_allclose(power_integral(c, e, 0.5, 2.0),
+                               [power_integral(ci, ei, 0.5, 2.0) for ci, ei in zip(c, e)],
+                               rtol=1e-15, atol=0.0)
+
+
+def test_power_integral_overflow_is_inf():
+    assert power_integral(1.0, 400.0, 0.0, 10.0) == math.inf
+    assert power_integral(1.0, -3.0, 1e-200, math.inf) == math.inf
+    assert power_integral(1.0, 2.0, 1e100, 1e200) == math.inf
+
+
+@pytest.mark.parametrize("e", [-1.02, -1.5, -3.0, -7.0])
+@pytest.mark.parametrize("c", [1e-3, 1.0, 50.0])
+def test_power_tail_radius_inverts_the_tail(e, c):
+    for m in (1e-14, 1e-3, 10.0):
+        radius = power_tail_radius(c, e, m)
+        log_radius = (math.log(m * (-e - 1.0) / c)) / (e + 1.0)
+        if math.isinf(radius):  # past the double range
+            assert log_radius > math.log(sys.float_info.max)
+            continue
+        assert power_integral(c, e, radius) == pytest.approx(m, rel=1e-12)
+        assert power_integral(c, e, np.array([radius]))[0] == pytest.approx(m, rel=1e-12)
+        assert radius == pytest.approx((m * (-e - 1.0) / c) ** (1.0 / (e + 1.0)), rel=1e-12)
+
+
+def test_power_tail_radius_edges():
+    # the c = 1.51 family's tail at n = 3: 1e800 reads inf, not OverflowError
+    assert power_tail_radius(1.0, -1.02, 1e-14) == math.inf
+    assert power_tail_radius(1.0, -1.0, 1.0) == math.inf  # no light tail
+    assert power_tail_radius(1.0, -0.5, 1.0) == math.inf
+    assert power_tail_radius(1.0, -2.0, 0.0) == math.inf
+    assert power_tail_radius(2.0, -3.0, 1.0) == 1.0
 
 
 # -- power-law head ------------------------------------------------------------

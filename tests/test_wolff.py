@@ -330,6 +330,39 @@ def test_pointwise_matches_newton_at_default_quad(kind, n, quad):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
+def test_heavy_finite_tails_match_newton(n, quad):
+    # tails s^-tau just past tau = n have finite mass; at tau = n + 0.02 the
+    # radius holding all but 1e-14 of it lies past the double range, formed
+    # in logs it reads inf, and the rows then sum the tail decade by decade
+    pp = params(n, 2.0, 0.5, 1.0)
+    for tau in (n + 0.02, n + 0.1, n + 0.2):
+        mu = family_density(n, 1.0, 1.0, tau / 2.0, quad)
+        assert math.isfinite(mu.total_mass())
+        for rel_tol in (1e-6, 1e-12, 1e-14):
+            assert mu.effective_extent(rel_tol) > mu.grid[-1]
+        for d in (0.5, 2.0):
+            x = np.zeros(n)
+            x[0] = d
+            got = wolff(mu, x, pp, quad)
+            want = _newton_wolff(family_density_fn(1.0, 1.0, tau / 2.0), n, d, math.inf)
+            assert got.converged
+            assert got.value == pytest.approx(want, rel=1e-10)
+
+
+def test_heavy_finite_tail_profile(pp3, quad):
+    # the c = 1.51 family at n = 3: its profile rows sum per-row decade
+    # tails; the profile resolution is good to about 1e-5 here
+    c = 1.51
+    mu = family_density(3, 1.0, 1.0, c, quad)
+    prof = wolff_profile(mu, pp3, quad)
+    assert np.all(np.isfinite(prof.values)) and prof.tail_coeff == pytest.approx(
+        mu.total_mass(), rel=1e-12)
+    for d in (0.5, 2.0, 10.0):
+        want = _newton_wolff(family_density_fn(1.0, 1.0, c), 3, d, math.inf)
+        assert prof.eval(d) == pytest.approx(want, rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_near_field_converged_points_are_within_rel_tol(n, quad):
     # a ball, a shell and a family near their supports: every point
     # converges (at n = 4 too, with graded panel ends; 8 of the 20 did
