@@ -293,7 +293,7 @@ def power_integral(c, e, a, b=math.inf):
     n0 = np.count_nonzero(at0)  # count_nonzero: cheaper than any()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.where(e1 > 0.0, c * b ** e1 / e1, math.inf) if n0 else 0.0  # anchored at b
-        if n0 < at0.size:  # anchored at a
+        if not n0 or n0 < at0.size:  # anchored at a (empty arrays too)
             log_ratio = np.log(b / a)
             at_a = c * a ** e1 * np.expm1(e1 * log_ratio) / e1
             at_a = np.where(e1 == 0.0, c * log_ratio, at_a) if np.count_nonzero(e1 == 0.0) else at_a

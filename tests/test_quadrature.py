@@ -201,6 +201,7 @@ def test_power_integral_scalar_and_array_agree():
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)  # libm vs SIMD: last bit
     # a NaN exponent diverges at either improper end; every a = b gives 0
     assert np.all(np.isinf(got[-2:])) and np.all(got[10:15] == 0.0)
+    assert power_integral(1.0, -2.0, 1.0, np.zeros(0)).shape == (0,)
     # scalar ends broadcast against array coefficients and exponents
     np.testing.assert_allclose(power_integral(c, e, 0.5, 2.0),
                                [power_integral(ci, ei, 0.5, 2.0) for ci, ei in zip(c, e)],
