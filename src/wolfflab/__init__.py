@@ -1,6 +1,12 @@
 """wolfflab: numerical laboratory for Wolff potentials, radial p-Laplace
 problems with measure data, and sub-natural growth equations
--Delta_p u = sum_m sigma^(m) u^{q_m} + mu on R^n."""
+-Delta_p u = sum_m sigma^(m) u^{q_m} + mu on R^n.
+
+The package attribute wolfflab.wolff is the function wolff, which the
+import below binds over the submodule of the same name; so
+`import wolfflab.wolff as W` binds the function too.  The module is
+importlib.import_module("wolfflab.wolff") (or sys.modules["wolfflab.wolff"]).
+"""
 
 from .errors import (BadPoint, ConfigError, DimensionError, DivergentTail,
                      ExponentError, InfiniteEnergy, ModeMismatch,

@@ -93,7 +93,9 @@ class Located:
     """Radii located on increasing edges, free of values: a radius in
     [edges[0], edges[-1]) lies in segment idx (an edge starts its segment)
     at y in [-1, 1); the others lie below the edges or beyond them (NaN
-    beyond)."""
+    beyond).  y, which only segment tables read, is formed on its first
+    read; basis (segment_integral's) and log (RadialFunction.eval's place
+    in log r) are kept for a location read again."""
 
     def __init__(self, edges, r):
         r_in = np.asarray(r, dtype=float)
@@ -102,11 +104,17 @@ class Located:
         self.edges, self.shape, self.size = edges, r_in.shape, len(self.radii)
         self.beyond = seg >= len(edges) - 1
         self.mid = ~self.beyond & (seg >= 0)
-        self.r_beyond, r = self.radii[self.beyond], self.radii[self.mid]
-        i = self.idx = seg[self.mid]
-        a, b, self.r = edges[i], edges[i + 1], r
-        self.y = ((r - a) - (b - r)) / (b - a)  # -1 exactly on the left edge
-        self.basis = self.log = None  # formed once, by segment_integral and eval
+        self.r_beyond, self.r = self.radii[self.beyond], self.radii[self.mid]
+        self.idx = seg[self.mid]
+        self._y = self.basis = self.log = None
+
+    @property
+    def y(self):
+        if self._y is None:
+            i, r = self.idx, self.r
+            a, b = self.edges[i], self.edges[i + 1]
+            self._y = ((r - a) - (b - r)) / (b - a)  # -1 exactly on the left edge
+        return self._y
 
     def on(self, edges) -> bool:
         return edges is self.edges or np.array_equal(edges, self.edges)
@@ -374,38 +382,55 @@ def _stub(f, r0):
 
 def decade_tail(f, start: float, k: int, rel_tol: float,
                 upper: float = math.inf) -> float:
-    """Integral of a decaying power-law tail f over (start, upper).
+    """Integral of a decaying power-law tail f over (start, upper): one row
+    of decade_tails."""
+    return float(decade_tails(lambda _, r: f(r), np.array([float(start)]), k, rel_tol,
+                              upper)[0])
 
-    One decade at a time on four geometric k-point panels.  Once an
-    increment is below rel_tol of the running total, the rest is the
-    geometric series of the last decade ratio, also after 60 decades.
-    Stops exactly at a finite upper and after two zero decades; inf when
-    an increment is not finite or the increments stop decaying.
+
+def decade_tails(f, start, k: int, rel_tol: float, upper: float = math.inf):
+    """Integrals of decaying power-law tails over (start[i], upper), one
+    per row i, where f(row, r) is each radius's row integrand.
+
+    One decade at a time on four geometric k-point panels, every row still
+    summing in one call of f.  Once a row's increment is below rel_tol of
+    its running total, the rest is the geometric series of its last decade
+    ratio, also after 60 decades.  A row stops exactly at a finite upper
+    and after two zero decades; it is inf when an increment is not finite
+    or the increments stop decaying.
     """
-    total = 0.0
-    prev = None
-    ratio = 1.0
-    a = start
-    for _ in range(60):
-        b = min(a * 10.0, upper)
-        if b <= a:
-            return total
-        inc = panel_sum(f, np.geomspace(a, b, 5), k)
-        if not math.isfinite(inc):
-            return math.inf
-        total += inc
-        if b == upper:
-            return total
-        if prev:
-            ratio = inc / prev
-            if ratio >= 1.0:
-                return math.inf
-            if inc <= rel_tol * max(total, _TINY):
-                return total + inc * ratio / (1.0 - ratio)
-        elif prev == 0.0 and inc == 0.0:
-            return total
-        prev = inc
-        a = b
-    if not prev or prev <= rel_tol * max(total, _TINY):
-        return total
-    return total + prev * ratio / (1.0 - ratio) if ratio < 0.999 else math.inf
+    a = np.array(start, dtype=float)
+    out, total, ratio = np.zeros(len(a)), np.zeros(len(a)), np.ones(len(a))
+    prev = np.full(len(a), np.nan)  # the last increment, NaN before the first
+    live = np.ones(len(a), dtype=bool)
+
+    def settle(done, value):  # rows whose integral is known leave the loop
+        out[done] = value[done] if np.ndim(value) else value
+        live[done] = False
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(60):
+            b = np.minimum(a * 10.0, upper)
+            settle(live & (b <= a), total)
+            rows = np.flatnonzero(live)
+            if not len(rows):
+                return out
+            ends = np.geomspace(a[rows], b[rows], 5, axis=1)
+            inc = np.zeros(len(a))
+            inc[rows] = panel_sum(lambda r: f(np.repeat(rows, 4 * k), r),
+                                  (ends[:, :-1], ends[:, 1:]), k, len(rows))
+            settle(live & ~np.isfinite(inc), math.inf)
+            total = np.where(live, total + inc, total)
+            settle(live & (b == upper), total)
+            known = ~np.isnan(prev) & (prev != 0.0)
+            ratio = np.where(live & known, inc / prev, ratio)
+            settle(live & known & (ratio >= 1.0), math.inf)
+            settle(live & known & (inc <= rel_tol * np.maximum(total, _TINY)),
+                   total + inc * ratio / (1.0 - ratio))
+            settle(live & ~known & (prev == 0.0) & (inc == 0.0), total)
+            prev, a = np.where(live, inc, prev), np.where(live, b, a)
+        quiet = np.isnan(prev) | (prev == 0.0) | (prev <= rel_tol * np.maximum(total, _TINY))
+        settle(live & quiet, total)
+        settle(live & (ratio < 0.999), total + prev * ratio / (1.0 - ratio))
+        settle(live, math.inf)
+    return out

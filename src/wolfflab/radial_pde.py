@@ -69,7 +69,8 @@ class RadialFunction:
     def eval(self, r):
         """u at radii r (or located on this grid): monotone log-log
         interpolation on the grid, analytic tail beyond, center value at 0."""
-        loc = r if isinstance(r, Located) else Located(self.grid, r)
+        keep = isinstance(r, Located)  # a location handed in may be read again
+        loc = r if keep else Located(self.grid, r)
         if not loc.on(self.grid):
             raise ValueError("radii located on another grid")
         out = np.full(loc.size, self.center_value)  # the value at r = 0
@@ -77,43 +78,47 @@ class RadialFunction:
         out[low] = self._eval_below(loc.radii[low])
         out[loc.beyond] = self.tail_coeff * loc.r_beyond ** (-self.tail_exp) \
             if self.tail_coeff else 0.0
-        out[loc.mid] = self._eval_grid(loc)
+        out[loc.mid] = self._eval_grid(loc, keep)
         at, node = loc.on_edge()
         out[at] = self.values[node]  # stored node values verbatim, grid[-1] too
         out[~(loc.radii >= 0)] = np.nan  # a NaN or negative r is no radius
         return float(out[0]) if loc.shape == () else out.reshape(loc.shape)
 
-    def _eval_grid(self, loc):
+    def _eval_grid(self, loc, keep):
+        """u at the located segment radii.  A location that may be read
+        again (keep) holds its place in log r for the next read."""
         v, idx = self.values, loc.idx
         v0, v1 = v[idx], v[idx + 1]
         if self._partial is not None:  # solver output
             return np.clip(v0 - segment_integral(self._partial, loc), v1, v0)
-        out = np.empty_like(v0)
         pos = (v0 > 0) & (v1 > 0)
         sel = slice(None) if np.all(pos) else pos  # views when all positive
-        if loc.log is None:  # r's place t in log r, h the segment's width there
-            with np.errstate(divide="ignore", invalid="ignore"):
-                h = self._lng[idx + 1] - self._lng[idx]
-                t = (np.log(loc.r) - self._lng[idx]) / h
-                t2, t3 = t * t, t * t * t
-                loc.log = t, h, (2 * t3 - 3 * t2 + 1, t3 - 2 * t2 + t, -2 * t3 + 3 * t2, t3 - t2)
-        i, t, h = idx[sel], loc.log[0][sel], loc.log[1][sel]
-        y0, y1 = self._lnv[i], self._lnv[i + 1]
-        if self._slope is not None:
-            # cubic Hermite in log-log with the node slopes
-            s0, s1 = self._slope[i] * h, self._slope[i + 1] * h
-            b00, b10, b01, b11 = (b[sel] for b in loc.log[2])
-            val = b00 * y0 + b10 * s0 + b01 * y1 + b11 * s1
-            # keep the interpolant between the node values
-            val = np.clip(val, np.minimum(y0, y1), np.maximum(y0, y1))
-            out[sel] = np.exp(val)
-        else:
-            out[sel] = np.exp(y0 * (1 - t) + y1 * t)
+        i = idx[sel]
+        i1 = i + 1
+        if keep and loc.log is None:
+            loc.log = self._log_place(loc.r, idx)
+        t, h = (x[sel] for x in loc.log) if keep else self._log_place(loc.r[sel], i)
+        y0, y1 = self._lnv[i], self._lnv[i1]
+        if self._slope is None:
+            val = np.exp(y0 * (1 - t) + y1 * t)
+        else:  # cubic Hermite in log-log with the node slopes
+            val = _log_hermite(t, h, y0, y1, self._slope[i], self._slope[i1])
+        if sel is not pos:
+            return val
+        out = np.empty_like(v0)
+        out[pos] = val
         lin = ~pos
         g, i = self.grid, idx[lin]
         t = (loc.r[lin] - g[i]) / (g[i + 1] - g[i])
         out[lin] = v0[lin] * (1 - t) + v1[lin] * t
         return out
+
+    def _log_place(self, r, i):
+        """The place t in log r of radii r in segments i, and h the
+        segments' width there."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = self._lng[i + 1] - self._lng[i]
+            return (np.log(r) - self._lng[i]) / h, h
 
     @property
     def head_slope(self):
@@ -123,7 +128,9 @@ class RadialFunction:
         g, v = self.grid, self.values
         if not math.isinf(self.center_value) or len(v) < 2 or not (v[0] > 0 and v[1] > 0):
             return None
-        return math.log(v[1] / v[0]) / math.log(g[1] / g[0])
+        ratio = v[1] / v[0]  # the difference of the logs where it underflows or overflows
+        rise = math.log(ratio) if 0.0 < ratio < math.inf else math.log(v[1]) - math.log(v[0])
+        return rise / math.log(g[1] / g[0])
 
     def _eval_below(self, r):
         g, v = self.grid, self.values
@@ -213,6 +220,39 @@ class RadialFunction:
         slopes = np.where(nodes > kink, -self.deriv_at(nodes), 0.0)
         return RadialFunction(g, vals, self.tail_coeff, self.tail_exp, level,
                               np.where(inside, 0.0, deriv), segment_table(g, slopes))
+
+
+def _log_hermite(t, h, y0, y1, d0, d1):
+    """exp of the cubic Hermite in log-log at places t in segments of log
+    width h, with end values y0, y1 and node slopes d0, d1 (d log u / d log r),
+    clipped between y0 and y1: h00 y0 + h10 d0 h + h01 y1 + h11 d1 h, summed
+    left to right.  Each basis term is formed in turn in one buffer, by the
+    operations of 2 t^3 - 3 t^2 + 1 etc. in their order, so the bits are
+    those of four basis arrays (d0 and d1 are scaled in place)."""
+    t2 = t * t
+    t3 = t2 * t
+    b, w = np.multiply(t3, 2.0), np.multiply(t2, 3.0)
+    b -= w
+    b += 1.0  # h00 = 2 t^3 - 3 t^2 + 1
+    val = b * y0
+    np.multiply(t2, 2.0, out=w)
+    np.subtract(t3, w, out=b)
+    b += t  # h10 = t^3 - 2 t^2 + t
+    d0 *= h
+    b *= d0
+    val += b
+    np.multiply(t3, -2.0, out=b)
+    np.multiply(t2, 3.0, out=w)
+    b += w  # h01 = -2 t^3 + 3 t^2
+    b *= y1
+    val += b
+    np.subtract(t3, t2, out=b)  # h11 = t^3 - t^2
+    d1 *= h
+    b *= d1
+    val += b
+    # keep the interpolant between the node values
+    np.clip(val, np.minimum(y0, y1), np.maximum(y0, y1), out=val)
+    return np.exp(val, out=val)
 
 
 def nodewise_max(funcs) -> RadialFunction:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -63,13 +64,21 @@ class Solution:
     residual_final: float
     generalized_energy: float = None
     lorentz_norm: float = None
-    lower_bound_ratio: float = None
     iterations_used: int = 0
     converged: bool = False
     mode: Mode = Mode.FINITE_GAMMA
     sup_norm: float = None
     trace: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+    _lower_bound: object = field(default=None, repr=False)  # the ratio, or a call forming it
+
+    @property
+    def lower_bound_ratio(self) -> float:
+        """The lower-bound ratio of a finite-gamma solution (_finalize),
+        formed on the first read; None for the endpoints."""
+        if callable(self._lower_bound):
+            self._lower_bound = self._lower_bound()
+        return self._lower_bound
 
 
 def _as_list(sigma_list):
@@ -245,15 +254,11 @@ def solve_minimal(sigma_list, q_list, mu, params: ProblemParams,
     sigma_list, mu, grid = _inputs(sigma_list, q_list, mu, params, quad,
                                    Mode.FINITE_GAMMA,
                                    "solve_minimal needs finite gamma > 0")
-    # W sigma^(m) of the live terms and W mu for an atom-free mu, used by
-    # the condition energies and the lower-bound ratio
-    sigma_prof = [wolff_profile(s, params, quad) if s.total_mass() > 0 else None
-                  for s in sigma_list]
-    mu_prof = wolff_profile(mu, params, quad) if (
-        mu.total_mass() > 0 and mu.is_radial and not _split(mu)[1]) else None
+    profiles = _lower_bound_profiles(sigma_list, mu, params, quad)
     energies = {}
     if check_conditions:
         g = params.gamma
+        sigma_prof, mu_prof = profiles()
         for m, (sig, q, prof) in enumerate(zip(sigma_list, q_list, sigma_prof)):
             if prof is not None:
                 energies[f"sigma{m}_energy"] = e = sigma_energy(sig, g, q, params,
@@ -270,7 +275,7 @@ def solve_minimal(sigma_list, q_list, mu, params: ProblemParams,
     u0 = start if start is not None else _start(sigma_list, q_list, mu, params,
                                                 quad, grid)
     sol = _picard(sigma_list, q_list, mu, params, quad, u0, grid)
-    _finalize(sol, sigma_list, q_list, mu, params, quad, sigma_prof, mu_prof)
+    _finalize(sol, sigma_list, q_list, mu, params, quad, profiles, check_conditions)
     sol.extras["condition_energies"] = energies
     if not sol.converged:
         raise NotConverged(
@@ -291,26 +296,44 @@ def _start(sigma_list, q_list, mu, params, quad, grid):
                           0.0, np.zeros_like(grid))
 
 
-def _finalize(sol: Solution, sigma_list, q_list, mu, params, quad,
-              sigma_prof, mu_prof):
-    """Energy and Lorentz norm of a finite-gamma solution, and the lower
+def _lower_bound_profiles(sigma_list, mu, params, quad):
+    """A call giving W sigma^(m) of the live terms (None for the others)
+    and W mu for an atom-free mu with mass (else None), the profiles that
+    the condition energies and the lower-bound ratio read; built on the
+    first call only."""
+    @cache
+    def profiles():
+        sigma_prof = [wolff_profile(s, params, quad) if s.total_mass() > 0 else None
+                      for s in sigma_list]
+        mu_prof = wolff_profile(mu, params, quad) if (
+            mu.total_mass() > 0 and mu.is_radial and not _split(mu)[1]) else None
+        return sigma_prof, mu_prof
+    return profiles
+
+
+def _finalize(sol: Solution, sigma_list, q_list, mu, params, quad, profiles, eager):
+    """Energy and Lorentz norm of a finite-gamma solution, and its lower
     bound ratio min over the grid of
-    u / [sum_m (W sigma^(m))^{(p-1)/(p-1-q_m)} + W mu]."""
+    u / [sum_m (W sigma^(m))^{(p-1)/(p-1-q_m)} + W mu] from profiles(): now
+    when eager, else on the first read of Solution.lower_bound_ratio."""
     u = sol.u
     p = params.p
     sol.generalized_energy = generalized_energy(u, sigma_list, q_list, mu,
                                                 params.gamma, params, quad)
     ex = derive_exponents(params)
     sol.lorentz_norm = lorentz_norm(u, ex.lorentz_r, ex.lorentz_rho, params, quad)
-    denom = np.zeros_like(u.grid)
-    for prof, q in zip(sigma_prof, q_list):
-        if prof is not None:
-            denom += np.maximum(prof.eval(u.grid), 0.0) ** ((p - 1.0) / (p - 1.0 - q))
-    if mu_prof is not None:
-        denom += np.maximum(mu_prof.eval(u.grid), 0.0)
-    live = denom > 0
-    if np.any(live):
-        sol.lower_bound_ratio = float(np.min(u.values[live] / denom[live]))
+
+    def ratio():
+        sigma_prof, mu_prof = profiles()
+        denom = np.zeros_like(u.grid)
+        for prof, q in zip(sigma_prof, q_list):
+            if prof is not None:
+                denom += np.maximum(prof.eval(u.grid), 0.0) ** ((p - 1.0) / (p - 1.0 - q))
+        if mu_prof is not None:
+            denom += np.maximum(mu_prof.eval(u.grid), 0.0)
+        live = denom > 0
+        return float(np.min(u.values[live] / denom[live])) if np.any(live) else None
+    sol._lower_bound = ratio() if eager else ratio
 
 
 def solve_with_exhaustion(sigma_list, q_list, mu, params: ProblemParams,

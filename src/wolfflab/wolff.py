@@ -25,7 +25,7 @@ from .errors import BadPoint, NonpositiveR, NonRadialMeasure, ZeroMeasure
 from .measure import (RadialDensity, RadonMeasure, SphericalShell, Sum, _split,
                       zero_measure)
 from .params import DEFAULT_QUAD, ProblemParams, QuadratureConfig, validate
-from .quadrature import (_HEAD_FIT, decade_tail, kronrod_sum, log_bisect, panel_sum,
+from .quadrature import (_HEAD_FIT, decade_tails, kronrod_sum, log_bisect, panel_sum,
                          panelize, power_integral, power_law_head)
 from .radial_pde import RadialFunction, marked_grid, monotone_deriv
 
@@ -217,9 +217,9 @@ def _wolff_rows(radial, atoms, d, dist, params, quad, R, resolution):
     upper = math.inf if R is None else R
     if infinite:
         tail = np.zeros(rows)
-        for i in np.flatnonzero(upper > horizon):
-            tail[i] = decade_tail(lambda r: integrand(i, r), horizon[i], k,
-                                  quad.rel_tol, upper)
+        far = np.flatnonzero(upper > horizon)
+        tail[far] = decade_tails(lambda j, r: integrand(far[j], r), horizon[far], k,
+                                 quad.rel_tol, upper)
     else:
         total = sum(c.total_mass() for c in radial) + float(np.sum(weights))
         tail = power_integral(total ** ipm1, -e - 1.0, horizon, np.maximum(upper, horizon))

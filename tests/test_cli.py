@@ -155,6 +155,35 @@ def test_solve_manufactured(tmp_path):
     assert len(rows) > 100
 
 
+def test_solve_builds_one_profile_per_live_term(tmp_path, monkeypatch):
+    # the condition energies and the lower-bound ratio share one profile
+    # for each sigma term with mass and one for mu
+    import wolfflab.energy
+    import wolfflab.solver
+    built = []
+    for mod in (wolfflab.solver, wolfflab.energy):
+        monkeypatch.setattr(mod, "wolff_profile",
+                            lambda m, *a, _real=mod.wolff_profile, **k:
+                            built.append(m) or _real(m, *a, **k))
+    cfg = write_config(tmp_path, {
+        "params": dict(BASE_PARAMS, q=[0.5, 0.35]),
+        "measures": {"s1": {"type": "radial_density",
+                            "profile": {"kind": "family", "a": 1.0, "b": 1.0, "c": 2.5}},
+                     "s2": {"type": "radial_density",
+                            "profile": {"kind": "family", "a": 0.5, "b": 2.0, "c": 2.0}},
+                     "mu": {"type": "radial_density",
+                            "profile": {"kind": "uniform_ball", "radius": 1.0,
+                                        "density": 0.3}}},
+        "command": {"sigma": ["s1", "s2"], "mu": "mu", "output": "sol"},
+    })
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    diag = json.loads((tmp_path / "sol.json").read_text())
+    assert len(built) == 3 and len({id(m) for m in built}) == 3
+    assert diag["lower_bound_ratio"] > 0
+    assert sorted(diag["extras"]["condition_energies"]) == ["mu_energy", "sigma0_energy",
+                                                            "sigma1_energy"]
+
+
 def test_solve_gamma_zero_manufactured(tmp_path):
     # the intrinsic endpoint on the manufactured sigma: with mu = 0 its
     # fixed point is the same (1 + r^2)^(-1/2), whose Riesz measure carries

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
-from wolfflab.quadrature import (Located, decade_tail, gauss_partial_basis, gauss_rule,
+from wolfflab.quadrature import (Located, decade_tail, decade_tails, gauss_partial_basis,
+                                 gauss_rule,
                                  kronrod_rule, kronrod_sum, panel_nodes, panel_sum, panelize,
                                  power_integral, power_law_head, power_tail_radius,
                                  segment_integral, segment_integrand, segment_table)
@@ -335,6 +336,41 @@ def test_tail_stops_at_upper_cap(upper):
 
 def test_tail_of_zero_is_zero():
     assert decade_tail(lambda r: np.zeros_like(r), 1.0, 16, 1e-10) == 0.0
+
+
+@pytest.mark.parametrize("upper", [math.inf, 45.0])
+def test_tails_of_many_rows_match_one_row_calls(upper):
+    # rows that stop by the ratio test, at two zero decades, on divergence,
+    # on a non-finite increment or at the cap read as their one-row calls,
+    # bit for bit, from one call of the integrand per decade
+    fs = [lambda r: 3.0 * r ** -2.5, lambda r: r ** -3.0, lambda r: np.zeros_like(r),
+          lambda r: 1.0 / r, lambda r: np.where(r > 30.0, np.inf, r ** -2.0)]
+    start = np.array([0.37, 0.5, 1.0, 2.0, 1.0])
+    decades = []
+
+    def one_row(g):
+        def f(r):
+            decades[-1] += 1
+            return g(r)
+        return f
+
+    want = []
+    for g, a in zip(fs, start):
+        decades.append(0)
+        want.append(decade_tail(one_row(g), a, 16, 1e-10, upper))
+    calls = []
+
+    def f(row, r):
+        calls.append(len(r))
+        out = np.empty_like(r)
+        for j, g in enumerate(fs):
+            out[row == j] = g(r[row == j])
+        return out
+
+    got = decade_tails(f, start, 16, 1e-10, upper)
+    assert np.array_equal(got, want)
+    assert len(calls) == max(decades)
+    assert math.isinf(got[3]) == math.isinf(upper) and math.isinf(got[4])
 
 
 def test_partial_gauss_integrates_the_interpolant():

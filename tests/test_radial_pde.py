@@ -342,6 +342,51 @@ def test_located_eval_matches_eval(log_lo, width, vals, slopes, monotone, center
     assert np.all(np.isnan(f.deriv_at([math.nan, -grid[3]])))
 
 
+def test_head_slope_where_the_node_ratio_leaves_the_double_range():
+    # v[1] / v[0] underflows to 0: the slope is the difference of the logs,
+    # not a raw math domain error; a ratio inside the range keeps its log
+    g = np.geomspace(1.0, 10.0, 12)
+    f = RadialFunction(g, np.zeros(12), 0.0, 1.5, None,
+                       -np.array([2.0, 5e-324] + [0.0] * 10))
+    assert np.all(np.isnan(f.deriv_at([math.nan, -g[3]])))
+    assert f.abs_deriv.head_slope == (math.log(5e-324) - math.log(2.0)) / math.log(g[1] / g[0])
+    h = RadialFunction(np.array([1.0, 2.0]), np.array([1e300, 1e-30]), 0.0, 1.5, math.inf)
+    assert h.head_slope == (math.log(1e-30) - math.log(1e300)) / math.log(2.0)
+    with np.errstate(over="ignore"):
+        assert h.eval([1e-3])[0] == math.inf
+    k = RadialFunction(np.array([1.0, 2.0]), np.array([3.0, 1.0]), 0.0, 1.5, math.inf)
+    assert k.head_slope == math.log(1.0 / 3.0) / math.log(2.0)
+
+
+def test_eval_matches_reference_at_window_ordered_radii(suite_quad):
+    # at 12,288 radii in runs of geometric nodes about many centers (the
+    # order in which product windows read a profile), with the grid nodes,
+    # r = 0 and radii past the grid, a 385-node profile evaluates as
+    # _reference_eval does, bit for bit: at one-shot radii, at a location
+    # read twice (the second read from its kept place in log r), with and
+    # without node slopes and with zero node values
+    from wolfflab.radial_pde import monotone_deriv
+    grid = suite_quad.radial_grid()
+    assert len(grid) == 385
+    rng = np.random.default_rng(28)
+    centers = np.exp(rng.uniform(np.log(grid[0] / 10.0), np.log(grid[-1] * 10.0), 48))
+    r = np.concatenate([np.multiply.outer(centers, np.geomspace(0.1, 10.0, 256)).ravel(),
+                        [0.0], grid, [grid[-1] * 2.0]])
+    assert len(r) >= 10_000
+    vals = (1.0 + grid * grid) ** -0.75
+    cut = np.where(grid < 1e3, vals, 0.0)
+    profiles = [RadialFunction(grid, vals, 1.0, 1.5, None, monotone_deriv(grid, vals)),
+                RadialFunction(grid, vals, 1.0, 1.5, math.inf),
+                RadialFunction(grid, cut, 0.0, 1.5, None, -1.5 * cut / grid)]
+    for f in profiles:
+        want = _reference_eval(f, r)
+        loc = Located(f.grid, r)
+        assert np.array_equal(f.eval(r), want, equal_nan=True)
+        assert np.array_equal(f.eval(loc), want, equal_nan=True)
+        assert loc.log is not None and np.array_equal(f.eval(loc), want, equal_nan=True)
+        assert loc._y is None  # no segment table read the location
+
+
 def test_location_is_tied_to_its_grid():
     grid = np.geomspace(1e-2, 1e2, 9)
     f = RadialFunction(grid, 1.0 / grid)

@@ -126,6 +126,26 @@ def test_mixed_data_solution(pp3, quad):
     assert res[-1] <= quad.conv_tol
 
 
+def test_lower_bound_profiles_are_built_when_the_ratio_is_read(pp3, suite_quad, monkeypatch):
+    # without the condition energies no profile is built until the ratio
+    # is read, then one per live term and one for mu, once; the ratio is
+    # the eager one bit for bit
+    sigma = manufactured_sigma(suite_quad)
+    mu = RadialDensity.uniform_ball(3, 1.0, 0.3, suite_quad)
+    built, real = [], wolfflab.solver.wolff_profile
+    monkeypatch.setattr(wolfflab.solver, "wolff_profile",
+                        lambda m, *a, **k: built.append(m) or real(m, *a, **k))
+    lazy = solve_minimal([sigma, zero_measure(3)], [0.5, 0.3], mu, pp3, suite_quad,
+                         check_conditions=False)
+    assert built == [] and lazy.extras["condition_energies"] == {}
+    ratio = lazy.lower_bound_ratio
+    assert built == [sigma, mu] and lazy.lower_bound_ratio == ratio and len(built) == 2
+    eager = solve_minimal([sigma, zero_measure(3)], [0.5, 0.3], mu, pp3, suite_quad)
+    assert built == [sigma, mu] * 2
+    assert np.array_equal(eager.u.values, lazy.u.values)
+    assert eager.lower_bound_ratio == ratio > 0
+
+
 def test_monotone_trace(pp3, quad):
     sigma = manufactured_sigma(quad)
     sol = solve_minimal([sigma], [0.5], None, pp3, quad)
