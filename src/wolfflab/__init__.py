@@ -9,7 +9,7 @@ importlib.import_module("wolfflab.wolff") (or sys.modules["wolfflab.wolff"]).
 """
 
 from .errors import (BadPoint, ConfigError, DimensionError, DivergentTail,
-                     ExponentError, InfiniteEnergy, ModeMismatch,
+                     ExponentError, InfiniteEnergy, InvalidMeasure, ModeMismatch,
                      MonotonicityViolated, NegativeRadius, NegativeScale,
                      NonMonotoneProfile, NonpositiveR, NonRadialMeasure,
                      NotConverged, SignError, SubsolutionSearchFailed,

@@ -152,9 +152,11 @@ def _parse_density(desc, dim, quad, where) -> RadialDensity:
         return RadialDensity.from_function(dim, family_density_fn(a, b, c), quad,
                                            tail=tail, cut=None if cut is None else float(cut),
                                            lo_cut=lo_cut, allow_infinite_mass=allow)
-    if kind == "uniform_ball":
-        return RadialDensity.uniform_ball(dim, float(profile["radius"]),
+    if kind == "uniform_ball":  # its radius is its cut, and lo_cut makes it an annulus
+        _known(desc, where, ("type", "profile", "lo_cut"))
+        ball = RadialDensity.uniform_ball(dim, float(profile["radius"]),
                                           float(profile.get("density", 1.0)), quad)
+        return ball.restricted(lo_cut, ball.cut) if lo_cut > 0.0 else ball
     if kind in ("table", "csv"):
         s, f = _load_profile_csv(profile["path"], where) if kind == "csv" else \
             (np.asarray(profile["s"], dtype=float), np.asarray(profile["f"], dtype=float))

@@ -26,6 +26,10 @@ class NegativeScale(WolffLabError):
     pass
 
 
+class InvalidMeasure(WolffLabError, ValueError):
+    """A measure's parameter is outside its domain (say a ball's radius)."""
+
+
 class SignError(WolffLabError):
     """An integrand that must be nonnegative is negative on the support."""
 

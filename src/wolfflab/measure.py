@@ -4,8 +4,9 @@ ball-mass queries mu(B(x, r)).
 Supported classes: radial densities (tabulated on a log grid, optionally
 backed by an exact callable, with power-law tails and hard cutoffs),
 finite atom sets, uniform spherical shells centered at the origin, and
-finite sums of these.  These admit exact or 1-D-quadrature ball masses,
-which is what keeps every downstream inequality check trustworthy.
+finite sums of these.  These admit exact ball masses (lens volumes for
+uniform annuli) or 1-D-quadrature ones, which keeps every downstream
+inequality check trustworthy.
 
 Balls are open: an atom at distance exactly r from the center does not
 belong to B(x, r).
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import (
     InfiniteEnergy,
+    InvalidMeasure,
     NegativeRadius,
     NegativeScale,
     NonRadialMeasure,
@@ -120,7 +122,8 @@ def cap_fraction(n: int, s, d, r):
     x = (1-c)/2 = (r^2 - (s-d)^2) / (4 s d).  Closed forms: x (n = 3),
     x^2 (3 - 2x) (n = 5), a finite sum in the cap angle for even n (a
     hypergeometric series near x = 0 and 1, _cap_area) and a binomial sum
-    for odd n >= 7 (_cap_series).
+    for odd n >= 7 (_cap_series).  In R^(n+2) it is the volume fraction of a
+    cap of the n-ball, onto which that sphere projects uniformly (_lens_parts).
     """
     s = np.asarray(s, float)
     d = np.asarray(d, float)
@@ -131,6 +134,19 @@ def cap_fraction(n: int, s, d, r):
         frac = _cap_area(n, (r * r - gap * gap) / np.maximum(denom, _TINY))
     # point sphere or centered query: inside iff max(s, d) < r
     return np.where(denom > 0.0, frac, 1.0 * (np.maximum(s, d) < r))
+
+
+def _lens_parts(n: int, d, r, R: float):
+    """|B(x, r) cap B(0, R)|, |x| = d > 0, is omega_n (r^n A(x) + R^n A(x_R)),
+    its caps beyond their common plane, A = _cap_area(n + 2, .) (cap_fraction).
+    Returns x, 1 - x and R^n A(x_R), from sums exact before their last rounding."""
+    s, g = R + r, R - r
+    es, eg = (R - (s - (s - R))) + (r - (s - R)), (R - (g - (g - R))) + (-r - (g - R))  # TwoSum
+    near, over = (s - d) + es, (d - g) - eg
+    with np.errstate(over="ignore"):
+        dr = np.maximum(4.0 * d * r, _TINY)
+        return (near * ((d + g) + eg) / dr, over * (s + d) / dr,
+                R ** n * _cap_area(n + 2, near * over / np.maximum(4.0 * d * R, _TINY)))
 
 
 class RadonMeasure:
@@ -310,7 +326,9 @@ class RadialDensity(RadonMeasure):
     interpolant through those shell values up to r (in a first piece from
     the origin, its power law r^e); integrate_against sums g times the
     shell values like the piece masses.  Off-center masses integrate the
-    density over each window with panels of window_order points.  The
+    density over each window with panels of window_order points, or, for a
+    density that is a constant (_level) on the annulus, are lens volumes
+    (uniform_ball, its scaled copies and restricted annuli).  The
     density is the exact callable density_fn when one is given, the grid
     then serving only as the quadrature backbone; otherwise the values
     interpolated like a RadialFunction (monotone log-log, the tail past the
@@ -343,23 +361,23 @@ class RadialDensity(RadonMeasure):
             density = lambda s: np.maximum(np.asarray(density_fn(s), dtype=float), 0.0)
         hi = float(cut) if cut is not None else (math.inf if tail is not None else float(grid[-1]))
         self._fill(dim, *_laid_out(density, dim, grid, lo_cut, hi), tail, density, hi,
-                   window_order)
+                   window_order, None)
         if not allow_infinite_mass and math.isinf(self._total):
             raise ValueError(
                 "density has infinite total mass; pass allow_infinite_mass=True")
 
     @classmethod
     def _table(cls, dim, layout, shell, piece_mass, coef, e0, tail=None, density=None,
-               hi=math.inf, window_k=None) -> "RadialDensity":
+               hi=math.inf, window_k=None, level=None) -> "RadialDensity":
         """The density known by a table: products, scaled and restricted densities."""
         out = cls.__new__(cls)
-        out._fill(dim, layout, shell, piece_mass, coef, e0, tail, density, hi, window_k)
+        out._fill(dim, layout, shell, piece_mass, coef, e0, tail, density, hi, window_k, level)
         return out
 
-    def _fill(self, dim, layout, shell, piece_mass, coef, e0, tail, density, hi, window_k):
+    def _fill(self, dim, layout, shell, piece_mass, coef, e0, tail, density, hi, window_k, level):
         edges = layout[0]
         self.dim, self.lo_cut, self._hi, self._density = int(dim), float(edges[0]), hi, density
-        self._window_k = int(window_k or DEFAULT_QUAD.window_gauss_order)
+        self._window_k, self._level = int(window_k or DEFAULT_QUAD.window_gauss_order), level
         self._nwn = self.dim * unit_ball_volume(self.dim)
         self._layout, self._shell = layout, shell  # see _table_layout, _pieces
         self._edges, self._piece_mass = edges, piece_mass
@@ -390,8 +408,13 @@ class RadialDensity(RadonMeasure):
     @classmethod
     def uniform_ball(cls, dim, radius=1.0, density=1.0,
                      quad: QuadratureConfig = DEFAULT_QUAD):
-        return cls.from_function(
-            dim, lambda s: np.full(np.shape(s), float(density)), quad, cut=radius)
+        """A constant density on B(0, radius) (see _offcenter_mass)."""
+        radius, density = float(radius), float(density)
+        if not (0.0 < radius < math.inf and 0.0 <= density < math.inf):
+            raise InvalidMeasure(f"need finite radius > 0, density >= 0: got {radius}, {density}")
+        ball = cls.from_function(dim, lambda s: np.full(np.shape(s), density), quad, cut=radius)
+        ball._level = density
+        return ball
 
     def __repr__(self):
         return (f"RadialDensity(n={self.dim}, nodes={len(self.grid)}, "
@@ -448,14 +471,14 @@ class RadialDensity(RadonMeasure):
         return RadialDensity._table(self.dim, self._layout, lam * self._shell,
                                     lam * self._piece_mass, lam * self._coef, self._e0, tail,
                                     lambda s, _d=self._density: lam * _d(s), self._hi,
-                                    self._window_k)
+                                    self._window_k, self._level and lam * self._level)
 
     def restricted(self, lo_cut: float, hi: float) -> "RadialDensity":
         """The density restricted to {lo_cut <= |x| <= hi}, its table laid
         out afresh on its own positive edges between the new cuts."""
         return RadialDensity._table(
             self.dim, *_laid_out(self._density, self.dim, self.grid, lo_cut, hi),
-            self.tail, self._density, hi, self._window_k)
+            self.tail, self._density, hi, self._window_k, self._level)
 
     def _centered_mass(self, r):
         # a pass at a time: bounds the located basis
@@ -495,6 +518,17 @@ class RadialDensity(RadonMeasure):
         return out
 
     def _offcenter_mass(self, d, r):
+        if self._level is not None:  # constant on the annulus: lens volumes
+            n, hi = self.dim, self._hi
+            # r^n stops at r = 1e18 hi, past which B(x, r)'s cap is < hi/r of the lens
+            rn, (x, y, cap) = np.minimum(r, 1e18 * hi) ** n, _lens_parts(n, d, r, hi)
+            part = _cap_area(n + 2, x)
+            if self.lo_cut > 0.0:  # less the hole's lens, B(x, r)'s part from its smaller cap
+                xl, yl, cap_lo = _lens_parts(n, d, r, self.lo_cut)
+                part = np.where(xl > 0.5, _cap_area(n + 2, yl) - _cap_area(n + 2, y),
+                                part - _cap_area(n + 2, xl))
+                cap -= cap_lo
+            return self._level * unit_ball_volume(n) * np.maximum(rn * part + cap, 0.0)
         # spheres with s <= r - d lie fully inside B(x, r)
         out = np.zeros_like(r)
         out[r > d] = self._centered_mass((r - d)[r > d])

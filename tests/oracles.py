@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 from scipy import integrate
+from scipy.special import betainc
 
 # -- frozen oracle outputs -------------------------------------------------
 
@@ -40,6 +41,23 @@ def sphere_intersection_volume(d, R, r):
     return (math.pi * (R + r - d) ** 2
             * (d * d + 2 * d * r - 3 * r * r + 2 * d * R + 6 * r * R - 3 * R * R)
             / (12.0 * d))
+
+
+def lens_volume(n, a, d, r):
+    """|B(0, a) cap B(x, r)|, |x| = d > 0: the caps of the two balls beyond
+    their common plane, each (1/2) V_n R^n I_q((n+1)/2, 1/2) at q = 1 -
+    c^2/R^2 for a plane at distance c >= 0 from its center, the rest of the
+    ball for c < 0; R - c and R + c are formed without cancellation."""
+    vn = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    if r >= d + a or a >= d + r or r <= d - a:
+        return vn * min(a, r) ** n if r > d - a else 0.0
+
+    def cap(R, R_minus_c, R_plus_c):
+        part = 0.5 * vn * R ** n * betainc(0.5 * (n + 1), 0.5, R_minus_c * R_plus_c / R ** 2)
+        return part if R_minus_c <= R else vn * R ** n - part
+
+    return (cap(a, (r - d + a) * (r + d - a) / (2 * d), (d + a - r) * (d + a + r) / (2 * d))
+            + cap(r, (a - d + r) * (a + d - r) / (2 * d), (d + r - a) * (d + r + a) / (2 * d)))
 
 
 def ball_potential(a):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wolfflab import Atom, RadialDensity, SphericalShell, Sum
+from wolfflab import Atom, ConfigError, RadialDensity, SphericalShell, Sum
 from wolfflab.cli import main
 from wolfflab.config import load_config
 
@@ -210,15 +210,18 @@ def test_solve_gamma_zero_manufactured(tmp_path):
 
 
 def test_config_measure_types_match_direct_builds(tmp_path):
-    # shell, sum, scaled and an inline table load to the measures built
-    # from the same numbers directly
+    # shell, sum, scaled, an inline table and a uniform ball with lo_cut (an
+    # annulus) load to the measures built from the same numbers directly; a
+    # uniform_ball refuses the density keys it would otherwise drop
     s, f = [0.1, 0.5, 1.0, 2.0], [2.0, 1.5, 1.0, 0.25]
     shell = {"type": "shell", "radius": 0.7, "mass": 0.45}
     table = {"type": "radial_density", "profile": {"kind": "table", "s": s, "f": f},
              "tail": [2.0, 3.5]}
+    ball = {"type": "radial_density", "lo_cut": 0.5,
+            "profile": {"kind": "uniform_ball", "radius": 1.2, "density": 0.8}}
     cfg = load_config(write_config(tmp_path, {
         "params": BASE_PARAMS,
-        "measures": {"shell": shell, "table": table,
+        "measures": {"shell": shell, "table": table, "annulus": ball,
                      "sum": {"type": "sum", "terms": [
                          shell, {"type": "atom", "location": [0.2, 0.0, 0.0], "weight": 0.3}]},
                      "scaled": {"type": "scaled", "factor": 2.5, "term": table}}}))
@@ -226,7 +229,8 @@ def test_config_measure_types_match_direct_builds(tmp_path):
                             window_order=cfg.quad.window_gauss_order)
     direct = {"shell": SphericalShell(3, 0.7, 0.45), "table": density,
               "sum": Sum([SphericalShell(3, 0.7, 0.45), Atom([0.2, 0.0, 0.0], 0.3)]),
-              "scaled": density.scale(2.5)}
+              "scaled": density.scale(2.5),
+              "annulus": RadialDensity.uniform_ball(3, 1.2, 0.8, cfg.quad).restricted(0.5, 1.2)}
     r = np.array([0.05, 0.3, 0.7, 0.71, 1.5, 3.0, 40.0])
     for name, want in direct.items():
         got = cfg.measures[name]
@@ -235,6 +239,12 @@ def test_config_measure_types_match_direct_builds(tmp_path):
         assert np.array_equal(got.centered_mass(r), want.centered_mass(r))
         assert np.array_equal(got.ball_mass([0.4, 0.1, 0.0], r),
                               want.ball_mass([0.4, 0.1, 0.0], r))
+    assert cfg.measures["annulus"].total_mass() == pytest.approx(
+        0.8 * 4.0 * math.pi / 3.0 * (1.2 ** 3 - 0.5 ** 3), rel=1e-14)
+    for key, value in [("cut", 1.0), ("tail", [1.0, 4.0]), ("allow_infinite_mass", True)]:
+        with pytest.raises(ConfigError, match=f"measures.ball.{key}"):
+            load_config(write_config(tmp_path, {"params": BASE_PARAMS,
+                                                "measures": {"ball": dict(ball, **{key: value})}}))
 
 
 def test_solve_zero_data_exit_2(tmp_path):

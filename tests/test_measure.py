@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import beta, betainc
 
-from wolfflab import (Atom, NegativeRadius, NegativeScale, QuadratureConfig,
-                      RadialDensity, SignError,
+from wolfflab import (Atom, InvalidMeasure, NegativeRadius, NegativeScale,
+                      QuadratureConfig, RadialDensity, SignError, WolffLabError,
                       SphericalShell, Sum, add, ball_mass, cutoff_measure,
                       dirac, integrate_against, multiply_radial, params,
                       riesz_measure_of, scale, solve_radial_p_laplace,
@@ -21,7 +21,8 @@ from wolfflab.params import unit_ball_volume
 from wolfflab.quadrature import Located
 from wolfflab.radial_pde import RadialFunction
 
-from oracles import MC_LENS_VOLUME, mc_lens_volume, sphere_intersection_volume
+from oracles import (MC_LENS_VOLUME, lens_volume, mc_lens_volume,
+                     sphere_intersection_volume)
 from reference import reference_product
 
 W3 = 4.0 * math.pi / 3.0
@@ -61,6 +62,18 @@ def test_uniform_ball_centered_mass(quad):
     assert support_radius(ball) == pytest.approx(1.0)
 
 
+# unchecked, these gave a silent zero measure (-1), a NaN total mass (NaN
+# density), NaN off-center masses (NaN radius), a ball clipped at r_max
+# (inf) and numpy's raw ValueError (0)
+@pytest.mark.parametrize("radius, density", [
+    (1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
+    (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0)])
+def test_uniform_ball_refuses_a_bad_radius_or_density(radius, density):
+    with pytest.raises(InvalidMeasure, match="finite radius > 0, density >= 0"):
+        RadialDensity.uniform_ball(3, radius, density)
+    assert issubclass(InvalidMeasure, WolffLabError)
+
+
 def test_uniform_ball_off_center_vs_monte_carlo(quad):
     ball = RadialDensity.uniform_ball(3, 1.0, 1.0, quad)
     got = ball_mass(ball, np.array([0.8, 0.0, 0.0]), 0.5)
@@ -68,12 +81,65 @@ def test_uniform_ball_off_center_vs_monte_carlo(quad):
     assert got == pytest.approx(MC_LENS_VOLUME, rel=5e-4)
 
 
-def test_uniform_ball_off_center_vs_closed_form(quad):
-    ball = RadialDensity.uniform_ball(3, 1.0, 1.0, quad)
-    for d, r in [(0.8, 0.5), (0.3, 0.9), (1.5, 1.0), (2.0, 1.5), (0.2, 1.5)]:
-        got = ball_mass(ball, np.array([d, 0.0, 0.0]), r)
-        want = sphere_intersection_volume(d, 1.0, r)
-        assert got == pytest.approx(want, rel=2e-9, abs=1e-12)
+def _lens_cases(R):
+    """(d, r) pairs against a ball of radius R, dyadic so that the oracle's
+    sums are exact: overlaps, thin caps (r/d down to 2^-20, r just below
+    d + R, r just above |d - R|), tiny d (2^-30 R, r = R +- O(d)), nesting
+    and no contact."""
+    cases = [(0.8, 0.5), (0.3, 0.9), (1.5, 1.0), (2.0, 1.5), (0.2, 1.5), (3.0, 1.0)]
+    for d in (0.5, 1.0, 2.0, 1024.0):
+        cases += [(d, d * 2.0 ** -e) for e in (10, 20)]
+        cases += [(d, d + 1.0 - d * 2.0 ** -e) for e in (10, 20)]
+        cases += [(d, abs(d - 1.0) + d * 2.0 ** -e) for e in (10, 20)]
+    tiny = 2.0 ** -30
+    cases += [(tiny, 1.0 + k * tiny) for k in (-0.75, -0.5, 0.25, 0.5, 0.75)]
+    return [(d * R, r * R) for d, r in cases]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_uniform_ball_off_center_vs_closed_form(n, quad):
+    # balls, their scaled copies and annuli against lens volumes (betainc
+    # caps); mpmath puts the masses within 2.3e-15 of the exact lens and the
+    # oracle within 1.1e-14 (its far-field caps, d = r = 1024 R)
+    R, lo, rho = 1.25, 0.375, 0.8
+    ball = RadialDensity.uniform_ball(n, R, rho, quad)
+    annulus = ball.restricted(lo, R)
+    for mu, level in ((ball, rho), (ball.scale(2.5), 2.5 * rho)):
+        for d, r in _lens_cases(R):
+            got = ball_mass(mu, d * np.eye(n)[0], r)
+            assert got == pytest.approx(level * lens_volume(n, R, d, r), rel=2e-14, abs=0.0)
+        # far out r^n overflows: B(x, r) holds half the ball, then all of it
+        far = ball_mass(mu, 1e80 * R * np.eye(n)[0], [1e80 * R, 2e80 * R])
+        whole = level * unit_ball_volume(n) * R ** n
+        assert far == pytest.approx([0.5 * whole, whole], rel=1e-14, abs=0.0)
+    for d, r in [(0.8, 0.5), (0.3, 0.9), (1.5, 1.0), (2.0, 1.5), (0.2, 1.5)] if n == 3 else []:
+        got = ball_mass(ball, np.array([d * R, 0.0, 0.0]), r * R)
+        assert got == pytest.approx(rho * sphere_intersection_volume(d * R, R, r * R), rel=1e-13)
+    # the annulus where the hole's lens is at most half of the ball's
+    for d, r in _lens_cases(R) + [(lo, lo / 1024.0), (0.25, 0.125 + 2.0 ** -20), (0.5, 0.75)]:
+        outer, hole = lens_volume(n, R, d, r), lens_volume(n, lo, d, r)
+        if hole <= 0.5 * outer:
+            got = ball_mass(annulus, d * np.eye(n)[0], r)
+            assert got == pytest.approx(rho * (outer - hole), rel=2e-14, abs=0.0)
+
+
+def test_lens_volumes_match_window_quadrature(quad):
+    # the closed form and the window quadrature of the same annulus, there
+    # given as a callable; a product (here with the weight 2) has no level
+    # and keeps the windows
+    for n in (3, 4, 5, 6, 7):
+        ball = RadialDensity.uniform_ball(n, 1.3, 0.7, quad)
+        windows = RadialDensity.from_function(n, lambda s: np.full(np.shape(s), 0.7), quad,
+                                              cut=1.3, lo_cut=0.4)
+        grid = quad.radial_grid()
+        doubled = multiply_radial(ball, RadialFunction(grid, np.full(len(grid), 2.0), 2.0, 0.0))
+        assert windows._level is None and doubled._level is None
+        for d in (0.05, 0.4, 0.9, 1.3, 2.5):
+            dd, r = np.full(40, d), d * np.geomspace(0.01, 10.0, 40)
+            np.testing.assert_allclose(ball.restricted(0.4, 1.3)._radial_mass(dd, r),
+                                       windows._radial_mass(dd, r), rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(doubled._radial_mass(dd, r),
+                                       ball.scale(2.0)._radial_mass(dd, r), rtol=1e-12, atol=0.0)
 
 
 def test_monte_carlo_oracle_consistency():
@@ -367,6 +433,9 @@ def _window_density(n, kind):
     quad = QuadratureConfig(points_per_decade=32)
     c = 0.5 * n + 1.0
     fn = family_density_fn(1.3, 0.7, c)
+    if kind.startswith("uniform"):  # lens volumes, not windows
+        ball = RadialDensity.uniform_ball(n, 2.1, 1.3, quad)
+        return ball.restricted(0.45, 2.1) if kind == "uniform_lo_cut" else ball
     if kind == "cut":
         return RadialDensity.from_function(n, fn, quad, cut=2.1)
     tail = (1.3 * 0.7 ** (2.0 * c), 2.0 * c)
@@ -383,7 +452,7 @@ def _relative_width(mu, d, r):
 
 @settings(deadline=None, max_examples=30)
 @given(n=st.sampled_from([3, 4, 5, 6]),
-       kind=st.sampled_from(["tailed", "cut", "lo_cut"]),
+       kind=st.sampled_from(["tailed", "cut", "lo_cut", "uniform", "uniform_lo_cut"]),
        log_d=st.floats(-2.0, 1.5),
        log_r=st.lists(st.floats(-4.0, 2.0), min_size=2, max_size=40))
 def test_offcenter_mass_window_properties(n, kind, log_d, log_r):

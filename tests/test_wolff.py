@@ -13,7 +13,7 @@ from wolfflab import (Atom, BadPoint, NonpositiveR, QuadratureConfig, RadialDens
 from wolfflab.families import family_density, family_density_fn
 from wolfflab.wolff import PotentialValue
 
-from oracles import ball_potential
+from oracles import ball_potential, lens_volume
 
 
 def dirac_wolff(n, p, r):
@@ -139,23 +139,6 @@ def test_error_estimate_is_honest(n, ppd):
             (x, R, got, ex)
 
 
-def _lens_volume(n, a, d, r):
-    """|B(0, a) cap B(x, r)|, |x| = d > 0: the caps of the two balls beyond
-    their common plane, each (1/2) V_n R^n I_q((n+1)/2, 1/2) at q = 1 -
-    c^2/R^2 for a plane at distance c >= 0 from its center, the rest of the
-    ball for c < 0; R - c and R + c are formed without cancellation."""
-    vn = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-    if r >= d + a or a >= d + r or r <= d - a:
-        return vn * min(a, r) ** n if r > d - a else 0.0
-
-    def cap(R, R_minus_c, R_plus_c):
-        part = 0.5 * vn * R ** n * betainc(0.5 * (n + 1), 0.5, R_minus_c * R_plus_c / R ** 2)
-        return part if R_minus_c <= R else vn * R ** n - part
-
-    return (cap(a, (r - d + a) * (r + d - a) / (2 * d), (d + a - r) * (d + a + r) / (2 * d))
-            + cap(r, (a - d + r) * (a + d - r) / (2 * d), (d + r - a) * (d + r + a) / (2 * d)))
-
-
 def _quad_reference(n, d, p):
     """W at distance d of _ball_and_shell's measure by scipy quad of the
     Wolff integrand with closed-form ball masses (lens volumes and
@@ -167,7 +150,7 @@ def _quad_reference(n, d, p):
 
     def f(r):
         cap = min(max((r - rs + d) * (r + rs - d) / (4.0 * rs * d), 0.0), 1.0)
-        m = rho * _lens_volume(n, a, d, r) + ms * betainc(0.5 * (n - 1), 0.5 * (n - 1), cap)
+        m = rho * lens_volume(n, a, d, r) + ms * betainc(0.5 * (n - 1), 0.5 * (n - 1), cap)
         return (m * r ** (p - n)) ** (1.0 / (p - 1.0)) / r
 
     ends = sorted({0.0, d, abs(d - rs), d + rs, abs(d - a), d + a})
